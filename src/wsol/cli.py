@@ -20,14 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfg
-from .demo import (
-    DEFAULT_DEMO_WEIGHTS,
-    adjacent_error_series,
-    compare_series,
-    isolated_error_series,
-)
+from .demo import adjacent_error_series, compare_series, isolated_error_series
 from .errors import ConfigError, InputError, TrainingDivergedError, ValidationError
-from .loss import CombinedLossSpec, combined_loss, loss_gradient, loss_value
+from .loss import combined_loss, loss_value
 from .series import LabeledSeries, read_series_csv, write_series_csv
 from .threshold import ThresholdDistribution
 from .trainer import (
@@ -53,6 +48,24 @@ def _default_seed() -> int:
     return int(os.environ.get("WSOL_SEED", "2024"))
 
 
+def _open_unit_interval(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must lie strictly inside (0, 1), got {text!r}"
+        )
+    return value
+
+
+def _max_weights(text: str) -> ValueMaxWeight:
+    try:
+        return ValueMaxWeight(omega=tuple(float(v) for v in text.split(",")))
+    except (ValueError, ValidationError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated omega weights, got {text!r}: {exc}"
+        ) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wsol")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -61,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--out", default="report.json")
-    p_eval.add_argument("--sweep-step", type=float, default=0.01)
+    p_eval.add_argument("--sweep-step", type=_open_unit_interval, default=0.01)
 
     p_loss = sub.add_parser("loss", help="evaluate a loss spec on a series")
     p_loss.add_argument("--data", required=True)
@@ -93,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "demo-figure1", help="emit the paired series with identical matrices"
     )
     p_demo.add_argument("--out-dir", default="demo_out")
-    p_demo.add_argument("--omega", default="0.6,0.3,0.1")
+    p_demo.add_argument("--omega", type=_max_weights, default="0.6,0.3,0.1")
     p_demo.add_argument("--tau", type=float, default=0.5)
     return parser
 
@@ -162,11 +175,10 @@ def cmd_eval(args) -> int:
 def cmd_loss(args) -> int:
     spec = cfg.load_loss(args.loss)
     series = read_series_csv(args.data)
-    if isinstance(spec, CombinedLossSpec):
+    if args.gradient:
         value, grad = combined_loss(series, spec)
     else:
         value = loss_value(series, spec)
-        grad = loss_gradient(series, spec) if args.gradient else None
     print(f"loss,{float(value)!r}")
     if args.gradient:
         print("index,gradient")
@@ -223,7 +235,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     result.model.save(out / "checkpoint.json")
     write_history_csv(out / "history.csv", result.history)
-    head = loss.components[0][0] if isinstance(loss, CombinedLossSpec) else loss
+    head = loss.components[0][0]
     preds = result.model.forward(features)
     series = LabeledSeries(preds, labels, chronological=True)
     thresholds = np.round(np.arange(0.01, 1.0, 0.01), 10)
@@ -242,13 +254,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_demo_figure1(args) -> int:
-    omega = tuple(float(v) for v in args.omega.split(","))
-    weights = ValueMaxWeight(omega=omega) if omega else DEFAULT_DEMO_WEIGHTS
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_series_csv(out / "series_adjacent_errors.csv", adjacent_error_series())
     write_series_csv(out / "series_isolated_errors.csv", isolated_error_series())
-    comparison = compare_series(weights=weights, tau=args.tau)
+    comparison = compare_series(weights=args.omega, tau=args.tau)
     (out / "comparison.json").write_text(json.dumps(comparison.to_dict(), indent=2))
     cm = comparison.confusion
     print(

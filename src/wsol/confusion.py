@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .oracle import batch_weighted_entries
 from .series import LabeledSeries
-from .weights import UnitWeight, WeightSpec, eval_weight
+from .weights import WeightSpec
 
 
 @dataclass(frozen=True)
@@ -72,26 +73,12 @@ def hard_confusion(series: LabeledSeries, tau: float) -> ConfusionCounts:
 def weighted_hard_confusion(
     series: LabeledSeries, tau: float, spec: WeightSpec
 ) -> WeightedCounts:
-    """Counts with the weight function applied per sample to FP and FN sums."""
+    """Counts with the weight function applied per sample to FP and FN sums.
+
+    This is batch_weighted_entries at the single threshold ``tau``.
+    """
     tau = _check_tau(tau)
-    if spec.requires_chronological() and not series.chronological:
-        raise ValidationError("value weights require a chronological series")
-    alarm = series.predictions > tau
-    pos = series.labels == 1
-    tn = int(np.sum(~pos & ~alarm))
-    tp = int(np.sum(pos & alarm))
-    if isinstance(spec, UnitWeight):
-        return WeightedCounts(
-            tn=tn,
-            wfp=float(np.sum(~pos & alarm)),
-            wfn=float(np.sum(pos & ~alarm)),
-            tp=tp,
-        )
-    wfp = 0.0
-    wfn = 0.0
-    for i in range(series.n):
-        if pos[i] and not alarm[i]:
-            wfn += eval_weight(spec, tau, i, series)
-        elif not pos[i] and alarm[i]:
-            wfp += eval_weight(spec, tau, i, series)
-    return WeightedCounts(tn=tn, wfp=wfp, wfn=wfn, tp=tp)
+    tn, wfp, wfn, tp = batch_weighted_entries(series, np.array([tau]), spec)
+    return WeightedCounts(
+        tn=int(tn[0]), wfp=float(wfp[0]), wfn=float(wfn[0]), tp=int(tp[0])
+    )

@@ -1,11 +1,12 @@
 """Closed-form expected confusion entries under the threshold prior.
 
 Averaging the hard matrix over the threshold replaces every indicator
-with the prior cdf F.  For the unit, cost, and cross-entropy weights the
-error entries stay per-sample sums; for the value weights the
-false-negative entry couples each positive sample to the window of past
-predictions.  The dot-product form needs only pairwise cdf differences,
-while the max form needs the power-interval decomposition of the window:
+with the prior cdf F.  The correct entries are the same for every weight
+variant and are assembled here; the weighted error entries come from the
+variant's own ``expected_errors``.  For the value weights the
+false-negative entry couples each positive sample to its window of past
+predictions: the dot-product form needs only pairwise cdf differences,
+while the max form needs the power-interval decomposition of the window,
 the ranges of thresholds on which each past prediction is the nearest
 alarm, linked into a chain of strictly increasing precursors.
 """
@@ -16,18 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedCombinationError, ValidationError
+from .errors import ValidationError
 from .series import LabeledSeries
 from .threshold import ThresholdDistribution
-from .weights import (
-    CostWeight,
-    CrossEntropyWeight,
-    UnitWeight,
-    ValueMaxWeight,
-    ValueProdWeight,
-    WeightSpec,
-    future_labels,
-)
+from .weights import WeightSpec, _chain_members
 
 
 @dataclass(frozen=True)
@@ -83,35 +76,6 @@ class PowerIntervalDecomposition:
         return len(self.chain)
 
 
-def _chain_decomposition(
-    past: np.ndarray, a: float
-) -> tuple[PowerIntervalDecomposition, bool]:
-    # Non-empty intervals belong exactly to the strict running maxima of the
-    # window; ties keep the earlier lag (later equal predictions never hold
-    # the maximum on a set of positive measure).  A prediction exactly equal
-    # to the running maximum sits on a chain-membership boundary, which the
-    # gradient path flags as a kink; the second return reports it.
-    intervals = []
-    chain: list[int] = []
-    run_max = a
-    tied = False
-    for lag, p in enumerate(past, start=1):
-        if p > run_max:
-            intervals.append(
-                PowerInterval(
-                    lag=lag,
-                    lower=run_max,
-                    upper=float(p),
-                    precursor=chain[-1] if chain else 0,
-                )
-            )
-            chain.append(lag)
-            run_max = float(p)
-        elif p == run_max:
-            tied = True
-    return PowerIntervalDecomposition(tuple(intervals), tuple(chain)), tied
-
-
 def power_intervals(
     past, a: float = 0.0, b: float = 1.0
 ) -> PowerIntervalDecomposition:
@@ -130,146 +94,51 @@ def power_intervals(
             f"({a}, {b}); the threshold prior must give every window "
             "prediction positive density"
         )
-    return _chain_decomposition(past, a)[0]
+    # The chain marking of the closed form, read off a one-row window; the
+    # current prediction takes no part in it.
+    member = _chain_members(np.append(past[::-1], b), a, past.size)[0][-1]
+    chain = tuple(int(j) + 1 for j in np.flatnonzero(member))
+    intervals = []
+    lower, precursor = float(a), 0
+    for lag in chain:
+        upper = float(past[lag - 1])
+        intervals.append(
+            PowerInterval(lag=lag, lower=lower, upper=upper, precursor=precursor)
+        )
+        lower, precursor = upper, lag
+    return PowerIntervalDecomposition(tuple(intervals), chain)
 
 
-def _require_support(series: LabeledSeries, dist: ThresholdDistribution) -> None:
-    a, b = dist.support
-    if a > 0.0 or b < 1.0:
-        p = series.predictions
-        if np.any((p <= a) | (p >= b)):
-            raise ValidationError(
-                "value weights need every prediction inside the open support "
-                f"({a}, {b}) of the threshold prior"
-            )
-
-
-def _require_chronological(series: LabeledSeries) -> None:
-    if not series.chronological:
-        raise ValidationError("value weights require a chronological series")
+def _tp_tn(labels: np.ndarray, cdf: np.ndarray) -> tuple[float, float]:
+    return float(np.sum(labels * cdf)), float(np.sum((1 - labels) * (1.0 - cdf)))
 
 
 def expected_tp_tn(
     series: LabeledSeries, dist: ThresholdDistribution
 ) -> tuple[float, float]:
     """(E[TP], E[TN]): correct entries are untouched by any weight variant."""
-    cdf = dist.cdf(series.predictions)
-    y = series.labels
-    e_tp = float(np.sum(y * cdf))
-    e_tn = float(np.sum((1 - y) * (1.0 - cdf)))
-    return e_tp, e_tn
-
-
-def _future_reward_factors(series: LabeledSeries, spec) -> np.ndarray:
-    # 1 - g(future-label window) per sample; constant in the threshold.
-    n = series.n
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = 1.0 - spec.g(future_labels(series, i, spec.window))
-    return out
+    return _tp_tn(series.labels, dist.cdf(series.predictions))
 
 
 def expected_wfp(
     series: LabeledSeries, dist: ThresholdDistribution, spec: WeightSpec
 ) -> float:
     """Expected weighted false-positive entry."""
-    y = series.labels
-    neg = y == 0
-    if isinstance(spec, UnitWeight):
-        return float(np.sum(dist.cdf(series.predictions)[neg]))
-    if isinstance(spec, CostWeight):
-        return spec.c01 * float(np.sum(dist.cdf(series.predictions)[neg]))
-    if isinstance(spec, CrossEntropyWeight):
-        _require_uniform01(dist)
-        return float(-spec.omega0 * np.sum(np.log1p(-series.predictions[neg])))
-    if isinstance(spec, (ValueProdWeight, ValueMaxWeight)):
-        _require_chronological(series)
-        _require_support(series, dist)
-        factors = _future_reward_factors(series, spec)
-        return float(np.sum(factors[neg] * dist.cdf(series.predictions)[neg]))
-    raise ValidationError(f"unknown weight spec {spec!r}")
+    return spec.expected_errors(series, dist, dist.cdf(series.predictions))[0]
 
 
 def expected_wfn(
     series: LabeledSeries, dist: ThresholdDistribution, spec: WeightSpec
 ) -> float:
     """Expected weighted false-negative entry."""
-    y = series.labels
-    pos = y == 1
-    cdf = dist.cdf(series.predictions)
-    if isinstance(spec, UnitWeight):
-        return float(np.sum(1.0 - cdf[pos]))
-    if isinstance(spec, CostWeight):
-        return spec.c10 * float(np.sum(1.0 - cdf[pos]))
-    if isinstance(spec, CrossEntropyWeight):
-        _require_uniform01(dist)
-        return float(-spec.omega1 * np.sum(np.log(series.predictions[pos])))
-    if isinstance(spec, ValueProdWeight):
-        _require_chronological(series)
-        _require_support(series, dist)
-        total = 0.0
-        omega = np.asarray(spec.omega)
-        for i in np.flatnonzero(pos):
-            reduction = 0.0
-            for j in range(1, min(spec.window, i) + 1):
-                reduction += omega[j - 1] * max(cdf[i - j] - cdf[i], 0.0)
-            total += 1.0 - cdf[i] - reduction
-        return float(total)
-    if isinstance(spec, ValueMaxWeight):
-        _require_chronological(series)
-        _require_support(series, dist)
-        a = dist.support[0]
-        total = 0.0
-        for i in np.flatnonzero(pos):
-            total += 1.0 - cdf[i] - _max_window_reduction(series, dist, spec, int(i), a)
-        return float(total)
-    raise ValidationError(f"unknown weight spec {spec!r}")
-
-
-def _max_window_reduction(
-    series: LabeledSeries,
-    dist: ThresholdDistribution,
-    spec: ValueMaxWeight,
-    i: int,
-    a: float,
-) -> float:
-    # Chain form of the expected reduction: telescoping the per-interval
-    # integrals leaves one term per chain element, weighted by the drop
-    # between consecutive omega entries (0 after the last element).
-    depth = min(spec.window, i)
-    if depth == 0:
-        return 0.0
-    past = series.predictions[i - depth : i][::-1]
-    dec, _ = _chain_decomposition(past, a)
-    cdf_i = float(dist.cdf(series.predictions[i]))
-    reduction = 0.0
-    for pos_in_chain, lag in enumerate(dec.chain):
-        omega_here = spec.omega[lag - 1]
-        if pos_in_chain + 1 < dec.length:
-            omega_next = spec.omega[dec.chain[pos_in_chain + 1] - 1]
-        else:
-            omega_next = 0.0
-        excess = max(float(dist.cdf(past[lag - 1])) - cdf_i, 0.0)
-        reduction += (omega_here - omega_next) * excess
-    return reduction
-
-
-def _require_uniform01(dist: ThresholdDistribution) -> None:
-    if dist.kind != "uniform" or dist.support != (0.0, 1.0):
-        raise UnsupportedCombinationError(
-            "cross-entropy weights have a closed-form expectation only under "
-            "the uniform prior on [0, 1]"
-        )
+    return spec.expected_errors(series, dist, dist.cdf(series.predictions))[1]
 
 
 def expected_confusion(
     series: LabeledSeries, dist: ThresholdDistribution, spec: WeightSpec
 ) -> ExpectedConfusion:
-    """Assemble all four expected entries."""
-    e_tp, e_tn = expected_tp_tn(series, dist)
-    return ExpectedConfusion(
-        e_tn=e_tn,
-        e_wfp=expected_wfp(series, dist, spec),
-        e_wfn=expected_wfn(series, dist, spec),
-        e_tp=e_tp,
-    )
+    """Assemble all four expected entries from one evaluation of the cdf."""
+    cdf = dist.cdf(series.predictions)
+    e_tp, e_tn = _tp_tn(series.labels, cdf)
+    e_wfp, e_wfn = spec.expected_errors(series, dist, cdf)
+    return ExpectedConfusion(e_tn=e_tn, e_wfp=e_wfp, e_wfn=e_wfn, e_tp=e_tp)

@@ -18,26 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnsupportedCombinationError, ValidationError
-from .expected import (
-    ExpectedConfusion,
-    _chain_decomposition,
-    _future_reward_factors,
-    _require_support,
-    expected_confusion,
-)
+from .errors import ValidationError
+from .expected import ExpectedConfusion, expected_confusion
 from .oracle import exact_expected_score, mc_expected_score
 from .scores import ScoreKind, apply_score, score_partials
 from .series import LabeledSeries
 from .threshold import ThresholdDistribution
-from .weights import (
-    CostWeight,
-    CrossEntropyWeight,
-    UnitWeight,
-    ValueMaxWeight,
-    ValueProdWeight,
-    WeightSpec,
-)
+from .weights import WeightSpec
 
 
 @dataclass(frozen=True)
@@ -47,12 +34,12 @@ class LossSpec:
     dist: ThresholdDistribution
 
     def __post_init__(self):
-        if isinstance(self.weights, CrossEntropyWeight) and (
-            self.dist.kind != "uniform" or self.dist.support != (0.0, 1.0)
-        ):
-            raise UnsupportedCombinationError(
-                "cross-entropy weights pair only with the uniform prior on [0, 1]"
-            )
+        self.weights.check_prior(self.dist)
+
+    @property
+    def components(self) -> tuple[tuple[LossSpec, float], ...]:
+        """A single loss is the one-component combination with coefficient 1."""
+        return ((self, 1.0),)
 
 
 @dataclass(frozen=True)
@@ -91,106 +78,50 @@ def loss_eval(series: LabeledSeries, spec: LossSpec) -> LossResult:
     return LossResult(value=-score.value, degenerate=score.degenerate, expected=exp)
 
 
-def loss_value(series: LabeledSeries, spec: LossSpec) -> float:
-    return loss_eval(series, spec).value
-
-
-def _entry_gradients(series: LabeledSeries, dist: ThresholdDistribution, wspec):
-    """Per-prediction derivatives of the four expected entries.
-
-    Returns (d_tn, d_wfp, d_wfn, d_tp, kink_indices); the value variants
-    contribute cross terms, since a prediction enters the windows of up to
-    `window` later positives.
-    """
-    p = series.predictions
-    y = series.labels
-    dens = np.asarray(dist.pdf(p), dtype=np.float64)
-    neg = (y == 0).astype(np.float64)
-    pos = y.astype(np.float64)
-    d_tp = pos * dens
-    d_tn = -neg * dens
-    kinks: set[int] = set()
-
-    if isinstance(wspec, UnitWeight):
-        return d_tn, neg * dens, -pos * dens, d_tp, kinks
-    if isinstance(wspec, CostWeight):
-        return d_tn, wspec.c01 * neg * dens, -wspec.c10 * pos * dens, d_tp, kinks
-    if isinstance(wspec, CrossEntropyWeight):
-        d_wfp = wspec.omega0 * neg / (1.0 - p)
-        d_wfn = -wspec.omega1 * pos / p
-        return d_tn, d_wfp, d_wfn, d_tp, kinks
-    if not isinstance(wspec, (ValueProdWeight, ValueMaxWeight)):
-        raise ValidationError(f"unknown weight spec {wspec!r}")
-
-    if not series.chronological:
-        raise ValidationError("value weights require a chronological series")
-    _require_support(series, dist)
-    factors = _future_reward_factors(series, wspec)
-    d_wfp = factors * neg * dens
-    d_wfn = np.zeros(series.n)
-    a = dist.support[0]
-    omega = wspec.omega
-    for i in np.flatnonzero(y == 1):
-        depth = min(wspec.window, i)
-        own_coeff = -1.0
-        if isinstance(wspec, ValueProdWeight):
-            for j in range(1, depth + 1):
-                k = i - j
-                if p[k] > p[i]:
-                    own_coeff += omega[j - 1]
-                    d_wfn[k] -= omega[j - 1] * dens[k]
-                elif p[k] == p[i]:
-                    kinks.update((int(i), int(k)))
-        else:
-            if depth > 0:
-                past = p[i - depth : i][::-1]
-                dec, tied = _chain_decomposition(past, a)
-                if tied:
-                    kinks.add(int(i))
-                for m, lag in enumerate(dec.chain):
-                    diff = omega[lag - 1] - (
-                        omega[dec.chain[m + 1] - 1] if m + 1 < dec.length else 0.0
-                    )
-                    k = i - lag
-                    if p[k] > p[i]:
-                        own_coeff += diff
-                        d_wfn[k] -= diff * dens[k]
-                    elif p[k] == p[i]:
-                        kinks.update((int(i), int(k)))
-        d_wfn[i] += own_coeff * dens[i]
-    return d_tn, d_wfp, d_wfn, d_tp, kinks
-
-
-def loss_gradient(series: LabeledSeries, spec: LossSpec) -> GradientVector:
-    """Analytic gradient of the loss with respect to each prediction."""
-    exp = expected_confusion(series, spec.dist, spec.weights)
-    s_tn, s_wfp, s_wfn, s_tp = score_partials(spec.score, *exp.entries())
-    d_tn, d_wfp, d_wfn, d_tp, kinks = _entry_gradients(series, spec.dist, spec.weights)
-    values = -(s_tn * d_tn + s_wfp * d_wfp + s_wfn * d_wfn + s_tp * d_tp)
-    return GradientVector(
-        values=values,
-        nonsmooth=bool(kinks),
-        kink_indices=tuple(sorted(kinks)),
-    )
+def loss_value(series: LabeledSeries, spec: LossSpec | CombinedLossSpec) -> float:
+    """Loss value; a combination weights each component by its coefficient."""
+    return sum(beta * loss_eval(series, c).value for c, beta in spec.components)
 
 
 def combined_loss(
-    series: LabeledSeries, spec: CombinedLossSpec
+    series: LabeledSeries, spec: LossSpec | CombinedLossSpec
 ) -> tuple[float, GradientVector]:
-    """Value and gradient of a convex combination of losses."""
+    """Value and analytic gradient (per prediction) of a loss.
+
+    One expected matrix per component yields both: the score and its
+    partials at that matrix, chained with the entry derivatives.  A value
+    weight contributes cross terms, since a prediction enters the windows
+    of up to T later positives.
+    """
+    p = series.predictions
+    y = series.labels
+    neg = (y == 0).astype(np.float64)
+    pos = y.astype(np.float64)
     total = 0.0
     grad = np.zeros(series.n)
     kinks: set[int] = set()
-    nonsmooth = False
     for component, beta in spec.components:
-        total += beta * loss_value(series, component)
-        g = loss_gradient(series, component)
-        grad += beta * g.values
-        nonsmooth = nonsmooth or g.nonsmooth
-        kinks.update(g.kink_indices)
+        exp = expected_confusion(series, component.dist, component.weights)
+        total += beta * -apply_score(component.score, *exp.entries()).value
+        s_tn, s_wfp, s_wfn, s_tp = score_partials(component.score, *exp.entries())
+        dens = np.asarray(component.dist.pdf(p), dtype=np.float64)
+        d_wfp, d_wfn, k = component.weights.error_derivatives(
+            series, component.dist, dens
+        )
+        d_tn = -neg * dens
+        d_tp = pos * dens
+        grad += beta * -(s_tn * d_tn + s_wfp * d_wfp + s_wfn * d_wfn + s_tp * d_tp)
+        kinks |= k
     return total, GradientVector(
-        values=grad, nonsmooth=nonsmooth, kink_indices=tuple(sorted(kinks))
+        values=grad, nonsmooth=bool(kinks), kink_indices=tuple(sorted(kinks))
     )
+
+
+def loss_gradient(
+    series: LabeledSeries, spec: LossSpec | CombinedLossSpec
+) -> GradientVector:
+    """Analytic gradient of the loss with respect to each prediction."""
+    return combined_loss(series, spec)[1]
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,8 @@ class MultilabelSeries:
             raise ValidationError("multilabel series needs at least 2 classes")
         if not np.all(np.isin(labels, (0, 1))):
             raise ValidationError("labels must be exactly 0 or 1")
-        if np.any((preds <= 0.0) | (preds >= 1.0)):
+        # Written so that NaN, which fails every comparison, fails it too.
+        if not np.all((preds > 0.0) & (preds < 1.0)):
             raise ValidationError("predictions must lie strictly inside (0, 1)")
         object.__setattr__(self, "labels", labels.astype(np.int64))
         object.__setattr__(self, "predictions", preds)

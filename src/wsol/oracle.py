@@ -11,7 +11,10 @@ Two independent routes to the same expectations:
   standard errors keeps the false-failure rate of a whole suite of such
   checks around 1e-4).
 
-Neither route touches the closed-form algebra, which is the point.
+Both evaluate the hard matrix through ``batch_weighted_entries``, and the
+only weight methods it calls are the hard-path factors, ``fp_factors``
+and ``fn_factors``.  Neither route touches a closed form, a derivative,
+or the chain algebra behind them, which is the point.
 """
 
 from __future__ import annotations
@@ -20,23 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confusion import weighted_hard_confusion
 from .errors import ValidationError
 from .expected import ExpectedConfusion
-from .scores import ScoreKind, apply_score, score_array
+from .scores import ScoreKind, score_array
 from .series import LabeledSeries
 from .threshold import ThresholdDistribution
-from .weights import (
-    CostWeight,
-    CrossEntropyWeight,
-    UnitWeight,
-    ValueMaxWeight,
-    ValueProdWeight,
-    WeightSpec,
-    future_labels,
-)
+from .weights import WeightSpec
 
 _CHUNK = 1 << 15
+# Matrix elements (samples x thresholds) per block of batch_weighted_entries:
+# small enough that the block's temporaries stay in cache.
+_BATCH_ELEMENTS = 1 << 16
 
 
 def _breakpoints(series: LabeledSeries, dist: ThresholdDistribution) -> np.ndarray:
@@ -44,6 +41,21 @@ def _breakpoints(series: LabeledSeries, dist: ThresholdDistribution) -> np.ndarr
     p = series.predictions
     inner = np.unique(p[(p > a) & (p < b)])
     return np.concatenate([[a], inner, [b]])
+
+
+def _midpoint_entries(
+    series: LabeledSeries, dist: ThresholdDistribution, spec: WeightSpec
+):
+    """Hard-matrix entries (4, m) at the midpoints of the m subintervals.
+
+    Only subintervals of positive prior mass are kept; their masses are
+    returned alongside.
+    """
+    bps = _breakpoints(series, dist)
+    mass = np.diff(dist.cdf(bps))
+    keep = mass > 0.0
+    mids = (0.5 * (bps[:-1] + bps[1:]))[keep]
+    return np.stack(batch_weighted_entries(series, mids, spec)), mass[keep]
 
 
 def exact_expected_confusion(
@@ -57,16 +69,8 @@ def exact_expected_confusion(
     is its exact value there.  Duplicated prediction values collapse into
     a single breakpoint and cannot change the sum.
     """
-    bps = _breakpoints(series, dist)
-    acc = np.zeros(4)
-    cdf_at = dist.cdf(bps)
-    for k in range(len(bps) - 1):
-        mass = cdf_at[k + 1] - cdf_at[k]
-        if mass <= 0.0:
-            continue
-        mid = 0.5 * (bps[k] + bps[k + 1])
-        wc = weighted_hard_confusion(series, mid, spec)
-        acc += mass * np.array([wc.tn, wc.wfp, wc.wfn, wc.tp])
+    entries, mass = _midpoint_entries(series, dist, spec)
+    acc = entries @ mass
     return ExpectedConfusion(e_tn=acc[0], e_wfp=acc[1], e_wfn=acc[2], e_tp=acc[3])
 
 
@@ -77,32 +81,8 @@ def exact_expected_score(
     kind: ScoreKind,
 ) -> float:
     """E[s(wCM)] by the same piecewise integration; degenerate slabs score 0."""
-    bps = _breakpoints(series, dist)
-    cdf_at = dist.cdf(bps)
-    total = 0.0
-    for k in range(len(bps) - 1):
-        mass = cdf_at[k + 1] - cdf_at[k]
-        if mass <= 0.0:
-            continue
-        mid = 0.5 * (bps[k] + bps[k + 1])
-        wc = weighted_hard_confusion(series, mid, spec)
-        total += mass * apply_score(kind, wc.tn, wc.wfp, wc.wfn, wc.tp).value
-    return total
-
-
-def _fp_sample_weights(series: LabeledSeries, spec: WeightSpec) -> np.ndarray:
-    # Per-sample false-positive weights; threshold-free for every variant.
-    p = series.predictions
-    if isinstance(spec, UnitWeight):
-        return np.ones(series.n)
-    if isinstance(spec, CostWeight):
-        return np.full(series.n, spec.c01)
-    if isinstance(spec, CrossEntropyWeight):
-        return -spec.omega0 * np.log1p(-p) / p
-    out = np.empty(series.n)
-    for i in range(series.n):
-        out[i] = 1.0 - spec.g(future_labels(series, i, spec.window))
-    return out
+    entries, mass = _midpoint_entries(series, dist, spec)
+    return float(score_array(kind, *entries)[0] @ mass)
 
 
 def batch_weighted_entries(
@@ -110,49 +90,29 @@ def batch_weighted_entries(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(tn, wfp, wfn, tp) of the hard weighted matrix, vectorized over taus.
 
-    Column b equals weighted_hard_confusion(series, taus[b], spec); the
-    test suite pins that equivalence down, and the Monte Carlo oracle
-    relies on it for throughput.
+    Column b is the matrix at threshold taus[b]: a prediction raises an
+    alarm when it exceeds the threshold strictly.  The weighted entries
+    sum the spec's hard-path factors over the false alarms and misses;
+    the counts are exact integers held as floats.  Thresholds are taken
+    in blocks of at most _BATCH_ELEMENTS matrix elements.
     """
-    if spec.requires_chronological() and not series.chronological:
-        raise ValidationError("value weights require a chronological series")
     p = series.predictions
-    y = series.labels
-    n = series.n
+    pos = series.labels == 1
     taus = np.asarray(taus, dtype=np.float64)
-    alarm = p[:, None] > taus[None, :]
-    pos = y == 1
-    tp = alarm[pos].sum(axis=0).astype(np.float64)
-    tn = (~alarm)[~pos].sum(axis=0).astype(np.float64)
-    fp_w = _fp_sample_weights(series, spec)
-    wfp = (fp_w[~pos, None] * alarm[~pos]).sum(axis=0)
-    if isinstance(spec, (ValueProdWeight, ValueMaxWeight)):
-        window = spec.window
-        padded = np.zeros((n + window, taus.size), dtype=bool)
-        padded[window:] = alarm
-        if isinstance(spec, ValueProdWeight):
-            g_past = np.zeros((n, taus.size))
-            for j in range(1, window + 1):
-                g_past += spec.omega[j - 1] * padded[window - j : window - j + n]
-        else:
-            g_past = np.zeros((n, taus.size))
-            for j in range(1, window + 1):
-                np.maximum(
-                    g_past,
-                    spec.omega[j - 1] * padded[window - j : window - j + n],
-                    out=g_past,
-                )
-        fn_w = 1.0 - g_past
-    elif isinstance(spec, UnitWeight):
-        fn_w = np.ones((n, 1))
-    elif isinstance(spec, CostWeight):
-        fn_w = np.full((n, 1), spec.c10)
-    elif isinstance(spec, CrossEntropyWeight):
-        fn_w = (-spec.omega1 * np.log(p) / (1.0 - p))[:, None]
-    else:
-        raise ValidationError(f"unknown weight spec {spec!r}")
-    wfn = (fn_w[pos] * (~alarm[pos])).sum(axis=0)
-    return tn, wfp, wfn, tp
+    fp_w = spec.fp_factors(series)[~pos]
+    out = np.empty((4, taus.size))
+    step = max(1, _BATCH_ELEMENTS // series.n)
+    for lo in range(0, taus.size, step):
+        cols = slice(lo, lo + step)
+        alarm = p[:, None] > taus[None, cols]
+        false_alarm = alarm[~pos]
+        miss = ~alarm[pos]
+        fn_w = np.broadcast_to(spec.fn_factors(series, alarm)[pos], miss.shape)
+        out[0, cols] = false_alarm.shape[0] - false_alarm.sum(axis=0)
+        out[1, cols] = np.einsum("i,ib->b", fp_w, false_alarm)
+        out[2, cols] = np.einsum("ib,ib->b", fn_w, miss)
+        out[3, cols] = miss.shape[0] - miss.sum(axis=0)
+    return out[0], out[1], out[2], out[3]
 
 
 @dataclass(frozen=True)

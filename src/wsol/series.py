@@ -33,7 +33,8 @@ class LabeledSeries:
             raise ValidationError("predictions and labels must be 1-d and equal length")
         if preds.size == 0:
             raise ValidationError("empty series")
-        if np.any((preds <= 0.0) | (preds >= 1.0)):
+        # Written so that NaN, which fails every comparison, fails it too.
+        if not np.all((preds > 0.0) & (preds < 1.0)):
             raise ValidationError("predictions must lie strictly inside (0, 1)")
         if not np.all(np.isin(labels, (0, 1))):
             raise ValidationError("labels must be exactly 0 or 1")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,9 @@ from .errors import (
     ValidationError,
 )
 from .expected import expected_confusion
-from .loss import CombinedLossSpec, LossSpec, combined_loss, loss_gradient, loss_value
-from .scores import ScoreKind, apply_score
+from .loss import CombinedLossSpec, LossSpec, combined_loss, loss_value
+from .oracle import batch_weighted_entries
+from .scores import ScoreKind, apply_score, score_array
 from .series import LabeledSeries
 from .weights import UnitWeight, WeightSpec
 
@@ -221,25 +222,6 @@ class TrainResult:
     history: list[EpochRecord] = field(default_factory=list)
 
 
-def _headline(loss: LossSpec | CombinedLossSpec) -> LossSpec:
-    return loss.components[0][0] if isinstance(loss, CombinedLossSpec) else loss
-
-
-def _batch_loss(
-    series: LabeledSeries, loss: LossSpec | CombinedLossSpec
-) -> tuple[float, np.ndarray]:
-    if isinstance(loss, CombinedLossSpec):
-        value, grad = combined_loss(series, loss)
-        return value, grad.values
-    return loss_value(series, loss), loss_gradient(series, loss).values
-
-
-def _batch_loss_value(series: LabeledSeries, loss: LossSpec | CombinedLossSpec) -> float:
-    if isinstance(loss, CombinedLossSpec):
-        return sum(beta * loss_value(series, c) for c, beta in loss.components)
-    return loss_value(series, loss)
-
-
 def train(
     features: np.ndarray,
     labels: np.ndarray,
@@ -256,7 +238,7 @@ def train(
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    head = _headline(cfg.loss)
+    head = cfg.loss.components[0][0]
     tau_report = head.dist.mean()
     result = TrainResult(model=model)
     n = labels.size
@@ -272,9 +254,10 @@ def train(
                 raise TrainingDivergedError(epoch)
             series = LabeledSeries(preds, labels[lo:hi], chronological=True)
             try:
-                value, dloss_dpred = _batch_loss(series, cfg.loss)
+                value, grad = combined_loss(series, cfg.loss)
             except DegenerateDenominatorError:
                 continue
+            dloss_dpred = grad.values
             if not np.isfinite(value) or not np.all(np.isfinite(dloss_dpred)):
                 raise TrainingDivergedError(epoch)
             grad_w, grad_b = model.backward(x, dloss_dpred)
@@ -294,7 +277,7 @@ def train(
         result.history.append(
             EpochRecord(
                 epoch=epoch,
-                loss=_batch_loss_value(series, cfg.loss),
+                loss=loss_value(series, cfg.loss),
                 score_classical=apply_score(
                     head.score, cm.tn, cm.fp, cm.fn, cm.tp
                 ).value,
@@ -395,16 +378,12 @@ def _weighted_metric(
     weights: WeightSpec,
     tau_mean: float,
 ) -> tuple[float, float]:
+    """Weighted-matrix score at tau_mean and the best over the 0.01-step sweep."""
     preds = model.forward(features)
     series = LabeledSeries(preds, labels, chronological=True)
-    best = -np.inf
-    for tau in np.round(np.arange(0.01, 1.0, 0.01), 10):
-        wc = weighted_hard_confusion(series, float(tau), weights)
-        val = apply_score(metric, wc.tn, wc.wfp, wc.wfn, wc.tp).value
-        best = max(best, val)
-    wc = weighted_hard_confusion(series, tau_mean, weights)
-    at_mean = apply_score(metric, wc.tn, wc.wfp, wc.wfn, wc.tp).value
-    return at_mean, float(best)
+    taus = np.append(np.round(np.arange(0.01, 1.0, 0.01), 10), tau_mean)
+    values, _ = score_array(metric, *batch_weighted_entries(series, taus, weights))
+    return float(values[-1]), float(np.max(values[:-1]))
 
 
 def paired_comparison(
@@ -428,21 +407,12 @@ def paired_comparison(
     natural scales: an unnormalized sum grows with the batch, a score
     stays in a fixed range.
     """
-    head = _headline(candidate)
+    head = candidate.components[0][0]
     metric_weights = metric_weights or head.weights
     tau_mean = head.dist.mean()
     runs = []
     for seed in seeds:
-        cfg = SyntheticSeriesConfig(
-            n=base_cfg.n,
-            event_rate=base_cfg.event_rate,
-            precursor_strength=base_cfg.precursor_strength,
-            noise=base_cfg.noise,
-            window=base_cfg.window,
-            seed=seed,
-            features=base_cfg.features,
-        )
-        features, labels = generate_temporal_dataset(cfg)
+        features, labels = generate_temporal_dataset(replace(base_cfg, seed=seed))
         sizes = (features.shape[1], *hidden, 1)
         model_a = MLPModel.init(sizes, seed=seed)
         train(

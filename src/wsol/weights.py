@@ -3,8 +3,22 @@
 Five variants: unit (classical matrix), cost (fixed per-error-type cost),
 cross-entropy (prediction-dependent), and two value variants that reward
 errors adjacent in time to events or alarms through a window of length T.
-Each variant reads only the arguments it needs, but ``eval_weight`` exposes
-the full argument list so dispatch stays total across variants.
+
+Each variant's class owns the four decisions that depend on it:
+
+* ``fp_factors`` -- the weight of each sample as a false positive, which
+  never depends on the threshold;
+* ``fn_factors`` -- the weight of each sample as a false negative, given
+  the (n, B) alarm matrix of B thresholds;
+* ``expected_errors`` -- the closed-form (E[wFP], E[wFN]) under a
+  threshold prior;
+* ``error_derivatives`` -- their derivatives in each prediction, with the
+  indices where only a one-sided derivative exists.
+
+The two factor methods are the hard path the oracles integrate; the other
+two are the closed forms those oracles check.  ``eval_weight`` evaluates
+one sample from the definition and is the reference the tests compare
+both paths against.
 """
 
 from __future__ import annotations
@@ -13,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import UnsupportedCombinationError, ValidationError
 from .series import LabeledSeries
 
 
@@ -25,14 +39,72 @@ class WeightSpec:
     def requires_chronological(self) -> bool:
         return False
 
+    def check_prior(self, dist) -> None:
+        """Raise when the closed forms do not cover this threshold prior."""
+
+    def fp_factors(self, series: LabeledSeries) -> np.ndarray:
+        """Weight of each sample as a false positive, shape (n,)."""
+        raise NotImplementedError
+
+    def fn_factors(self, series: LabeledSeries, alarm: np.ndarray) -> np.ndarray:
+        """Weight of each sample as a false negative at each threshold.
+
+        ``alarm`` is the (n, B) matrix of 1{prediction > tau_b}; the result
+        broadcasts against it.
+        """
+        raise NotImplementedError
+
+    def expected_errors(
+        self, series: LabeledSeries, dist, cdf: np.ndarray
+    ) -> tuple[float, float]:
+        """(E[wFP], E[wFN]) under ``dist``; ``cdf`` is its cdf at each prediction."""
+        raise NotImplementedError
+
+    def error_derivatives(
+        self, series: LabeledSeries, dist, dens: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, set[int]]:
+        """(dE[wFP]/dp, dE[wFN]/dp, kink indices) in each prediction.
+
+        ``dens`` is the prior pdf at each prediction.  At a kink index only
+        a one-sided derivative exists.
+        """
+        raise NotImplementedError
+
+
+class _ErrorTypeWeight(WeightSpec):
+    # c01 on every false positive, c10 on every false negative.  The
+    # expected entries scale the unit sums after summing, so a cost weight
+    # gives exactly c01 * E[FP] and c10 * E[FN].
+
+    def fp_factors(self, series):
+        return np.full(series.n, float(self.c01))
+
+    def fn_factors(self, series, alarm):
+        return np.full((series.n, 1), float(self.c10))
+
+    def expected_errors(self, series, dist, cdf):
+        pos = series.labels == 1
+        return (
+            self.c01 * float(np.sum(cdf[~pos])),
+            self.c10 * float(np.sum(1.0 - cdf[pos])),
+        )
+
+    def error_derivatives(self, series, dist, dens):
+        y = series.labels
+        neg = (y == 0).astype(np.float64)
+        pos = y.astype(np.float64)
+        return self.c01 * neg * dens, -self.c10 * pos * dens, set()
+
 
 @dataclass(frozen=True)
-class UnitWeight(WeightSpec):
+class UnitWeight(_ErrorTypeWeight):
     name = "unit"
+    c01 = 1.0
+    c10 = 1.0
 
 
 @dataclass(frozen=True)
-class CostWeight(WeightSpec):
+class CostWeight(_ErrorTypeWeight):
     """Cost c01 on false positives, c10 on false negatives."""
 
     c01: float
@@ -56,6 +128,37 @@ class CrossEntropyWeight(WeightSpec):
         if self.omega0 <= 0 or self.omega1 <= 0:
             raise ValidationError("cross-entropy weight parameters must be positive")
 
+    def check_prior(self, dist) -> None:
+        if dist.kind != "uniform" or dist.support != (0.0, 1.0):
+            raise UnsupportedCombinationError(
+                "cross-entropy weights have a closed-form expectation only under "
+                "the uniform prior on [0, 1]"
+            )
+
+    def fp_factors(self, series):
+        p = series.predictions
+        return -self.omega0 * np.log1p(-p) / p
+
+    def fn_factors(self, series, alarm):
+        p = series.predictions
+        return (-self.omega1 * np.log(p) / (1.0 - p))[:, None]
+
+    def expected_errors(self, series, dist, cdf):
+        self.check_prior(dist)
+        p = series.predictions
+        pos = series.labels == 1
+        return (
+            float(-self.omega0 * np.sum(np.log1p(-p[~pos]))),
+            float(-self.omega1 * np.sum(np.log(p[pos]))),
+        )
+
+    def error_derivatives(self, series, dist, dens):
+        p = series.predictions
+        y = series.labels
+        neg = (y == 0).astype(np.float64)
+        pos = y.astype(np.float64)
+        return self.omega0 * neg / (1.0 - p), -self.omega1 * pos / p, set()
+
 
 def _check_omega(omega: tuple[float, ...]) -> tuple[float, ...]:
     omega = tuple(float(w) for w in omega)
@@ -68,12 +171,140 @@ def _check_omega(omega: tuple[float, ...]) -> tuple[float, ...]:
     return omega
 
 
+def _require_chronological(series: LabeledSeries) -> None:
+    if not series.chronological:
+        raise ValidationError("value weights require a chronological series")
+
+
+def _require_support(series: LabeledSeries, dist) -> None:
+    # The value closed forms need time order and every prediction inside
+    # the open support of the prior, where it has positive density.
+    _require_chronological(series)
+    a, b = dist.support
+    if a > 0.0 or b < 1.0:
+        p = series.predictions
+        if np.any((p <= a) | (p >= b)):
+            raise ValidationError(
+                "value weights need every prediction inside the open support "
+                f"({a}, {b}) of the threshold prior"
+            )
+
+
+def _chain_members(
+    p: np.ndarray, a: float, window: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chain marking of the past window of every sample.
+
+    ``member[i, j - 1]`` is set when the prediction at lag j of sample i
+    exceeds the lower support bound ``a`` and every nearer lag's prediction
+    strictly: the strict running maxima, which are exactly the lags whose
+    power interval is non-empty (of equal predictions the nearer lag keeps
+    the interval).  ``tied[i]`` flags a lag equal to that running maximum,
+    a chain-membership boundary.  Lags before the record start are absent
+    rather than padded, so they can neither join the chain nor tie.
+    """
+    n = p.size
+    member = np.zeros((n, window), dtype=bool)
+    tied = np.zeros(n, dtype=bool)
+    top = np.full(n, float(a))
+    for j in range(1, min(window, n - 1) + 1):
+        past = p[: n - j]
+        member[j:, j - 1] = past > top[j:]
+        tied[j:] |= past == top[j:]
+        np.maximum(top[j:], past, out=top[j:])
+    return member, tied
+
+
+class _ValueWeight(WeightSpec):
+    # Both value variants weight an error by 1 - g(omega, z) over a window of
+    # T indicators: the next T labels for a false positive, the previous T
+    # alarms for a false negative.  A variant fixes how the window entries
+    # merge into g (``_merge``) and which past lags enter the closed form
+    # with which coefficient (``_lag_terms``).  Window positions outside
+    # the record contribute nothing.
+
+    @property
+    def window(self) -> int:
+        return len(self.omega)
+
+    def requires_chronological(self) -> bool:
+        return True
+
+    def fp_factors(self, series):
+        _require_chronological(series)
+        n = series.n
+        event = series.labels == 1
+        g = np.zeros(n)
+        for j, w in enumerate(self.omega[: n - 1], start=1):
+            self._merge(g[: n - j], w * event[j:], out=g[: n - j])
+        return 1.0 - g
+
+    def fn_factors(self, series, alarm):
+        _require_chronological(series)
+        n = series.n
+        g = np.zeros(alarm.shape)
+        for j, w in enumerate(self.omega[: n - 1], start=1):
+            self._merge(g[j:], w * alarm[: n - j], out=g[j:])
+        return 1.0 - g
+
+    def _lag_terms(
+        self, p: np.ndarray, a: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(coef, enters, tied), each row a sample and each column a lag.
+
+        The expected false-negative weight of positive i is
+        1 - F(p_i) - sum_j coef[i, j - 1] * max(F(p_{i-j}) - F(p_i), 0);
+        ``enters`` marks the lags that take part, and ``tied`` the samples
+        at a kink of the lag structure itself.
+        """
+        raise NotImplementedError
+
+    def expected_errors(self, series, dist, cdf):
+        _require_support(series, dist)
+        n = series.n
+        pos = series.labels == 1
+        e_wfp = float(np.sum(self.fp_factors(series)[~pos] * cdf[~pos]))
+        coef, _, _ = self._lag_terms(series.predictions, dist.support[0])
+        reduction = np.zeros(n)
+        for j in range(1, min(self.window, n - 1) + 1):
+            reduction[j:] += coef[j:, j - 1] * np.maximum(cdf[: n - j] - cdf[j:], 0.0)
+        return e_wfp, float(np.sum((1.0 - cdf[pos]) - reduction[pos]))
+
+    def error_derivatives(self, series, dist, dens):
+        _require_support(series, dist)
+        p = series.predictions
+        y = series.labels
+        n = series.n
+        pos = y == 1
+        d_wfp = self.fp_factors(series) * (y == 0).astype(np.float64) * dens
+        coef, enters, tied = self._lag_terms(p, dist.support[0])
+        kinks = set(np.flatnonzero(tied & pos).tolist())
+        # A positive's own coefficient gains every entering lag predicted
+        # above it; that lag's prediction gets the opposite cross term.  A
+        # lag predicted exactly at the positive's value is a kink.
+        own = np.full(n, -1.0)
+        cross = []
+        for j in range(1, min(self.window, n - 1) + 1):
+            live = enters[j:, j - 1] & pos[j:]
+            above = live & (p[: n - j] > p[j:])
+            own[j:] += np.where(above, coef[j:, j - 1], 0.0)
+            cross.append(np.where(above, coef[j:, j - 1] * dens[: n - j], 0.0))
+            k = np.flatnonzero(live & (p[: n - j] == p[j:]))
+            kinks.update(k.tolist())
+            kinks.update((k + j).tolist())
+        d_wfn = np.where(pos, own * dens, 0.0)
+        for j, term in enumerate(cross, start=1):
+            d_wfn[: n - j] -= term
+        return d_wfp, d_wfn, kinks
+
+
 @dataclass(frozen=True)
-class ValueProdWeight(WeightSpec):
+class ValueProdWeight(_ValueWeight):
     """Value weight 1 - omega . z over the temporal window (dot-product form)."""
 
     omega: tuple[float, ...]
     name = "value_prod"
+    _merge = np.add
 
     def __post_init__(self):
         omega = _check_omega(self.omega)
@@ -81,23 +312,22 @@ class ValueProdWeight(WeightSpec):
             raise ValidationError("value_prod needs sum(omega) < 1")
         object.__setattr__(self, "omega", omega)
 
-    @property
-    def window(self) -> int:
-        return len(self.omega)
-
-    def requires_chronological(self) -> bool:
-        return True
-
     def g(self, z: np.ndarray) -> float:
         return float(np.dot(self.omega, z))
 
+    def _lag_terms(self, p, a):
+        # Every lag inside the record enters with its own omega.
+        enters = np.arange(p.size)[:, None] >= np.arange(1, self.window + 1)
+        return np.where(enters, self.omega, 0.0), enters, np.zeros(p.size, dtype=bool)
+
 
 @dataclass(frozen=True)
-class ValueMaxWeight(WeightSpec):
+class ValueMaxWeight(_ValueWeight):
     """Value weight 1 - max(omega * z): only the nearest hit in the window counts."""
 
     omega: tuple[float, ...]
     name = "value_max"
+    _merge = np.maximum
 
     def __post_init__(self):
         omega = _check_omega(self.omega)
@@ -105,15 +335,21 @@ class ValueMaxWeight(WeightSpec):
             raise ValidationError("value_max needs max(omega) < 1")
         object.__setattr__(self, "omega", omega)
 
-    @property
-    def window(self) -> int:
-        return len(self.omega)
-
-    def requires_chronological(self) -> bool:
-        return True
-
     def g(self, z: np.ndarray) -> float:
         return float(np.max(np.asarray(self.omega) * z)) if len(self.omega) else 0.0
+
+    def _lag_terms(self, p, a):
+        # Chain form: telescoping the per-interval integrals leaves one term
+        # per chain member, weighted by the drop from its omega to the next
+        # member's (0 after the last), found by scanning the lags backwards.
+        member, tied = _chain_members(p, a, self.window)
+        coef = np.zeros(member.shape)
+        following = np.zeros(p.size)
+        for j in range(self.window, 0, -1):
+            here = member[:, j - 1]
+            coef[:, j - 1] = np.where(here, self.omega[j - 1] - following, 0.0)
+            following = np.where(here, self.omega[j - 1], following)
+        return coef, member, tied
 
 
 def future_labels(series: LabeledSeries, i: int, window: int) -> np.ndarray:

@@ -184,6 +184,15 @@ class TestLoss:
         assert float(lines[0].split(",")[1]) == loss_value(series, spec)
         np.testing.assert_array_equal(values, loss_gradient(series, spec).values)
 
+    def test_nan_prediction_is_input_error(self, tmp_path, loss_file, capsys):
+        data = tmp_path / "nan.csv"
+        data.write_text("timestamp,label,prediction\n0,0,0.3\n1,1,nan\n2,0,0.6\n")
+        assert run(["loss", "--data", data, "--loss", loss_file, "--gradient"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("input error:") and "\n" not in err
+
     def test_combined_loss_file(self, demo_dir, tmp_path, capsys):
         component = {
             "score": "tss",
@@ -315,3 +324,21 @@ def test_seed_env_override(tmp_path, monkeypatch, loss_file, synth_file):
     monkeypatch.setenv("WSOL_SEED", "124")
     assert run(argv + ["--out-dir", out_b]) == 0
     assert (out_a / "history.csv").read_bytes() != (out_b / "history.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--data", "s.csv", "--config", "c.json", "--sweep-step", "0"],
+        ["eval", "--data", "s.csv", "--config", "c.json", "--sweep-step", "2"],
+        ["demo-figure1", "--omega", ""],
+    ],
+    ids=["sweep-step-0", "sweep-step-2", "omega-empty"],
+)
+def test_bad_numeric_argument_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1

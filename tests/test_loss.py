@@ -131,6 +131,24 @@ class TestGradient:
         )
         assert loss_gradient(series, spec).nonsmooth
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            ValueProdWeight((0.3, 0.2, 0.15, 0.1, 0.05)),
+            ValueMaxWeight((0.5, 0.4, 0.3, 0.2, 0.1)),
+        ],
+        ids=lambda w: w.name,
+    )
+    def test_windows_across_record_start_are_not_kinks(self, weights, both_priors):
+        # Positives at i < T with distinct predictions: lags before the
+        # record start are absent, so nothing ties with them.
+        series = LabeledSeries(
+            np.array([0.3, 0.7, 0.45, 0.9, 0.2]), np.array([1, 1, 0, 1, 0])
+        )
+        for dist in both_priors:
+            grad = loss_gradient(series, LossSpec(ScoreKind.TSS, weights, dist))
+            assert grad.kink_indices == () and not grad.nonsmooth
+
     def test_degenerate_denominator_raises(self, uniform01):
         series = LabeledSeries(np.array([0.4, 0.6]), np.array([1, 1]))
         spec = LossSpec(ScoreKind.TSS, UnitWeight(), uniform01)

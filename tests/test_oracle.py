@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import make_series, weight_menu
-from wsol.confusion import weighted_hard_confusion
 from wsol.errors import ValidationError
 from wsol.expected import expected_confusion
 from wsol.loss import LossSpec
@@ -16,7 +15,24 @@ from wsol.oracle import (
 )
 from wsol.scores import ScoreKind
 from wsol.series import LabeledSeries
-from wsol.weights import CrossEntropyWeight, UnitWeight, ValueMaxWeight
+from wsol.weights import CrossEntropyWeight, UnitWeight, ValueMaxWeight, eval_weight
+
+
+def per_sample_entries(series, tau, spec):
+    """(tn, wfp, wfn, tp) at one threshold, summed sample by sample."""
+    tn = wfp = wfn = tp = 0.0
+    for i in range(series.n):
+        alarm = series.predictions[i] > tau
+        if series.labels[i] == 1:
+            if alarm:
+                tp += 1
+            else:
+                wfn += eval_weight(spec, tau, i, series)
+        elif alarm:
+            wfp += eval_weight(spec, tau, i, series)
+        else:
+            tn += 1
+    return tn, wfp, wfn, tp
 
 
 class TestExactOracle:
@@ -55,10 +71,12 @@ class TestBatchEntries:
             for spec in weight_menu(rng):
                 tn, wfp, wfn, tp = batch_weighted_entries(series, taus, spec)
                 for k, tau in enumerate(taus):
-                    wc = weighted_hard_confusion(series, float(tau), spec)
-                    assert tn[k] == wc.tn and tp[k] == wc.tp
-                    assert wfp[k] == pytest.approx(wc.wfp, abs=1e-12)
-                    assert wfn[k] == pytest.approx(wc.wfn, abs=1e-12)
+                    ref_tn, ref_wfp, ref_wfn, ref_tp = per_sample_entries(
+                        series, float(tau), spec
+                    )
+                    assert tn[k] == ref_tn and tp[k] == ref_tp
+                    assert wfp[k] == pytest.approx(ref_wfp, abs=1e-12)
+                    assert wfn[k] == pytest.approx(ref_wfn, abs=1e-12)
 
 
 class TestMonteCarlo:

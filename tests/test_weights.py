@@ -123,3 +123,32 @@ class TestWindows:
         series = LabeledSeries(np.array([0.6, 0.4]), np.array([0, 1]))
         w = eval_weight(ValueMaxWeight((0.5, 0.4, 0.3, 0.2)), 0.5, 1, series)
         assert w == pytest.approx(0.5)
+
+
+FACTOR_SPECS = [
+    UnitWeight(),
+    CostWeight(c01=0.7, c10=2.5),
+    CrossEntropyWeight(omega0=0.8, omega1=1.7),
+    ValueProdWeight((0.3, 0.25, 0.2, 0.1)),
+    ValueMaxWeight((0.6, 0.6, 0.3, 0.1)),
+]
+
+
+@pytest.mark.parametrize("spec", FACTOR_SPECS, ids=lambda s: s.name)
+def test_factor_methods_match_eval_weight(spec, rng):
+    # Predictions on a coarse grid tie with each other and with the
+    # thresholds; short series put most windows across the record start.
+    grid = np.array([0.2, 0.35, 0.5, 0.65, 0.8])
+    taus = np.append(grid, [0.1, 0.9])
+    for _ in range(30):
+        n = int(rng.integers(1, 12))
+        series = LabeledSeries(rng.choice(grid, size=n), rng.integers(0, 2, size=n))
+        fp = spec.fp_factors(series)
+        alarm = series.predictions[:, None] > taus
+        fn = np.broadcast_to(spec.fn_factors(series, alarm), alarm.shape)
+        for i in range(n):
+            for b, tau in enumerate(taus):
+                got = fn[i, b] if series.labels[i] == 1 else fp[i]
+                assert got == pytest.approx(
+                    eval_weight(spec, float(tau), i, series), abs=1e-15
+                )
