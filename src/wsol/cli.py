@@ -21,7 +21,13 @@ import numpy as np
 
 from . import config as cfg
 from .demo import adjacent_error_series, compare_series, isolated_error_series
-from .errors import ConfigError, InputError, TrainingDivergedError, ValidationError
+from .errors import (
+    ConfigError,
+    DegenerateDenominatorError,
+    InputError,
+    TrainingDivergedError,
+    ValidationError,
+)
 from .loss import combined_loss, loss_value
 from .series import LabeledSeries, read_series_csv, write_series_csv
 from .threshold import ThresholdDistribution
@@ -66,6 +72,18 @@ def _max_weights(text: str) -> ValueMaxWeight:
         ) from None
 
 
+def _layer_sizes(text: str) -> tuple[int, ...]:
+    try:
+        sizes = tuple(int(v) for v in text.split(",")) if text else ()
+        if any(size < 1 for size in sizes):
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}"
+        ) from None
+    return sizes
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wsol")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -98,7 +116,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--epochs", type=int, default=300)
     p_train.add_argument("--lr", type=float, default=0.5)
     p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--hidden", default="8")
+    p_train.add_argument(
+        "--hidden",
+        type=_layer_sizes,
+        default="8",
+        help="hidden layer widths, comma-separated; empty for none",
+    )
     p_train.add_argument("--chunk", type=int, default=None)
     p_train.add_argument("--out-dir", default="train_out")
 
@@ -220,16 +243,15 @@ def cmd_train(args) -> int:
     else:
         synth = cfg.parse_synth(cfg.load_json(args.synth))
         features, labels = generate_temporal_dataset(synth)
-    hidden = tuple(int(h) for h in args.hidden.split(",") if h)
     train_cfg = TrainConfig(
         loss=loss,
         epochs=args.epochs,
         learning_rate=args.lr,
         seed=seed,
-        hidden=hidden,
+        hidden=args.hidden,
         chunk=args.chunk,
     )
-    model = MLPModel.init((features.shape[1], *hidden, 1), seed=seed)
+    model = MLPModel.init((features.shape[1], *args.hidden, 1), seed=seed)
     result = train(features, labels, model, train_cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -290,6 +312,12 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except DegenerateDenominatorError as exc:
+        print(
+            f"input error: score derivative undefined on this series: {exc}",
+            file=sys.stderr,
+        )
         return EXIT_INPUT
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,6 +6,14 @@ provided: Uniform(a, b) and Beta(alpha, beta) on [0, 1].  The Beta cdf is
 the regularized incomplete beta function, evaluated with a modified Lentz
 continued fraction so the cdf used by expectations and the cdf used by
 inverse-transform sampling are one and the same routine.
+
+Beta sampling inverts that cdf.  A 2049-point grid gives each draw a
+bracket and a starting point; safeguarded Newton steps then refine only
+the draws whose residual |F(x) - u| still exceeds 1e-12, so a draw leaves
+the loop, and costs no further cdf evaluations, once it has converged.
+Bisection finishes the rare draws Newton cannot settle (steep tails,
+steps below the float spacing).  Most shapes need about two cdf
+evaluations per draw.
 """
 
 from __future__ import annotations
@@ -21,6 +29,11 @@ from .errors import ValidationError
 _CF_MAX_ITER = 400
 _CF_EPS = 1e-15
 _TINY = 1e-300
+# Beta inversion: a draw is settled once |cdf(x) - u| is within _INVERT_TOL;
+# draws still unsettled after _NEWTON_STEPS Newton steps are bisected.
+_INVERT_TOL = 1e-12
+_NEWTON_STEPS = 10
+_BISECT_STEPS = 50
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -183,8 +196,10 @@ class ThresholdDistribution:
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw i.i.d. thresholds by inverse-transform on cdf().
 
-        Beta draws invert the implemented cdf (grid bracket, Newton polish,
-        bisection fallback), so sampler and cdf cannot drift apart.
+        One ``rng.random(size)`` call supplies the uniforms.  Beta draws
+        invert the implemented cdf to a residual of 1e-12 (grid bracket,
+        Newton steps on the unconverged draws only, bisection fallback),
+        so sampler and cdf cannot drift apart.
         """
         u = rng.random(size)
         if self.kind == "uniform":
@@ -196,31 +211,50 @@ class ThresholdDistribution:
     def _invert_beta_cdf(self, u: np.ndarray) -> np.ndarray:
         grid_x, grid_f = _beta_quantile_grid(self.alpha, self.beta)
         idx = np.clip(np.searchsorted(grid_f, u, side="right"), 1, len(grid_x) - 1)
-        lo = grid_x[idx - 1].copy()
-        hi = grid_x[idx].copy()
+        lo = grid_x[idx - 1]
+        hi = grid_x[idx]
+        # Each full-size temporary alive during a cdf call adds to the
+        # sampler's peak memory, so idx and f_err are dropped early.
+        del idx
         x = np.interp(u, grid_f, grid_x)
-        for _ in range(3):
-            f_err = regularized_incomplete_beta(self.alpha, self.beta, x) - u
-            lo = np.where(f_err <= 0, x, lo)
-            hi = np.where(f_err > 0, x, hi)
-            dens = self.pdf(x)
-            step = np.where(dens > 1e-12, f_err / np.maximum(dens, 1e-12), 0.0)
-            x_new = x - step
-            # Newton step must stay inside the running bracket to be trusted.
-            bad = (x_new <= lo) | (x_new >= hi) | (dens <= 1e-12)
-            x = np.where(bad, 0.5 * (lo + hi), x_new)
-        residual = np.abs(regularized_incomplete_beta(self.alpha, self.beta, x) - u)
-        stubborn = residual > 1e-12
-        if np.any(stubborn):
-            # Flat-density tails where Newton stalls: finish with bisection,
-            # vectorized over the remaining entries.
-            l = lo[stubborn]
-            h = hi[stubborn]
-            target = u[stubborn]
-            for _ in range(50):
-                m = 0.5 * (l + h)
-                below = regularized_incomplete_beta(self.alpha, self.beta, m) < target
-                l = np.where(below, m, l)
-                h = np.where(below, h, m)
-            x[stubborn] = 0.5 * (l + h)
-        return x
+        out = np.empty_like(u)
+        # Positions in u of the draws still unsettled; x, lo, hi and target
+        # hold only those draws, so each round evaluates the cdf on them alone.
+        todo = np.arange(u.size)
+        target = u
+        for step in range(_NEWTON_STEPS + 1):
+            f_err = regularized_incomplete_beta(self.alpha, self.beta, x) - target
+            settled = np.abs(f_err) <= _INVERT_TOL
+            if settled.any():
+                out[todo[settled]] = x[settled]
+                keep = ~settled
+                todo, x, f_err, lo, hi, target = (
+                    v[keep] for v in (todo, x, f_err, lo, hi, target)
+                )
+            if todo.size == 0:
+                return out
+            # An unsettled x is a strict bound on its root.
+            np.copyto(lo, x, where=f_err < 0)
+            np.copyto(hi, x, where=f_err > 0)
+            if step == _NEWTON_STEPS:
+                break
+            x = self._newton_step(x, f_err, lo, hi)
+            del f_err
+        # Newton could not settle these (slow next to a pole, or the cdf
+        # jumps by more than the tolerance between neighbouring floats):
+        # finish with bisection on their brackets.
+        for _ in range(_BISECT_STEPS):
+            m = 0.5 * (lo + hi)
+            below = regularized_incomplete_beta(self.alpha, self.beta, m) < target
+            np.copyto(lo, m, where=below)
+            np.copyto(hi, m, where=~below)
+        out[todo] = 0.5 * (lo + hi)
+        return out
+
+    def _newton_step(self, x, f_err, lo, hi):
+        """Newton step on cdf(x) - u; the bracket midpoint where it leaves (lo, hi)."""
+        dens = self.pdf(x)
+        x_new = x - f_err / np.maximum(dens, 1e-12)
+        # A Newton step must land strictly inside the bracket to be trusted.
+        bad = (x_new <= lo) | (x_new >= hi) | (dens <= 1e-12)
+        return np.where(bad, 0.5 * (lo + hi), x_new)

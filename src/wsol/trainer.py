@@ -20,7 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .confusion import hard_confusion, weighted_hard_confusion
+from .confusion import (
+    ConfusionCounts,
+    WeightedCounts,
+    _check_tau,
+    hard_confusion,
+    weighted_hard_confusion,
+)
 from .errors import (
     DegenerateDenominatorError,
     TrainingDivergedError,
@@ -323,27 +329,28 @@ def evaluate(
 def sweep_report(
     series: LabeledSeries, thresholds: np.ndarray, weight_spec: WeightSpec
 ) -> dict:
-    rows = []
-    for tau in thresholds:
-        cm = hard_confusion(series, float(tau))
-        wc = weighted_hard_confusion(series, float(tau), weight_spec)
-        scores = {
-            kind.value: apply_score(kind, cm.tn, cm.fp, cm.fn, cm.tp).value
-            for kind in ScoreKind
+    """Hard and weighted matrices with every score at each threshold, and the best taus.
+
+    Each matrix is one batch_weighted_entries call over all thresholds (the
+    classical one with unit weights); counts are reported as ints.
+    """
+    taus = np.array([_check_tau(tau) for tau in thresholds])
+    cm = batch_weighted_entries(series, taus, UnitWeight())
+    wc = batch_weighted_entries(series, taus, weight_spec)
+    scores = {kind.value: score_array(kind, *cm)[0] for kind in ScoreKind}
+    weighted = {kind.value: score_array(kind, *wc)[0] for kind in ScoreKind}
+    rows = [
+        {
+            "tau": float(tau),
+            "cm": ConfusionCounts(*(int(v[b]) for v in cm)).to_dict(),
+            "wcm": WeightedCounts(
+                int(wc[0][b]), float(wc[1][b]), float(wc[2][b]), int(wc[3][b])
+            ).to_dict(),
+            "scores": {name: float(v[b]) for name, v in scores.items()},
+            "weighted_scores": {name: float(v[b]) for name, v in weighted.items()},
         }
-        weighted = {
-            kind.value: apply_score(kind, wc.tn, wc.wfp, wc.wfn, wc.tp).value
-            for kind in ScoreKind
-        }
-        rows.append(
-            {
-                "tau": float(tau),
-                "cm": cm.to_dict(),
-                "wcm": wc.to_dict(),
-                "scores": scores,
-                "weighted_scores": weighted,
-            }
-        )
+        for b, tau in enumerate(taus)
+    ]
     best = {}
     for kind in ScoreKind:
         idx = int(np.argmax([r["scores"][kind.value] for r in rows]))

@@ -193,6 +193,26 @@ class TestLoss:
         err = captured.err.strip()
         assert err.startswith("input error:") and "\n" not in err
 
+    def test_single_class_series_is_input_error(self, tmp_path, capsys):
+        # TSS has no derivative without negatives (tn + wfp == 0).
+        data = tmp_path / "positives.csv"
+        data.write_text("timestamp,label,prediction\n0,1,0.3\n1,1,0.6\n")
+        loss = tmp_path / "tss.json"
+        loss.write_text(
+            json.dumps(
+                {
+                    "score": "tss",
+                    "weights": {"variant": "unit"},
+                    "distribution": {"kind": "uniform"},
+                }
+            )
+        )
+        assert run(["loss", "--data", data, "--loss", loss, "--gradient"]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert err.startswith("input error:") and "\n" not in err
+        assert "Traceback" not in captured.err
+
     def test_combined_loss_file(self, demo_dir, tmp_path, capsys):
         component = {
             "score": "tss",
@@ -332,8 +352,10 @@ def test_seed_env_override(tmp_path, monkeypatch, loss_file, synth_file):
         ["eval", "--data", "s.csv", "--config", "c.json", "--sweep-step", "0"],
         ["eval", "--data", "s.csv", "--config", "c.json", "--sweep-step", "2"],
         ["demo-figure1", "--omega", ""],
+        ["train", "--loss", "l.json", "--hidden", "x"],
+        ["train", "--loss", "l.json", "--hidden", "0"],
     ],
-    ids=["sweep-step-0", "sweep-step-2", "omega-empty"],
+    ids=["sweep-step-0", "sweep-step-2", "omega-empty", "hidden-x", "hidden-0"],
 )
 def test_bad_numeric_argument_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

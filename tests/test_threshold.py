@@ -5,8 +5,17 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc as scipy_betainc
 
+from wsol import threshold
 from wsol.errors import ValidationError
 from wsol.threshold import ThresholdDistribution, regularized_incomplete_beta
+
+# Beta shapes of the sampler tests: symmetric, J-shaped with a pole at 0,
+# and right-skewed.
+BETA_SHAPES = [
+    pytest.param(2.0, 2.0, id="beta22"),
+    pytest.param(0.7, 1.3, id="beta07_13"),
+    pytest.param(2.0, 5.0, id="beta25"),
+]
 
 
 class TestConstruction:
@@ -143,13 +152,44 @@ class TestSampling:
         ks = max(np.max(np.abs(hi - cdf)), np.max(np.abs(cdf - lo)))
         assert ks < 0.01
 
-    def test_inverse_transform_consistency(self):
+    @pytest.mark.parametrize("alpha,beta", BETA_SHAPES)
+    def test_inverse_transform_consistency(self, alpha, beta):
         # Sampler inverts the implemented cdf, so cdf(draw) recovers the
         # underlying uniform stream.
-        d = ThresholdDistribution.beta_prior(2.0, 5.0)
+        d = ThresholdDistribution.beta_prior(alpha, beta)
         draws = d.sample(np.random.default_rng(9), 20000)
         u = np.random.default_rng(9).random(20000)
         assert np.max(np.abs(d.cdf(draws) - u)) < 1e-10
+
+    @pytest.mark.parametrize("alpha,beta", BETA_SHAPES)
+    def test_beta_cdf_evaluations_per_draw(self, alpha, beta, monkeypatch):
+        # Converged draws leave the Newton loop, so the incomplete beta sees
+        # each draw only a few times (grid build included).
+        evaluated = []
+
+        def counting(a, b, x):
+            evaluated.append(np.size(x))
+            return regularized_incomplete_beta(a, b, x)
+
+        threshold._beta_quantile_grid.cache_clear()
+        monkeypatch.setattr(threshold, "regularized_incomplete_beta", counting)
+        d = ThresholdDistribution.beta_prior(alpha, beta)
+        d.sample(np.random.default_rng(9), 20000)
+        assert sum(evaluated) <= 3 * 20000
+
+    @pytest.mark.parametrize(
+        "alpha,beta", [(0.3, 8.0), (8.0, 0.3)], ids=["beta03_8", "beta8_03"]
+    )
+    def test_draws_newton_cannot_settle_are_bisected(self, alpha, beta):
+        # Next to a pole Newton converges too slowly (Beta(0.3, 8) at 0) or
+        # cannot reach the 1e-12 residual at all, because the cdf jumps by
+        # more than that between neighbouring floats (Beta(8, 0.3) at 1).
+        # Bisection finishes those draws to within one float spacing.
+        d = ThresholdDistribution.beta_prior(alpha, beta)
+        draws = d.sample(np.random.default_rng(4), 20000)
+        u = np.random.default_rng(4).random(20000)
+        assert np.all(d.cdf(np.nextafter(draws, 0.0)) - u <= 1e-12)
+        assert np.all(u - d.cdf(np.nextafter(draws, 1.0)) <= 1e-12)
 
     def test_scalar_draw(self):
         d = ThresholdDistribution.beta_prior(2.0, 2.0)

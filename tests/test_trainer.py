@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import weight_menu
-from wsol.confusion import hard_confusion
+from wsol.confusion import hard_confusion, weighted_hard_confusion
 from wsol.errors import TrainingDivergedError, ValidationError
 from wsol.loss import CombinedLossSpec, LossSpec, combined_loss, loss_value
-from wsol.scores import ScoreKind
+from wsol.scores import ScoreKind, apply_score
 from wsol.series import LabeledSeries
 from wsol.threshold import ThresholdDistribution
 from wsol.trainer import (
@@ -14,6 +14,7 @@ from wsol.trainer import (
     TrainConfig,
     evaluate,
     generate_temporal_dataset,
+    sweep_report,
     train,
 )
 from wsol.weights import CrossEntropyWeight, UnitWeight, ValueMaxWeight
@@ -256,3 +257,40 @@ class TestEvaluate:
         row = next(r for r in report["sweep"] if abs(r["tau"] - 0.5) < 1e-9)
         cm = hard_confusion(series, 0.5)
         assert row["cm"] == cm.to_dict()
+
+    def test_sweep_rows_match_scalar_path(self, rng):
+        # Tie-heavy value_max series: predictions repeat and sit exactly on
+        # sweep thresholds, where an alarm needs a strictly larger prediction.
+        preds = rng.choice([0.1, 0.25, 0.5, 0.5, 0.73, 0.9], size=60)
+        labels = (rng.random(60) < 0.4).astype(int)
+        series = LabeledSeries(preds, labels, chronological=True)
+        weights = ValueMaxWeight(omega=(0.6, 0.3, 0.1))
+        thresholds = np.round(np.arange(0.01, 1.0, 0.01), 10)
+        report = sweep_report(series, thresholds, weights)
+        assert len(report["sweep"]) == len(thresholds)
+        for tau, row in zip(thresholds, report["sweep"]):
+            cm = hard_confusion(series, float(tau))
+            wc = weighted_hard_confusion(series, float(tau), weights)
+            assert row["tau"] == float(tau)
+            assert row["cm"] == cm.to_dict()
+            assert all(type(v) is int for v in row["cm"].values())
+            wcm = row["wcm"]
+            assert (wcm["tn"], wcm["tp"]) == (wc.tn, wc.tp)
+            assert type(wcm["tn"]) is int and type(wcm["tp"]) is int
+            # The weighted sums run over all thresholds at once, in another
+            # order than at one threshold: 60 terms of at most 1 round to
+            # within 60 * 60 * 2**-53 < 1e-12 of each other.
+            assert wcm["wfp"] == pytest.approx(wc.wfp, rel=0, abs=1e-12)
+            assert wcm["wfn"] == pytest.approx(wc.wfn, rel=0, abs=1e-12)
+            for kind in ScoreKind:
+                classical = apply_score(kind, cm.tn, cm.fp, cm.fn, cm.tp).value
+                weighted = apply_score(kind, wc.tn, wc.wfp, wc.wfn, wc.tp).value
+                assert row["scores"][kind.value] == classical
+                assert row["weighted_scores"][kind.value] == pytest.approx(
+                    weighted, rel=0, abs=1e-12
+                )
+
+    def test_sweep_rejects_threshold_outside_unit_interval(self, rng):
+        series = LabeledSeries(rng.uniform(0.1, 0.9, 10), np.arange(10) % 2)
+        with pytest.raises(ValidationError):
+            sweep_report(series, np.array([0.5, 1.0]), UnitWeight())
