@@ -29,6 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .loss import combined_loss, loss_value
+from .oracle import MC_MIN_SAMPLES
 from .series import LabeledSeries, read_series_csv, write_series_csv
 from .threshold import ThresholdDistribution
 from .trainer import (
@@ -60,6 +61,18 @@ def _open_unit_interval(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must lie strictly inside (0, 1), got {text!r}"
         )
+    return value
+
+
+def _mc_samples(text: str) -> int:
+    try:
+        value = int(text)
+        if value < MC_MIN_SAMPLES:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least {MC_MIN_SAMPLES}, got {text!r}"
+        ) from None
     return value
 
 
@@ -105,7 +118,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the oracle check suite")
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--samples", type=int, default=20000)
+    p_verify.add_argument(
+        "--samples",
+        type=_mc_samples,
+        default=20000,
+        help=f"Monte Carlo draws per oracle call, at least {MC_MIN_SAMPLES}",
+    )
     p_verify.add_argument("--only", default=None)
     p_verify.add_argument("--out", default=None)
 
@@ -224,12 +242,12 @@ def cmd_verify(args) -> int:
         return EXIT_VERIFY
     print(format_table(results))
     if args.out:
-        Path(args.out).write_text(json.dumps([r.to_dict() for r in results], indent=2))
-    if all(r.passed for r in results):
+        Path(args.out).write_text(json.dumps(results, indent=2))
+    if all(r["passed"] for r in results):
         return EXIT_OK
     for r in results:
-        if not r.passed:
-            print(f"failed: {r.name}: {r.detail}", file=sys.stderr)
+        if not r["passed"]:
+            print(f"failed: {r['name']}: {r['detail']}", file=sys.stderr)
     return EXIT_VERIFY
 
 

@@ -89,32 +89,41 @@ def combined_loss(
     """Value and analytic gradient (per prediction) of a loss.
 
     One expected matrix per component yields both: the score and its
-    partials at that matrix, chained with the entry derivatives.  A value
-    weight contributes cross terms, since a prediction enters the windows
-    of up to T later positives.
+    partials at that matrix, chained with the entry derivatives.
     """
-    p = series.predictions
-    y = series.labels
-    neg = (y == 0).astype(np.float64)
-    pos = y.astype(np.float64)
     total = 0.0
     grad = np.zeros(series.n)
     kinks: set[int] = set()
     for component, beta in spec.components:
         exp = expected_confusion(series, component.dist, component.weights)
         total += beta * -apply_score(component.score, *exp.entries()).value
-        s_tn, s_wfp, s_wfn, s_tp = score_partials(component.score, *exp.entries())
-        dens = np.asarray(component.dist.pdf(p), dtype=np.float64)
-        d_wfp, d_wfn, k = component.weights.error_derivatives(
-            series, component.dist, dens
-        )
-        d_tn = -neg * dens
-        d_tp = pos * dens
-        grad += beta * -(s_tn * d_tn + s_wfp * d_wfp + s_wfn * d_wfn + s_tp * d_tp)
+        g, k = gradient_at(series, component, exp)
+        grad += beta * g
         kinks |= k
     return total, GradientVector(
         values=grad, nonsmooth=bool(kinks), kink_indices=tuple(sorted(kinks))
     )
+
+
+def gradient_at(
+    series: LabeledSeries, spec: LossSpec, exp: ExpectedConfusion
+) -> tuple[np.ndarray, set[int]]:
+    """Gradient of one loss, given its expected matrix ``exp`` on ``series``.
+
+    The score partials at ``exp`` chained with the entry derivatives; a
+    value weight contributes cross terms, since a prediction enters the
+    windows of up to T later positives.  Also returns the kink indices,
+    where the derivative is one-sided.
+    """
+    y = series.labels
+    neg = (y == 0).astype(np.float64)
+    pos = y.astype(np.float64)
+    s_tn, s_wfp, s_wfn, s_tp = score_partials(spec.score, *exp.entries())
+    dens = np.asarray(spec.dist.pdf(series.predictions), dtype=np.float64)
+    d_wfp, d_wfn, kinks = spec.weights.error_derivatives(series, spec.dist, dens)
+    d_tn = -neg * dens
+    d_tp = pos * dens
+    return -(s_tn * d_tn + s_wfp * d_wfp + s_wfn * d_wfn + s_tp * d_tp), kinks
 
 
 def loss_gradient(

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, ValidationError
-from .expected import expected_confusion
-from .loss import GradientVector, LossSpec, loss_gradient
+from .expected import ExpectedConfusion, expected_confusion
+from .loss import LossSpec, gradient_at
 from .scores import ScoreKind, apply_score
 from .series import LabeledSeries
 from .threshold import ThresholdDistribution
@@ -128,14 +128,22 @@ def _check_shape(ml: MultilabelSeries, spec: MultilabelSpec) -> None:
         )
 
 
+def _class_matrices(
+    ml: MultilabelSeries, spec: MultilabelSpec
+) -> tuple[list[ExpectedConfusion], np.ndarray]:
+    """Each class column's expected matrix and score; degenerate columns score 0."""
+    _check_shape(ml, spec)
+    exps = [
+        expected_confusion(ml.column(j), dist, wspec)
+        for j, (dist, wspec) in enumerate(spec.class_specs)
+    ]
+    scores = np.array([apply_score(spec.score, *exp.entries()).value for exp in exps])
+    return exps, scores
+
+
 def per_class_scores(ml: MultilabelSeries, spec: MultilabelSpec) -> np.ndarray:
     """Score of each class column; degenerate columns score 0."""
-    _check_shape(ml, spec)
-    out = np.empty(spec.num_classes)
-    for j, (dist, wspec) in enumerate(spec.class_specs):
-        exp = expected_confusion(ml.column(j), dist, wspec)
-        out[j] = apply_score(spec.score, *exp.entries()).value
-    return out
+    return _class_matrices(ml, spec)[1]
 
 
 def multilabel_global_score(ml: MultilabelSeries, spec: MultilabelSpec) -> float:
@@ -156,21 +164,23 @@ def multilabel_wsol(
     Perturbing class j's predictions moves only class j's score, so the
     gradient factors into per-class blocks scaled by the aggregator
     partials; for ``min`` only the active class carries gradient, one-sided
-    at ties.
+    at ties.  Each class's expected matrix is computed once and serves
+    both its score and its gradient block; a class with a zero aggregator
+    partial is not differentiated, so an inactive degenerate class is
+    harmless.
     """
-    _check_shape(ml, spec)
-    scores = per_class_scores(ml, spec)
+    exps, scores = _class_matrices(ml, spec)
     mu_partials, tied = spec.aggregator.partials(scores)
     grad = np.zeros_like(ml.predictions)
     nonsmooth = tied
-    for j, (dist, wspec) in enumerate(spec.class_specs):
+    for j, ((dist, wspec), exp) in enumerate(zip(spec.class_specs, exps)):
         if mu_partials[j] == 0.0:
             continue
-        g: GradientVector = loss_gradient(
-            ml.column(j), LossSpec(score=spec.score, weights=wspec, dist=dist)
+        g, kinks = gradient_at(
+            ml.column(j), LossSpec(score=spec.score, weights=wspec, dist=dist), exp
         )
-        grad[:, j] = mu_partials[j] * g.values
-        nonsmooth = nonsmooth or g.nonsmooth
+        grad[:, j] = mu_partials[j] * g
+        nonsmooth = nonsmooth or bool(kinks)
     return -spec.aggregator.combine(scores), MultilabelGradient(
         values=grad, nonsmooth=nonsmooth
     )

@@ -30,6 +30,8 @@ from .series import LabeledSeries
 from .threshold import ThresholdDistribution
 from .weights import WeightSpec
 
+# Fewest Monte Carlo draws an estimate may rest on.
+MC_MIN_SAMPLES = 1000
 _CHUNK = 1 << 15
 # Matrix elements (samples x thresholds) per block of batch_weighted_entries:
 # small enough that the block's temporaries stay in cache.
@@ -131,8 +133,10 @@ def mc_expected_confusion(
     seed: int,
 ) -> tuple[ExpectedConfusion, ExpectedConfusion]:
     """Monte Carlo estimate of the expected matrix with per-entry standard errors."""
-    if samples < 1000:
-        raise ValidationError("Monte Carlo oracle needs at least 1000 samples")
+    if samples < MC_MIN_SAMPLES:
+        raise ValidationError(
+            f"Monte Carlo oracle needs at least {MC_MIN_SAMPLES} samples"
+        )
     rng = np.random.default_rng(seed)
     sums = np.zeros(4)
     sq_sums = np.zeros(4)
@@ -162,8 +166,10 @@ def mc_expected_score(
     seed: int,
 ) -> ScoreEstimate:
     """Monte Carlo estimate of E[s(wCM)]; degenerate draws score 0 and are counted."""
-    if samples < 1000:
-        raise ValidationError("Monte Carlo oracle needs at least 1000 samples")
+    if samples < MC_MIN_SAMPLES:
+        raise ValidationError(
+            f"Monte Carlo oracle needs at least {MC_MIN_SAMPLES} samples"
+        )
     rng = np.random.default_rng(seed)
     total = 0.0
     sq_total = 0.0

@@ -50,32 +50,9 @@ def _entries(tn, wfp, wfn, tp):
 
 
 def apply_score(kind: ScoreKind, tn, wfp, wfn, tp) -> ScoreValue:
-    """Evaluate a score on real-valued confusion entries."""
-    tn, wfp, wfn, tp = _entries(tn, wfp, wfn, tp)
-    if kind is ScoreKind.NEG_ERROR_SUM:
-        return ScoreValue(-(wfp + wfn))
-    if kind is ScoreKind.ACCURACY:
-        denom = tp + tn + wfp + wfn
-        if denom == 0:
-            return ScoreValue(0.0, degenerate=True)
-        return ScoreValue((tp + tn) / denom)
-    if kind is ScoreKind.F1:
-        denom = 2 * tp + wfp + wfn
-        if denom == 0:
-            return ScoreValue(0.0, degenerate=True)
-        return ScoreValue(2 * tp / denom)
-    if kind is ScoreKind.TSS:
-        pos = tp + wfn
-        neg = tn + wfp
-        if pos == 0 or neg == 0:
-            return ScoreValue(0.0, degenerate=True)
-        return ScoreValue(tp / pos + tn / neg - 1.0)
-    if kind is ScoreKind.HSS:
-        denom = (tp + wfn) * (wfn + tn) + (tp + wfp) * (wfp + tn)
-        if denom == 0:
-            return ScoreValue(0.0, degenerate=True)
-        return ScoreValue(2.0 * (tp * tn - wfp * wfn) / denom)
-    raise ValidationError(f"unknown score kind {kind!r}")
+    """Evaluate a score on real-valued confusion entries: score_array at one point."""
+    value, degenerate = score_array(kind, *_entries(tn, wfp, wfn, tp))
+    return ScoreValue(float(value), degenerate=bool(degenerate))
 
 
 def score_partials(kind: ScoreKind, tn, wfp, wfn, tp) -> np.ndarray:
@@ -125,32 +102,33 @@ def score_partials(kind: ScoreKind, tn, wfp, wfn, tp) -> np.ndarray:
     raise ValidationError(f"unknown score kind {kind!r}")
 
 
-def score_array(kind: ScoreKind, tn, wfp, wfn, tp):
-    """Vectorized apply_score; degenerate entries become 0.
+def _ratio(num, den):
+    """(num / den with 0 where den == 0, mask of those places)."""
+    bad = den == 0
+    return np.divide(num, den, out=np.zeros(bad.shape), where=~bad), bad
 
-    Returns (values, degenerate_mask).  Used by the Monte Carlo oracle,
-    where per-draw scalar dispatch would dominate the runtime.
+
+def score_array(kind: ScoreKind, tn, wfp, wfn, tp):
+    """Every score's formula, vectorized over the entries; degenerate entries become 0.
+
+    Returns (values, degenerate_mask).  apply_score is its scalar view; the
+    Monte Carlo oracle and the threshold sweep call it on whole arrays.
     """
     tn, wfp, wfn, tp = (np.asarray(v, dtype=np.float64) for v in (tn, wfp, wfn, tp))
     if kind is ScoreKind.NEG_ERROR_SUM:
         return -(wfp + wfn), np.zeros(np.broadcast(tn, wfp).shape, dtype=bool)
     if kind is ScoreKind.ACCURACY:
-        denom = tp + tn + wfp + wfn
-        bad = denom == 0
-        return np.where(bad, 0.0, (tp + tn) / np.where(bad, 1.0, denom)), bad
+        return _ratio(tp + tn, tp + tn + wfp + wfn)
     if kind is ScoreKind.F1:
-        denom = 2 * tp + wfp + wfn
-        bad = denom == 0
-        return np.where(bad, 0.0, 2 * tp / np.where(bad, 1.0, denom)), bad
+        return _ratio(2 * tp, 2 * tp + wfp + wfn)
     if kind is ScoreKind.TSS:
-        pos = tp + wfn
-        neg = tn + wfp
-        bad = (pos == 0) | (neg == 0)
-        val = tp / np.where(pos == 0, 1.0, pos) + tn / np.where(neg == 0, 1.0, neg) - 1.0
-        return np.where(bad, 0.0, val), bad
+        sensitivity, no_pos = _ratio(tp, tp + wfn)
+        specificity, no_neg = _ratio(tn, tn + wfp)
+        bad = no_pos | no_neg
+        return np.where(bad, 0.0, sensitivity + specificity - 1.0), bad
     if kind is ScoreKind.HSS:
-        denom = (tp + wfn) * (wfn + tn) + (tp + wfp) * (wfp + tn)
-        bad = denom == 0
-        val = 2.0 * (tp * tn - wfp * wfn) / np.where(bad, 1.0, denom)
-        return np.where(bad, 0.0, val), bad
+        return _ratio(
+            2.0 * (tp * tn - wfp * wfn),
+            (tp + wfn) * (wfn + tn) + (tp + wfp) * (wfp + tn),
+        )
     raise ValidationError(f"unknown score kind {kind!r}")

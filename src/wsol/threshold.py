@@ -11,9 +11,10 @@ Beta sampling inverts that cdf.  A 2049-point grid gives each draw a
 bracket and a starting point; safeguarded Newton steps then refine only
 the draws whose residual |F(x) - u| still exceeds 1e-12, so a draw leaves
 the loop, and costs no further cdf evaluations, once it has converged.
-Bisection finishes the rare draws Newton cannot settle (steep tails,
-steps below the float spacing).  Most shapes need about two cdf
-evaluations per draw.
+Bisection on the float bit patterns finishes the rare draws Newton
+cannot settle (steep tails, steps below the float spacing) on
+neighbouring floats.  Most shapes need about two cdf evaluations per
+draw.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ _TINY = 1e-300
 # draws still unsettled after _NEWTON_STEPS Newton steps are bisected.
 _INVERT_TOL = 1e-12
 _NEWTON_STEPS = 10
-_BISECT_STEPS = 50
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -242,13 +242,26 @@ class ThresholdDistribution:
             del f_err
         # Newton could not settle these (slow next to a pole, or the cdf
         # jumps by more than the tolerance between neighbouring floats):
-        # finish with bisection on their brackets.
-        for _ in range(_BISECT_STEPS):
-            m = 0.5 * (lo + hi)
-            below = regularized_incomplete_beta(self.alpha, self.beta, m) < target
-            np.copyto(lo, m, where=below)
-            np.copyto(hi, m, where=~below)
-        out[todo] = 0.5 * (lo + hi)
+        # bisect their brackets on the int64 bit patterns, which order
+        # non-negative floats, so that in at most 64 rounds lo and hi are
+        # neighbouring floats however small the quantile.  hi is then the
+        # least float whose cdf reaches u.
+        lo_bits = lo.view(np.int64)
+        hi_bits = hi.view(np.int64)
+        for _ in range(64):
+            gap = hi_bits - lo_bits
+            if np.all(gap <= 1):
+                break
+            mid_bits = lo_bits + gap // 2
+            below = (
+                regularized_incomplete_beta(
+                    self.alpha, self.beta, mid_bits.view(np.float64)
+                )
+                < target
+            )
+            np.copyto(lo_bits, mid_bits, where=below)
+            np.copyto(hi_bits, mid_bits, where=~below)
+        out[todo] = hi
         return out
 
     def _newton_step(self, x, f_err, lo, hi):

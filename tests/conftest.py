@@ -3,13 +3,7 @@ import pytest
 
 from wsol.series import LabeledSeries
 from wsol.threshold import ThresholdDistribution
-from wsol.weights import (
-    CostWeight,
-    CrossEntropyWeight,
-    UnitWeight,
-    ValueMaxWeight,
-    ValueProdWeight,
-)
+from wsol.verify import random_omega, random_series, weight_menu  # noqa: F401
 
 
 def make_series(
@@ -17,40 +11,12 @@ def make_series(
     n: int | None = None,
     lo: float = 0.02,
     hi: float = 0.98,
-    pos_rate: float = 0.4,
 ) -> LabeledSeries:
-    """Random chronological series with both classes present."""
-    n = n or int(rng.integers(8, 40))
-    preds = rng.uniform(lo, hi, size=n)
-    labels = (rng.random(n) < pos_rate).astype(int)
-    if labels.sum() == 0:
-        labels[int(rng.integers(0, n))] = 1
-    if labels.sum() == n:
-        labels[int(rng.integers(0, n))] = 0
-    return LabeledSeries(preds, labels, chronological=True)
-
-
-def random_omega(rng: np.random.Generator, kind: str, t: int | None = None):
-    t = t or int(rng.integers(1, 7))
-    raw = np.sort(rng.uniform(0.0, 1.0, size=t))[::-1]
-    if kind == "prod":
-        raw = raw / (raw.sum() + rng.uniform(0.05, 1.0))
-    else:
-        raw = raw * rng.uniform(0.3, 0.99) / max(raw.max(), 1e-12)
-    return tuple(np.sort(raw)[::-1])
-
-
-def weight_menu(rng: np.random.Generator):
-    """One spec of each variant with random parameters."""
-    return [
-        UnitWeight(),
-        CostWeight(c01=float(rng.uniform(0.1, 4)), c10=float(rng.uniform(0.1, 4))),
-        CrossEntropyWeight(
-            omega0=float(rng.uniform(0.2, 3)), omega1=float(rng.uniform(0.2, 3))
-        ),
-        ValueProdWeight(omega=random_omega(rng, "prod")),
-        ValueMaxWeight(omega=random_omega(rng, "max")),
-    ]
+    """``random_series`` of 8-39 samples (or ``n``), predictions moved onto (lo, hi)."""
+    series = random_series(rng, n or int(rng.integers(8, 40)))
+    if (lo, hi) == (0.02, 0.98):
+        return series
+    return series.with_predictions(lo + (hi - lo) * (series.predictions - 0.02) / 0.96)
 
 
 @pytest.fixture

@@ -1,10 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Tolerances are pinned here and nowhere else: closed forms against the
-exact piecewise oracle at 1e-10 absolute, Monte Carlo agreement at 4
-standard errors, the weighted cross-entropy identity at 1e-12, cost
-scaling at machine equality, gradients at relative 1e-5 (1e-4 through
-the model), and the multilabel mean-gradient identity at 1e-12.
+The protocols of criteria 1-7 live in ``wsol.verify``, which ``wsol
+verify`` also runs at reduced sizes.  This file pins their seeds and full
+sizes, and the tolerances below, which are pinned here and nowhere else;
+``wsol.verify`` must use the same ones.  Criteria 8-10 and the model half
+of criterion 6 are written out here.
 """
 
 import time
@@ -12,249 +12,115 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_series, random_omega, weight_menu
-from wsol.confusion import hard_confusion, weighted_hard_confusion
-from wsol.expected import expected_confusion, power_intervals
-from wsol.loss import LossSpec, expected_score_gap, loss_gradient, loss_value
+from wsol import verify
+from wsol.confusion import hard_confusion
+from wsol.loss import LossSpec, loss_gradient, loss_value
 from wsol.multilabel import (
     Aggregator,
     MultilabelSeries,
     MultilabelSpec,
     multilabel_wsol,
 )
-from wsol.oracle import (
-    exact_expected_confusion,
-    finite_diff_gradient,
-    mc_expected_confusion,
-)
-from wsol.scores import ScoreKind, apply_score
+from wsol.scores import ScoreKind
 from wsol.series import LabeledSeries
 from wsol.threshold import ThresholdDistribution
 from wsol.trainer import MLPModel, SyntheticSeriesConfig, paired_comparison
-from wsol.weights import (
-    CrossEntropyWeight,
-    UnitWeight,
-    ValueMaxWeight,
-    ValueProdWeight,
-)
+from wsol.weights import CrossEntropyWeight, UnitWeight, ValueMaxWeight
 
-EXACT_TOL = 1e-10
-MC_SIGMA = 4.0
+EXACT_TOL = 1e-10  # closed form vs the exact piecewise oracle, absolute
+MC_SIGMA = 4.0  # closed form vs Monte Carlo, in standard errors
+CE_TOL = 1e-12  # loss vs the weighted cross entropy
+GRAD_RTOL = 1e-5  # gradient vs central differences, relative
+REWARD_TOL = 1e-12  # rise of an error entry or drop of a score by value weights
 MC_DRAWS = 100_000
-
-PRIORS = [
-    ThresholdDistribution.uniform(),
-    ThresholdDistribution.beta_prior(2.0, 2.0),
-]
 
 
 def _report(num: int, detail: str) -> None:
     print(f"ACCEPTANCE {num:02d}: PASS - {detail}")
 
 
-def _value_series(rng: np.random.Generator) -> LabeledSeries:
-    return make_series(rng, n=int(rng.integers(4, 51)))
-
-
-def _closed_form_protocol(rng, make_spec, runs=200):
-    """Shared protocol for criteria 1 and 2: exact at 1e-10, MC at 4 sigma."""
-    worst_exact = 0.0
-    worst_pull = 0.0
-    for k in range(runs):
-        dist = PRIORS[k % 2]
-        series = _value_series(rng)
-        spec = make_spec(rng)
-        closed = expected_confusion(series, dist, spec)
-        exact = exact_expected_confusion(series, dist, spec)
-        worst_exact = max(
-            worst_exact,
-            max(abs(a - b) for a, b in zip(closed.entries(), exact.entries())),
-        )
-        mean, se = mc_expected_confusion(series, dist, spec, MC_DRAWS, seed=1000 + k)
-        pull = abs(closed.e_wfn - mean.e_wfn) / max(se.e_wfn, 1e-12)
-        worst_pull = max(worst_pull, pull)
-    return worst_exact, worst_pull
+def test_verify_uses_the_pinned_tolerances():
+    for name in ("EXACT_TOL", "MC_SIGMA", "CE_TOL", "GRAD_RTOL", "REWARD_TOL"):
+        assert getattr(verify, name) == globals()[name], name
 
 
 def test_criterion_01_prod_window_closed_form():
-    rng = np.random.default_rng(101)
     start = time.perf_counter()
-    worst_exact, worst_pull = _closed_form_protocol(
-        rng,
-        lambda r: ValueProdWeight(omega=random_omega(r, "prod", t=int(r.integers(1, 7)))),
+    worst = verify.criterion_prod_window(
+        np.random.default_rng(101), runs=200, mc_draws=MC_DRAWS, mc_seed=1000
     )
     elapsed = time.perf_counter() - start
-    assert worst_exact < EXACT_TOL
-    assert worst_pull < MC_SIGMA
+    assert worst["exact"] < EXACT_TOL
+    assert worst["pull"] < MC_SIGMA
     assert elapsed < 60.0
     _report(
         1,
-        f"200 series: exact diff {worst_exact:.1e}, mc pull {worst_pull:.2f} sigma, "
-        f"{elapsed:.1f}s",
+        f"200 series: exact diff {worst['exact']:.1e}, "
+        f"mc pull {worst['pull']:.2f} sigma, {elapsed:.1f}s",
     )
 
 
 def test_criterion_02_max_window_closed_form():
-    rng = np.random.default_rng(202)
     start = time.perf_counter()
-    worst_exact, worst_pull = _closed_form_protocol(
-        rng,
-        lambda r: ValueMaxWeight(omega=random_omega(r, "max", t=int(r.integers(1, 7)))),
+    worst = verify.criterion_max_window(
+        np.random.default_rng(202),
+        runs=200,
+        constant_runs=20,
+        mc_draws=MC_DRAWS,
+        mc_seed=1000,
     )
-
-    # Worked window decompositions, embedded ahead of a positive sample.
-    dec = power_intervals([0.5, 0.6, 0.1, 0.8], a=0.0)
-    assert dec.chain == (1, 2, 4)
-    assert [(iv.lag, iv.lower, iv.upper, iv.precursor) for iv in dec.intervals] == [
-        (1, 0.0, 0.5, 0),
-        (2, 0.5, 0.6, 1),
-        (4, 0.6, 0.8, 2),
-    ]
-    dec = power_intervals([0.7, 0.2, 0.9, 0.3], a=0.0)
-    assert dec.chain == (1, 3)
-    assert [(iv.lag, iv.lower, iv.upper, iv.precursor) for iv in dec.intervals] == [
-        (1, 0.0, 0.7, 0),
-        (3, 0.7, 0.9, 1),
-    ]
-    for lag_window in ([0.5, 0.6, 0.1, 0.8], [0.7, 0.2, 0.9, 0.3]):
-        preds = np.concatenate([lag_window[::-1], [0.45]])
-        series = LabeledSeries(np.asarray(preds), np.array([0, 0, 0, 0, 1]))
-        spec = ValueMaxWeight((0.6, 0.5, 0.4, 0.3))
-        closed = expected_confusion(series, PRIORS[0], spec)
-        exact = exact_expected_confusion(series, PRIORS[0], spec)
-        worst_exact = max(worst_exact, abs(closed.e_wfn - exact.e_wfn))
-
-    # Constant omega: only the largest chain prediction contributes.
-    worst_const = 0.0
-    for dist in PRIORS:
-        for _ in range(20):
-            series = _value_series(rng)
-            c = float(rng.uniform(0.1, 0.95))
-            t = int(rng.integers(1, 7))
-            cdf = dist.cdf(series.predictions)
-            manual = 0.0
-            for i in np.flatnonzero(series.labels == 1):
-                depth = min(t, int(i))
-                contrib = 1.0 - cdf[i]
-                if depth:
-                    top = float(np.max(series.predictions[i - depth : i]))
-                    contrib -= c * (
-                        dist.cdf(top) - dist.cdf(min(top, series.predictions[i]))
-                    )
-                manual += contrib
-            got = expected_confusion(series, dist, ValueMaxWeight((c,) * t)).e_wfn
-            worst_const = max(worst_const, abs(got - manual))
     elapsed = time.perf_counter() - start
-    assert worst_exact < EXACT_TOL
-    assert worst_const < EXACT_TOL
-    assert worst_pull < MC_SIGMA
+    assert worst["window_mismatches"] == 0
+    assert worst["exact"] < EXACT_TOL
+    assert worst["constant_omega"] < EXACT_TOL
+    assert worst["pull"] < MC_SIGMA
     assert elapsed < 60.0
     _report(
         2,
-        f"200 series + worked windows: exact diff {worst_exact:.1e}, "
-        f"constant-omega diff {worst_const:.1e}, mc pull {worst_pull:.2f} sigma, "
-        f"{elapsed:.1f}s",
+        f"200 series + worked windows: exact diff {worst['exact']:.1e}, "
+        f"constant-omega diff {worst['constant_omega']:.1e}, "
+        f"mc pull {worst['pull']:.2f} sigma, {elapsed:.1f}s",
     )
 
 
 def test_criterion_03_linear_score_equality():
-    rng = np.random.default_rng(303)
-    worst_exact = 0.0
-    worst_pull = 0.0
-    for k in range(10):
-        for spec_w in weight_menu(rng):
-            for dist in PRIORS:
-                if spec_w.name == "cross_entropy" and dist.kind != "uniform":
-                    continue
-                series = _value_series(rng)
-                spec = LossSpec(ScoreKind.NEG_ERROR_SUM, spec_w, dist)
-                exact = expected_score_gap(series, spec)
-                worst_exact = max(worst_exact, abs(exact.gap))
-                mc = expected_score_gap(
-                    series, spec, mc_samples=30_000, seed=3000 + k
-                )
-                worst_pull = max(worst_pull, abs(mc.gap) / max(mc.stderr, 1e-12))
-    assert worst_exact < EXACT_TOL
-    assert worst_pull < MC_SIGMA
+    worst = verify.criterion_linear_score(
+        np.random.default_rng(303), runs=10, mc_draws=30_000, mc_seed=3000
+    )
+    assert worst["exact"] < EXACT_TOL
+    assert worst["pull"] < MC_SIGMA
     _report(
         3,
-        f"all five variants, both priors: exact gap {worst_exact:.1e}, "
-        f"mc pull {worst_pull:.2f} sigma",
+        f"all five variants, both priors: exact gap {worst['exact']:.1e}, "
+        f"mc pull {worst['pull']:.2f} sigma",
     )
 
 
 def test_criterion_04_weighted_cross_entropy_identity():
-    rng = np.random.default_rng(404)
-    uniform = ThresholdDistribution.uniform()
-    worst = 0.0
-    for _ in range(100):
-        series = _value_series(rng)
-        w0, w1 = rng.uniform(1e-6, 5.0, size=2)
-        spec = LossSpec(
-            ScoreKind.NEG_ERROR_SUM, CrossEntropyWeight(w0, w1), uniform
-        )
-        y = series.labels
-        p = series.predictions
-        reference = -float(np.sum(w0 * (1 - y) * np.log1p(-p) + w1 * y * np.log(p)))
-        worst = max(worst, abs(loss_value(series, spec) - reference))
-    # Unit parameters reproduce the classical binary cross entropy.
-    series = _value_series(rng)
-    y = series.labels
-    p = series.predictions
-    classic = -float(np.sum((1 - y) * np.log1p(-p) + y * np.log(p)))
-    spec = LossSpec(ScoreKind.NEG_ERROR_SUM, CrossEntropyWeight(1.0, 1.0), uniform)
-    worst = max(worst, abs(loss_value(series, spec) - classic))
-    assert worst < 1e-12
-    _report(4, f"100 random series: max |loss - weighted CE| = {worst:.1e}")
+    worst = verify.criterion_cross_entropy(np.random.default_rng(404), runs=100)
+    assert worst["ce_diff"] < CE_TOL
+    _report(4, f"100 random series: max |loss - weighted CE| = {worst['ce_diff']:.1e}")
 
 
 def test_criterion_05_cost_scaling_exact():
-    rng = np.random.default_rng(505)
-    from wsol.weights import CostWeight
-
-    for dist in PRIORS:
-        for _ in range(25):
-            series = _value_series(rng)
-            c01, c10 = rng.uniform(0.0, 6.0, size=2)
-            unit = expected_confusion(series, dist, UnitWeight())
-            cost = expected_confusion(series, dist, CostWeight(c01=c01, c10=c10))
-            assert cost.e_wfp == c01 * unit.e_wfp
-            assert cost.e_wfn == c10 * unit.e_wfn
+    worst = verify.criterion_cost_scaling(np.random.default_rng(505), runs=25)
+    assert worst["cost_residual"] == 0.0
     _report(5, "cost expectations equal c01/c10 times unit, bitwise")
 
 
 def test_criterion_06_gradient_correctness():
     rng = np.random.default_rng(606)
-    scores = list(ScoreKind)
-    checked = 0
-    worst = 0.0
-    k = 0
-    while checked < 100:
-        k += 1
-        series = make_series(rng, n=int(rng.integers(6, 20)))
-        spec_w = weight_menu(rng)[k % 5]
-        dist = PRIORS[k % 2]
-        if spec_w.name == "cross_entropy" and dist.kind != "uniform":
-            dist = PRIORS[0]
-        spec = LossSpec(scores[k % len(scores)], spec_w, dist)
-        grad = loss_gradient(series, spec)
-        if grad.nonsmooth:
-            continue
-        checked += 1
-        fd = finite_diff_gradient(series, spec, step=1e-6)
-        rel = np.max(
-            np.abs(grad.values - fd.values) / np.maximum(np.abs(grad.values), 1.0)
-        )
-        worst = max(worst, float(rel))
-    assert worst < 1e-5
+    worst = verify.criterion_gradient(rng, configs=100)["grad_rel"]
+    assert worst < GRAD_RTOL
 
     # Full model composition on a 2-4-1 network, every weight variant.
+    scores = list(ScoreKind)
     x = rng.normal(size=(14, 2))
     y = (rng.random(14) < 0.45).astype(int)
     y[0], y[1] = 1, 0
     worst_model = 0.0
-    for k, spec_w in enumerate(weight_menu(rng)):
-        spec = LossSpec(scores[k % 5], spec_w, PRIORS[0])
+    for k, spec_w in enumerate(verify.weight_menu(rng)):
+        spec = LossSpec(scores[k % 5], spec_w, verify.PRIORS[0])
         model = MLPModel.init((2, 4, 1), seed=k)
         preds = model.forward(x)
         dl = loss_gradient(LabeledSeries(preds, y), spec).values
@@ -283,52 +149,12 @@ def test_criterion_06_gradient_correctness():
 
 
 def test_criterion_07_value_weights_reward_only():
-    rng = np.random.default_rng(707)
-    monotone_everywhere = (
-        ScoreKind.ACCURACY,
-        ScoreKind.F1,
-        ScoreKind.TSS,
-        ScoreKind.NEG_ERROR_SUM,
-    )
-    violations = 0
-    hss_checked = 0
-    for _ in range(500):
-        series = _value_series(rng)
-        tau = float(rng.uniform(0.1, 0.9))
-        # Guarantee one true positive and one true negative so every score
-        # denominator stays alive.
-        preds = series.predictions.copy()
-        pos = np.flatnonzero(series.labels == 1)
-        neg = np.flatnonzero(series.labels == 0)
-        preds[pos[0]] = min(tau + 0.05, 0.99)
-        preds[neg[0]] = max(tau - 0.05, 0.01)
-        series = series.with_predictions(preds)
-        if rng.random() < 0.5:
-            spec = ValueProdWeight(random_omega(rng, "prod"))
-        else:
-            spec = ValueMaxWeight(random_omega(rng, "max"))
-        cm = hard_confusion(series, tau)
-        wc = weighted_hard_confusion(series, tau, spec)
-        if wc.wfn > cm.fn + 1e-12 or wc.wfp > cm.fp + 1e-12:
-            violations += 1
-            continue
-        for kind in monotone_everywhere:
-            s = apply_score(kind, cm.tn, cm.fp, cm.fn, cm.tp).value
-            sw = apply_score(kind, wc.tn, wc.wfp, wc.wfn, wc.tp).value
-            if sw < s - 1e-12:
-                violations += 1
-        # HSS satisfies the monotonicity contract only at or above chance.
-        if cm.tp * cm.tn >= cm.fp * cm.fn:
-            hss_checked += 1
-            s = apply_score(ScoreKind.HSS, cm.tn, cm.fp, cm.fn, cm.tp).value
-            sw = apply_score(ScoreKind.HSS, wc.tn, wc.wfp, wc.wfn, wc.tp).value
-            if sw < s - 1e-12:
-                violations += 1
-    assert violations == 0
-    assert hss_checked > 300
+    worst = verify.criterion_reward_only(np.random.default_rng(707), draws=500)
+    assert worst["reward_excess"] <= REWARD_TOL
+    assert worst["hss_checked"] > 300
     _report(
         7,
-        f"500 draws: zero violations (hss checked on {hss_checked} "
+        f"500 draws: zero violations (hss checked on {worst['hss_checked']} "
         f"at-or-above-chance draws)",
     )
 

@@ -254,6 +254,25 @@ class TestVerify:
     def test_unmatched_filter_fails(self):
         assert run(["verify", "--only", "nonexistent_check"]) == 3
 
+    @pytest.mark.parametrize(
+        "error,shown", [(1e-9, "1e-09"), (float("nan"), "nan")], ids=["1e-9", "nan"]
+    )
+    def test_closed_form_error_fails_and_names_the_check(
+        self, monkeypatch, capsys, error, shown
+    ):
+        from wsol.weights import ValueMaxWeight
+
+        closed_form = ValueMaxWeight.expected_errors
+
+        def off(self, series, dist, cdf):
+            e_wfp, e_wfn = closed_form(self, series, dist, cdf)
+            return e_wfp, e_wfn + error
+
+        monkeypatch.setattr(ValueMaxWeight, "expected_errors", off)
+        assert run(["verify", "--only", "thm3"]) == 3
+        err = capsys.readouterr().err
+        assert f"failed: thm3_max_window_closed_form: exact {shown} out of bounds" in err
+
     def test_small_sample_count_widens_bands(self):
         # Bands scale with the Monte Carlo standard error, so the floor
         # sample count still passes.
@@ -354,8 +373,18 @@ def test_seed_env_override(tmp_path, monkeypatch, loss_file, synth_file):
         ["demo-figure1", "--omega", ""],
         ["train", "--loss", "l.json", "--hidden", "x"],
         ["train", "--loss", "l.json", "--hidden", "0"],
+        ["verify", "--samples", "0"],
+        ["verify", "--samples", "999", "--only", "cost"],
     ],
-    ids=["sweep-step-0", "sweep-step-2", "omega-empty", "hidden-x", "hidden-0"],
+    ids=[
+        "sweep-step-0",
+        "sweep-step-2",
+        "omega-empty",
+        "hidden-x",
+        "hidden-0",
+        "samples-0",
+        "samples-999",
+    ],
 )
 def test_bad_numeric_argument_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

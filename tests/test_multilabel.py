@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_series
+from wsol import loss, multilabel
 from wsol.errors import InputError, ValidationError
 from wsol.expected import expected_confusion
 from wsol.loss import LossSpec, loss_gradient
@@ -155,6 +156,31 @@ class TestGradient:
             if j != winner:
                 assert np.all(grad.values[:, j] == 0.0)
         assert np.any(grad.values[:, winner] != 0.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_one_expected_matrix_per_class(self, rng, monkeypatch, d):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return expected_confusion(*args)
+
+        monkeypatch.setattr(multilabel, "expected_confusion", counting)
+        monkeypatch.setattr(loss, "expected_confusion", counting)
+        multilabel_wsol(random_multilabel(rng, d=d), unit_spec(d))
+        assert len(calls) == d
+
+    def test_min_skips_inactive_degenerate_class(self):
+        # Class 0 has no positives, so TSS is degenerate there (score 0) and
+        # its partials are undefined; class 1 ranks backwards and is the min.
+        ml = MultilabelSeries(
+            np.array([[0, 1], [0, 1], [0, 0], [0, 0]]),
+            np.array([[0.2, 0.2], [0.4, 0.3], [0.6, 0.7], [0.8, 0.8]]),
+        )
+        value, grad = multilabel_wsol(ml, unit_spec(2, aggregator=Aggregator("min")))
+        assert value > 0.0
+        assert np.all(grad.values[:, 0] == 0.0)
+        assert np.any(grad.values[:, 1] != 0.0)
 
     def test_min_tie_flagged(self, rng, uniform01):
         series = make_series(rng, n=10)

@@ -178,13 +178,17 @@ class TestSampling:
         assert sum(evaluated) <= 3 * 20000
 
     @pytest.mark.parametrize(
-        "alpha,beta", [(0.3, 8.0), (8.0, 0.3)], ids=["beta03_8", "beta8_03"]
+        "alpha,beta",
+        [(0.3, 8.0), (8.0, 0.3), (0.1, 0.1), (0.2, 0.2)],
+        ids=["beta03_8", "beta8_03", "beta01_01", "beta02_02"],
     )
     def test_draws_newton_cannot_settle_are_bisected(self, alpha, beta):
         # Next to a pole Newton converges too slowly (Beta(0.3, 8) at 0) or
         # cannot reach the 1e-12 residual at all, because the cdf jumps by
         # more than that between neighbouring floats (Beta(8, 0.3) at 1).
-        # Bisection finishes those draws to within one float spacing.
+        # Bisection finishes those draws to within one float spacing, even
+        # where the quantile lies many decades below the grid spacing
+        # (Beta(0.1, 0.1) and Beta(0.2, 0.2) at both ends).
         d = ThresholdDistribution.beta_prior(alpha, beta)
         draws = d.sample(np.random.default_rng(4), 20000)
         u = np.random.default_rng(4).random(20000)
