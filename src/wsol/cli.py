@@ -51,10 +51,6 @@ EXIT_VERIFY = 3
 EXIT_DIVERGED = 4
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("WSOL_SEED", "2024"))
-
-
 def _open_unit_interval(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
@@ -64,16 +60,25 @@ def _open_unit_interval(text: str) -> float:
     return value
 
 
-def _mc_samples(text: str) -> int:
-    try:
-        value = int(text)
-        if value < MC_MIN_SAMPLES:
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer of at least {MC_MIN_SAMPLES}, got {text!r}"
-        ) from None
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type for integers of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value < minimum:
+                raise ValueError
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {minimum}, got {text!r}"
+            ) from None
+        return value
+
+    return parse
+
+
+_mc_samples = _int_at_least(MC_MIN_SAMPLES)
+_seed = _int_at_least(0)
 
 
 def _max_weights(text: str) -> ValueMaxWeight:
@@ -97,6 +102,9 @@ def _layer_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
+_SEED_HELP = "non-negative integer; defaults to $WSOL_SEED, else 2024"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wsol")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -117,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_verify = sub.add_parser("verify", help="run the oracle check suite")
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=_seed, default=None, help=_SEED_HELP)
     p_verify.add_argument(
         "--samples",
         type=_mc_samples,
@@ -133,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--loss", required=True)
     p_train.add_argument("--epochs", type=int, default=300)
     p_train.add_argument("--lr", type=float, default=0.5)
-    p_train.add_argument("--seed", type=int, default=None)
+    p_train.add_argument("--seed", type=_seed, default=None, help=_SEED_HELP)
     p_train.add_argument(
         "--hidden",
         type=_layer_sizes,
@@ -235,8 +243,7 @@ def cmd_loss(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    results = run_verify(seed=seed, samples=args.samples, only=args.only)
+    results = run_verify(seed=args.seed, samples=args.samples, only=args.only)
     if not results:
         print(f"no checks match --only {args.only!r}", file=sys.stderr)
         return EXIT_VERIFY
@@ -255,7 +262,6 @@ def cmd_train(args) -> int:
     if args.data is None and args.synth is None:
         raise InputError("train needs --data or --synth")
     loss = cfg.load_loss(args.loss)
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.data is not None:
         features, labels = read_dataset_csv(args.data)
     else:
@@ -265,11 +271,11 @@ def cmd_train(args) -> int:
         loss=loss,
         epochs=args.epochs,
         learning_rate=args.lr,
-        seed=seed,
+        seed=args.seed,
         hidden=args.hidden,
         chunk=args.chunk,
     )
-    model = MLPModel.init((features.shape[1], *args.hidden, 1), seed=seed)
+    model = MLPModel.init((features.shape[1], *args.hidden, 1), seed=args.seed)
     result = train(features, labels, model, train_cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -318,7 +324,14 @@ def cmd_demo_figure1(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    # An unset --seed falls back to $WSOL_SEED, which is checked like the flag.
+    if hasattr(args, "seed") and args.seed is None:
+        try:
+            args.seed = _seed(os.environ.get("WSOL_SEED", "2024"))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"WSOL_SEED: {exc}")
     handlers = {
         "eval": cmd_eval,
         "loss": cmd_loss,

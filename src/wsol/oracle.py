@@ -9,7 +9,12 @@ Two independent routes to the same expectations:
 * Monte Carlo -- averaging the hard weighted matrix over i.i.d. threshold
   draws, with unbiased standard errors for the acceptance bands (4
   standard errors keeps the false-failure rate of a whole suite of such
-  checks around 1e-4).
+  checks around 1e-4).  The matrix changes only where the threshold
+  crosses a prediction value, so the draws are counted per cell between
+  consecutive distinct predictions and the matrix is evaluated once per
+  occupied cell, at one of the cell's own draws.  That is the per-draw
+  average exactly, up to summation order; it never evaluates at a point
+  chosen from the predictions, as the exact route's midpoints are.
 
 Both evaluate the hard matrix through ``batch_weighted_entries``, and the
 only weight methods it calls are the hard-path factors, ``fp_factors``
@@ -32,7 +37,9 @@ from .weights import WeightSpec
 
 # Fewest Monte Carlo draws an estimate may rest on.
 MC_MIN_SAMPLES = 1000
-_CHUNK = 1 << 15
+# Draws per sampling chunk.  It bounds the sampler's temporaries only: one
+# rng.random stream feeds every chunk, so the draws do not depend on it.
+_CHUNK = 1 << 13
 # Matrix elements (samples x thresholds) per block of batch_weighted_entries:
 # small enough that the block's temporaries stay in cache.
 _BATCH_ELEMENTS = 1 << 16
@@ -125,6 +132,57 @@ class ScoreEstimate:
     degenerate_draws: int = 0
 
 
+def _mc_cells(
+    series: LabeledSeries,
+    dist: ThresholdDistribution,
+    spec: WeightSpec,
+    samples: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hard-matrix entries (4, m) of the m occupied threshold cells, with draw counts.
+
+    The distinct prediction values cut the line into at most n + 1 cells,
+    and every threshold in one cell raises the same alarms.  The hard
+    matrix depends on the threshold only through those alarms (the FP
+    factors do not see it, the FN factors see only the alarm matrix), so
+    every draw has exactly the matrix of any other draw in its cell.  Each
+    draw is counted in its cell and the matrix is evaluated once per
+    occupied cell, at one of that cell's own draws.
+    """
+    if samples < MC_MIN_SAMPLES:
+        raise ValidationError(
+            f"Monte Carlo oracle needs at least {MC_MIN_SAMPLES} samples"
+        )
+    edges = np.unique(series.predictions)
+    counts = np.zeros(edges.size + 1, dtype=np.int64)
+    reps = np.empty(edges.size + 1)
+    rng = np.random.default_rng(seed)
+    done = 0
+    while done < samples:
+        b = min(_CHUNK, samples - done)
+        taus = np.asarray(dist.sample(rng, b))
+        # side="right": a draw equal to a prediction lies in the cell above
+        # it, where that prediction raises no alarm (alarms need p > tau).
+        cells = np.searchsorted(edges, taus, side="right")
+        counts += np.bincount(cells, minlength=counts.size)
+        # Any draw of a cell represents it, so it does not matter which one
+        # the scatter keeps.
+        reps[cells] = taus
+        done += b
+    occupied = counts > 0
+    entries = np.stack(batch_weighted_entries(series, reps[occupied], spec))
+    return entries, counts[occupied].astype(np.float64)
+
+
+def _mean_and_stderr(values: np.ndarray, counts: np.ndarray):
+    """Sample mean and its standard error of values drawn ``counts`` times each."""
+    samples = counts.sum()
+    mean = values @ counts / samples
+    var = np.maximum((values**2) @ counts / samples - mean**2, 0.0)
+    var = var * samples / (samples - 1)
+    return mean, np.sqrt(var / samples)
+
+
 def mc_expected_confusion(
     series: LabeledSeries,
     dist: ThresholdDistribution,
@@ -133,24 +191,7 @@ def mc_expected_confusion(
     seed: int,
 ) -> tuple[ExpectedConfusion, ExpectedConfusion]:
     """Monte Carlo estimate of the expected matrix with per-entry standard errors."""
-    if samples < MC_MIN_SAMPLES:
-        raise ValidationError(
-            f"Monte Carlo oracle needs at least {MC_MIN_SAMPLES} samples"
-        )
-    rng = np.random.default_rng(seed)
-    sums = np.zeros(4)
-    sq_sums = np.zeros(4)
-    done = 0
-    while done < samples:
-        b = min(_CHUNK, samples - done)
-        taus = np.asarray(dist.sample(rng, b))
-        entries = np.stack(batch_weighted_entries(series, taus, spec))
-        sums += entries.sum(axis=1)
-        sq_sums += (entries**2).sum(axis=1)
-        done += b
-    mean = sums / samples
-    var = np.maximum(sq_sums / samples - mean**2, 0.0) * samples / (samples - 1)
-    se = np.sqrt(var / samples)
+    mean, se = _mean_and_stderr(*_mc_cells(series, dist, spec, samples, seed))
     return (
         ExpectedConfusion(e_tn=mean[0], e_wfp=mean[1], e_wfn=mean[2], e_tp=mean[3]),
         ExpectedConfusion(e_tn=se[0], e_wfp=se[1], e_wfn=se[2], e_tp=se[3]),
@@ -166,31 +207,14 @@ def mc_expected_score(
     seed: int,
 ) -> ScoreEstimate:
     """Monte Carlo estimate of E[s(wCM)]; degenerate draws score 0 and are counted."""
-    if samples < MC_MIN_SAMPLES:
-        raise ValidationError(
-            f"Monte Carlo oracle needs at least {MC_MIN_SAMPLES} samples"
-        )
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    sq_total = 0.0
-    degenerate = 0
-    done = 0
-    while done < samples:
-        b = min(_CHUNK, samples - done)
-        taus = np.asarray(dist.sample(rng, b))
-        tn, wfp, wfn, tp = batch_weighted_entries(series, taus, spec)
-        vals, bad = score_array(kind, tn, wfp, wfn, tp)
-        total += vals.sum()
-        sq_total += (vals**2).sum()
-        degenerate += int(bad.sum())
-        done += b
-    mean = total / samples
-    var = max(sq_total / samples - mean**2, 0.0) * samples / (samples - 1)
+    entries, counts = _mc_cells(series, dist, spec, samples, seed)
+    vals, bad = score_array(kind, *entries)
+    mean, se = _mean_and_stderr(vals, counts)
     return ScoreEstimate(
-        mean=mean,
-        stderr=float(np.sqrt(var / samples)),
+        mean=float(mean),
+        stderr=float(se),
         draws=samples,
-        degenerate_draws=degenerate,
+        degenerate_draws=int(counts[bad].sum()),
     )
 
 

@@ -86,7 +86,7 @@ def regularized_incomplete_beta(a: float, b: float, x):
         raise ValidationError("beta shape parameters must be positive")
     x_arr = np.asarray(x, dtype=np.float64)
     scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr).copy()
+    x_arr = np.atleast_1d(x_arr)
     if np.any((x_arr < 0) | (x_arr > 1)):
         raise ValidationError("incomplete beta argument must lie in [0, 1]")
     out = np.empty_like(x_arr)

@@ -375,6 +375,8 @@ def test_seed_env_override(tmp_path, monkeypatch, loss_file, synth_file):
         ["train", "--loss", "l.json", "--hidden", "0"],
         ["verify", "--samples", "0"],
         ["verify", "--samples", "999", "--only", "cost"],
+        ["verify", "--seed", "-1", "--only", "cost"],
+        ["train", "--loss", "l.json", "--seed", "-1"],
     ],
     ids=[
         "sweep-step-0",
@@ -384,9 +386,22 @@ def test_seed_env_override(tmp_path, monkeypatch, loss_file, synth_file):
         "hidden-0",
         "samples-0",
         "samples-999",
+        "seed-negative",
+        "train-seed-negative",
     ],
 )
 def test_bad_numeric_argument_exits_2(argv, capsys):
+    assert_usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bad_seed_env_exits_2(value, monkeypatch, capsys):
+    monkeypatch.setenv("WSOL_SEED", value)
+    assert_usage_error(["verify", "--only", "cost"], capsys)
+
+
+def assert_usage_error(argv, capsys):
+    """The run exits 2 with one error line and no traceback."""
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2

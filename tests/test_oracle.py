@@ -6,6 +6,7 @@ from wsol.errors import ValidationError
 from wsol.expected import expected_confusion
 from wsol.loss import LossSpec
 from wsol.oracle import (
+    _CHUNK,
     batch_weighted_entries,
     exact_expected_confusion,
     exact_expected_score,
@@ -13,9 +14,15 @@ from wsol.oracle import (
     mc_expected_confusion,
     mc_expected_score,
 )
-from wsol.scores import ScoreKind
+from wsol.scores import ScoreKind, score_array
 from wsol.series import LabeledSeries
-from wsol.weights import CrossEntropyWeight, UnitWeight, ValueMaxWeight, eval_weight
+from wsol.weights import (
+    CostWeight,
+    CrossEntropyWeight,
+    UnitWeight,
+    ValueMaxWeight,
+    eval_weight,
+)
 
 
 def per_sample_entries(series, tau, spec):
@@ -109,6 +116,70 @@ class TestMonteCarlo:
         series = make_series(rng)
         with pytest.raises(ValidationError):
             mc_expected_confusion(series, uniform01, UnitWeight(), 100, 0)
+
+    def test_matches_per_draw_average(self, rng, both_priors):
+        # Grouping draws by threshold cell must reproduce the plain per-draw
+        # mean and standard error, also for draws equal to a prediction:
+        # those raise no alarm there, so they belong to the cell above it.
+        samples, seed = 3000, 17
+        assert samples <= _CHUNK  # one sample() call draws the oracle's stream
+        for dist in both_priors:
+            taus = dist.sample(np.random.default_rng(seed), samples)
+            series = make_series(rng, n=40)
+            p = series.predictions.copy()
+            p[::3] = taus[: p[::3].size]
+            series = series.with_predictions(p)
+            for spec in weight_menu(rng):
+                per_draw = np.stack(batch_weighted_entries(series, taus, spec))
+                mean, se = mc_expected_confusion(series, dist, spec, samples, seed)
+                np.testing.assert_allclose(
+                    mean.entries(), per_draw.mean(axis=1), rtol=1e-12
+                )
+                np.testing.assert_allclose(
+                    se.entries(),
+                    per_draw.std(axis=1, ddof=1) / np.sqrt(samples),
+                    rtol=1e-12,
+                )
+
+    def test_degenerate_draws_match_per_draw_count(self, rng, both_priors):
+        # With c10 = 0 a missed positive costs nothing, so TSS is degenerate
+        # at every draw above the highest positive prediction and F1 at
+        # every draw above the highest prediction.
+        samples, seed = 4000, 23
+        spec = CostWeight(c01=1.0, c10=0.0)
+        for dist in both_priors:
+            taus = dist.sample(np.random.default_rng(seed), samples)
+            series = make_series(rng, n=30)
+            for kind in (ScoreKind.TSS, ScoreKind.F1):
+                vals, bad = score_array(
+                    kind, *batch_weighted_entries(series, taus, spec)
+                )
+                est = mc_expected_score(series, dist, spec, kind, samples, seed)
+                assert 0 < est.degenerate_draws < samples
+                assert est.degenerate_draws == int(bad.sum())
+                assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
+
+    def test_evaluates_once_per_estimate_at_drawn_thresholds(
+        self, rng, uniform01, monkeypatch
+    ):
+        samples, seed = 2 * _CHUNK + 500, 29
+        draws = uniform01.sample(np.random.default_rng(seed), samples)
+        calls = []
+
+        def recording(series, taus, spec):
+            calls.append(np.array(taus))
+            return batch_weighted_entries(series, taus, spec)
+
+        monkeypatch.setattr("wsol.oracle.batch_weighted_entries", recording)
+        series = make_series(rng, n=30)
+        spec = ValueMaxWeight((0.5, 0.2))
+        mc_expected_confusion(series, uniform01, spec, samples, seed)
+        assert len(calls) == 1
+        mc_expected_score(series, uniform01, spec, ScoreKind.TSS, samples, seed)
+        assert len(calls) == 2
+        for taus in calls:
+            assert 0 < taus.size <= series.n + 1
+            assert np.all(np.isin(taus, draws))
 
 
 class TestExpectedScore:
