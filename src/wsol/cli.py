@@ -262,11 +262,6 @@ def cmd_train(args) -> int:
     if args.data is None and args.synth is None:
         raise InputError("train needs --data or --synth")
     loss = cfg.load_loss(args.loss)
-    if args.data is not None:
-        features, labels = read_dataset_csv(args.data)
-    else:
-        synth = cfg.parse_synth(cfg.load_json(args.synth))
-        features, labels = generate_temporal_dataset(synth)
     train_cfg = TrainConfig(
         loss=loss,
         epochs=args.epochs,
@@ -275,6 +270,11 @@ def cmd_train(args) -> int:
         hidden=args.hidden,
         chunk=args.chunk,
     )
+    if args.data is not None:
+        features, labels = read_dataset_csv(args.data)
+    else:
+        synth = cfg.parse_synth(cfg.load_json(args.synth))
+        features, labels = generate_temporal_dataset(synth)
     model = MLPModel.init((features.shape[1], *args.hidden, 1), seed=args.seed)
     result = train(features, labels, model, train_cfg)
     out = Path(args.out_dir)

@@ -57,6 +57,17 @@ def _check_tau(tau: float) -> float:
     return float(tau)
 
 
+def classical_entries(series: LabeledSeries, tn, tp):
+    """Classical (tn, fp, fn, tp) from the tn and tp of any weighted hard matrix.
+
+    A weight touches only the error entries, so every variant counts tn
+    and tp alike; the errors are the remaining negatives and positives.
+    Works elementwise on arrays of matrices.
+    """
+    positives = int(np.sum(series.labels))
+    return tn, (series.n - positives) - tn, positives - tp, tp
+
+
 def hard_confusion(series: LabeledSeries, tau: float) -> ConfusionCounts:
     """Classical counts at a fixed threshold (alarm iff prediction > tau)."""
     tau = _check_tau(tau)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confusion import hard_confusion, weighted_hard_confusion
+from .confusion import ConfusionCounts, classical_entries, weighted_hard_confusion
 from .expected import expected_confusion
 from .scores import ScoreKind, apply_score
 from .series import LabeledSeries
@@ -93,14 +93,15 @@ def compare_series(
     dist = dist or ThresholdDistribution.uniform()
     series_a = adjacent_error_series()
     series_b = isolated_error_series()
-    cm = hard_confusion(series_a, tau)
+    wc_a = weighted_hard_confusion(series_a, tau, weights)
+    # Both series share one classical matrix, read off the weighted one.
+    cm = ConfusionCounts(*classical_entries(series_a, wc_a.tn, wc_a.tp))
     classical = {
         kind.value: apply_score(kind, cm.tn, cm.fp, cm.fn, cm.tp).value
         for kind in ScoreKind
     }
 
-    def hard_weighted(series):
-        wc = weighted_hard_confusion(series, tau, weights)
+    def hard_weighted(wc):
         return {
             kind.value: apply_score(kind, wc.tn, wc.wfp, wc.wfn, wc.tp).value
             for kind in ScoreKind
@@ -116,8 +117,10 @@ def compare_series(
         tau=tau,
         confusion=cm.to_dict(),
         classical_scores=classical,
-        weighted_scores_adjacent=hard_weighted(series_a),
-        weighted_scores_isolated=hard_weighted(series_b),
+        weighted_scores_adjacent=hard_weighted(wc_a),
+        weighted_scores_isolated=hard_weighted(
+            weighted_hard_confusion(series_b, tau, weights)
+        ),
         expected_weighted_adjacent=expected_weighted(series_a),
         expected_weighted_isolated=expected_weighted(series_b),
     )

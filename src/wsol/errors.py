@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the finite-number check.
 
 The CLI maps these onto its exit codes (input 1, config 2, verification 3,
 divergence 4), so library code should raise the most specific type it can.
 """
+
+import math
 
 
 class WsolError(Exception):
@@ -35,3 +37,18 @@ class TrainingDivergedError(WsolError):
     def __init__(self, epoch: int, message: str = ""):
         self.epoch = epoch
         super().__init__(message or f"non-finite loss at epoch {epoch}")
+
+
+def check_finite(name: str, value) -> float:
+    """``value`` as a float; ValidationError unless it is a finite number.
+
+    Every constructor that takes a real parameter calls this first, since
+    NaN passes every range comparison written with ``<`` or ``<=``.
+    """
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return number

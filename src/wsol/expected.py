@@ -120,25 +120,38 @@ def expected_tp_tn(
     return _tp_tn(series.labels, dist.cdf(series.predictions))
 
 
+def _expected_errors(
+    series: LabeledSeries, dist: ThresholdDistribution, spec: WeightSpec
+) -> tuple[float, float]:
+    terms = spec.closed_form_terms(series, dist)
+    return spec.expected_errors(series, dist, dist.cdf(series.predictions), terms)
+
+
 def expected_wfp(
     series: LabeledSeries, dist: ThresholdDistribution, spec: WeightSpec
 ) -> float:
     """Expected weighted false-positive entry."""
-    return spec.expected_errors(series, dist, dist.cdf(series.predictions))[0]
+    return _expected_errors(series, dist, spec)[0]
 
 
 def expected_wfn(
     series: LabeledSeries, dist: ThresholdDistribution, spec: WeightSpec
 ) -> float:
     """Expected weighted false-negative entry."""
-    return spec.expected_errors(series, dist, dist.cdf(series.predictions))[1]
+    return _expected_errors(series, dist, spec)[1]
 
 
 def expected_confusion(
-    series: LabeledSeries, dist: ThresholdDistribution, spec: WeightSpec
+    series: LabeledSeries, dist: ThresholdDistribution, spec: WeightSpec, terms=None
 ) -> ExpectedConfusion:
-    """Assemble all four expected entries from one evaluation of the cdf."""
+    """Assemble all four expected entries from one evaluation of the cdf.
+
+    ``terms`` is ``spec.closed_form_terms(series, dist)``, built here when
+    the caller has not built it already.
+    """
+    if terms is None:
+        terms = spec.closed_form_terms(series, dist)
     cdf = dist.cdf(series.predictions)
     e_tp, e_tn = _tp_tn(series.labels, cdf)
-    e_wfp, e_wfn = spec.expected_errors(series, dist, cdf)
+    e_wfp, e_wfn = spec.expected_errors(series, dist, cdf, terms)
     return ExpectedConfusion(e_tn=e_tn, e_wfp=e_wfp, e_wfn=e_wfn, e_tp=e_tp)

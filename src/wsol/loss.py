@@ -67,20 +67,71 @@ class GradientVector:
 
 @dataclass(frozen=True)
 class LossResult:
+    """One loss on one series: its value, the expected matrix it scores,
+    and the closed-form terms a gradient at that matrix reuses."""
+
     value: float
     degenerate: bool
     expected: ExpectedConfusion = field(repr=False)
+    terms: object = field(repr=False)
 
 
 def loss_eval(series: LabeledSeries, spec: LossSpec) -> LossResult:
-    exp = expected_confusion(series, spec.dist, spec.weights)
+    terms = spec.weights.closed_form_terms(series, spec.dist)
+    exp = expected_confusion(series, spec.dist, spec.weights, terms)
     score = apply_score(spec.score, *exp.entries())
-    return LossResult(value=-score.value, degenerate=score.degenerate, expected=exp)
+    return LossResult(
+        value=-score.value, degenerate=score.degenerate, expected=exp, terms=terms
+    )
+
+
+@dataclass(frozen=True)
+class LossEvaluation:
+    """A loss evaluated on one series: one result per component.
+
+    The value needs only the expected matrices; the gradient, taken
+    later or not at all, reuses them and their closed-form terms.
+    """
+
+    series: LabeledSeries
+    spec: LossSpec | CombinedLossSpec
+    results: tuple[LossResult, ...] = field(repr=False)
+
+    @property
+    def value(self) -> float:
+        """Loss value; a combination weights each component by its coefficient."""
+        return sum(
+            beta * r.value for (_, beta), r in zip(self.spec.components, self.results)
+        )
+
+    def gradient(self) -> GradientVector:
+        """Analytic gradient (per prediction) at the evaluated matrices.
+
+        Raises DegenerateDenominatorError where a score partial is undefined.
+        """
+        grad = np.zeros(self.series.n)
+        kinks: set[int] = set()
+        for (component, beta), r in zip(self.spec.components, self.results):
+            g, k = gradient_at(self.series, component, r)
+            grad += beta * g
+            kinks |= k
+        return GradientVector(
+            values=grad, nonsmooth=bool(kinks), kink_indices=tuple(sorted(kinks))
+        )
+
+
+def evaluate_loss(
+    series: LabeledSeries, spec: LossSpec | CombinedLossSpec
+) -> LossEvaluation:
+    """One expected matrix per component, with the terms its gradient reuses."""
+    return LossEvaluation(
+        series, spec, tuple(loss_eval(series, c) for c, _ in spec.components)
+    )
 
 
 def loss_value(series: LabeledSeries, spec: LossSpec | CombinedLossSpec) -> float:
     """Loss value; a combination weights each component by its coefficient."""
-    return sum(beta * loss_eval(series, c).value for c, beta in spec.components)
+    return evaluate_loss(series, spec).value
 
 
 def combined_loss(
@@ -91,36 +142,28 @@ def combined_loss(
     One expected matrix per component yields both: the score and its
     partials at that matrix, chained with the entry derivatives.
     """
-    total = 0.0
-    grad = np.zeros(series.n)
-    kinks: set[int] = set()
-    for component, beta in spec.components:
-        exp = expected_confusion(series, component.dist, component.weights)
-        total += beta * -apply_score(component.score, *exp.entries()).value
-        g, k = gradient_at(series, component, exp)
-        grad += beta * g
-        kinks |= k
-    return total, GradientVector(
-        values=grad, nonsmooth=bool(kinks), kink_indices=tuple(sorted(kinks))
-    )
+    ev = evaluate_loss(series, spec)
+    return ev.value, ev.gradient()
 
 
 def gradient_at(
-    series: LabeledSeries, spec: LossSpec, exp: ExpectedConfusion
+    series: LabeledSeries, spec: LossSpec, result: LossResult
 ) -> tuple[np.ndarray, set[int]]:
-    """Gradient of one loss, given its expected matrix ``exp`` on ``series``.
+    """Gradient of one loss, given its ``loss_eval`` result on ``series``.
 
-    The score partials at ``exp`` chained with the entry derivatives; a
-    value weight contributes cross terms, since a prediction enters the
-    windows of up to T later positives.  Also returns the kink indices,
-    where the derivative is one-sided.
+    The score partials at the result's expected matrix chained with the
+    entry derivatives; a value weight contributes cross terms, since a
+    prediction enters the windows of up to T later positives.  Also
+    returns the kink indices, where the derivative is one-sided.
     """
     y = series.labels
     neg = (y == 0).astype(np.float64)
     pos = y.astype(np.float64)
-    s_tn, s_wfp, s_wfn, s_tp = score_partials(spec.score, *exp.entries())
+    s_tn, s_wfp, s_wfn, s_tp = score_partials(spec.score, *result.expected.entries())
     dens = np.asarray(spec.dist.pdf(series.predictions), dtype=np.float64)
-    d_wfp, d_wfn, kinks = spec.weights.error_derivatives(series, spec.dist, dens)
+    d_wfp, d_wfn, kinks = spec.weights.error_derivatives(
+        series, spec.dist, dens, result.terms
+    )
     d_tn = -neg * dens
     d_tp = pos * dens
     return -(s_tn * d_tn + s_wfp * d_wfp + s_wfn * d_wfn + s_tp * d_tp), kinks

@@ -15,9 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, ValidationError
-from .expected import ExpectedConfusion, expected_confusion
-from .loss import LossSpec, gradient_at
-from .scores import ScoreKind, apply_score
+from .loss import LossResult, LossSpec, gradient_at, loss_eval
+from .scores import ScoreKind
 from .series import LabeledSeries
 from .threshold import ThresholdDistribution
 from .weights import WeightSpec
@@ -128,22 +127,21 @@ def _check_shape(ml: MultilabelSeries, spec: MultilabelSpec) -> None:
         )
 
 
-def _class_matrices(
+def _class_results(
     ml: MultilabelSeries, spec: MultilabelSpec
-) -> tuple[list[ExpectedConfusion], np.ndarray]:
-    """Each class column's expected matrix and score; degenerate columns score 0."""
+) -> tuple[list[LossResult], np.ndarray]:
+    """Each class column's loss result and score; degenerate columns score 0."""
     _check_shape(ml, spec)
-    exps = [
-        expected_confusion(ml.column(j), dist, wspec)
+    results = [
+        loss_eval(ml.column(j), LossSpec(score=spec.score, weights=wspec, dist=dist))
         for j, (dist, wspec) in enumerate(spec.class_specs)
     ]
-    scores = np.array([apply_score(spec.score, *exp.entries()).value for exp in exps])
-    return exps, scores
+    return results, np.array([-r.value for r in results])
 
 
 def per_class_scores(ml: MultilabelSeries, spec: MultilabelSpec) -> np.ndarray:
     """Score of each class column; degenerate columns score 0."""
-    return _class_matrices(ml, spec)[1]
+    return _class_results(ml, spec)[1]
 
 
 def multilabel_global_score(ml: MultilabelSeries, spec: MultilabelSpec) -> float:
@@ -169,15 +167,15 @@ def multilabel_wsol(
     partial is not differentiated, so an inactive degenerate class is
     harmless.
     """
-    exps, scores = _class_matrices(ml, spec)
+    results, scores = _class_results(ml, spec)
     mu_partials, tied = spec.aggregator.partials(scores)
     grad = np.zeros_like(ml.predictions)
     nonsmooth = tied
-    for j, ((dist, wspec), exp) in enumerate(zip(spec.class_specs, exps)):
+    for j, ((dist, wspec), result) in enumerate(zip(spec.class_specs, results)):
         if mu_partials[j] == 0.0:
             continue
         g, kinks = gradient_at(
-            ml.column(j), LossSpec(score=spec.score, weights=wspec, dist=dist), exp
+            ml.column(j), LossSpec(score=spec.score, weights=wspec, dist=dist), result
         )
         grad[:, j] = mu_partials[j] * g
         nonsmooth = nonsmooth or bool(kinks)

@@ -36,7 +36,7 @@ class LabeledSeries:
         # Written so that NaN, which fails every comparison, fails it too.
         if not np.all((preds > 0.0) & (preds < 1.0)):
             raise ValidationError("predictions must lie strictly inside (0, 1)")
-        if not np.all(np.isin(labels, (0, 1))):
+        if not np.all((labels == 0) | (labels == 1)):
             raise ValidationError("labels must be exactly 0 or 1")
         labels = labels.astype(np.int64)
         preds = preds.copy()

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_finite
 
 _CF_MAX_ITER = 400
 _CF_EPS = 1e-15
@@ -137,6 +137,8 @@ class ThresholdDistribution:
     beta: float = 1.0
 
     def __post_init__(self):
+        for name in ("a", "b", "alpha", "beta"):
+            object.__setattr__(self, name, check_finite(name, getattr(self, name)))
         if self.kind == "uniform":
             if not (0.0 <= self.a < self.b <= 1.0):
                 raise ValidationError(
@@ -152,11 +154,11 @@ class ThresholdDistribution:
 
     @classmethod
     def uniform(cls, a: float = 0.0, b: float = 1.0) -> "ThresholdDistribution":
-        return cls(kind="uniform", a=float(a), b=float(b))
+        return cls(kind="uniform", a=a, b=b)
 
     @classmethod
     def beta_prior(cls, alpha: float, beta: float) -> "ThresholdDistribution":
-        return cls(kind="beta", alpha=float(alpha), beta=float(beta))
+        return cls(kind="beta", alpha=alpha, beta=beta)
 
     @property
     def support(self) -> tuple[float, float]:

@@ -6,6 +6,13 @@ gradient descent by default because the value-weighted losses couple
 neighbouring samples through their windows; contiguous chronological
 chunking is available and applies the window boundary policy per chunk.
 
+Each step runs one forward pass, keeps its activations for the backward
+pass, and evaluates one expected matrix per loss component for both the
+loss and its gradient.  The epoch report scores the classical and the
+weighted matrix from one hard-matrix evaluation.  In full-batch mode the
+report's pass and matrices are the next step's inputs, bit for bit, so
+the next step takes them over.  A degenerate chunk is still skipped.
+
 The synthetic dataset generator produces bursty event sequences with
 noisy leading indicators, so near-miss alarms (alarms adjacent to missed
 events) arise naturally and the value weights have something to reward.
@@ -24,16 +31,16 @@ from .confusion import (
     ConfusionCounts,
     WeightedCounts,
     _check_tau,
-    hard_confusion,
-    weighted_hard_confusion,
+    classical_entries,
 )
 from .errors import (
     DegenerateDenominatorError,
     TrainingDivergedError,
     ValidationError,
+    check_finite,
 )
 from .expected import expected_confusion
-from .loss import CombinedLossSpec, LossSpec, combined_loss, loss_value
+from .loss import CombinedLossSpec, LossEvaluation, LossSpec, evaluate_loss
 from .oracle import batch_weighted_entries
 from .scores import ScoreKind, apply_score, score_array
 from .series import LabeledSeries
@@ -41,15 +48,32 @@ from .weights import UnitWeight, WeightSpec
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows, and each branch divides as the stable form
+    # for its sign of z does.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 _PRED_EPS = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class ForwardPass:
+    """One pass through the network: what ``backward`` needs, kept from it.
+
+    ``output`` is the unclipped logistic output; ``zs`` holds each hidden
+    layer's pre-activation and ``acts`` each layer's input, the network
+    input first.
+    """
+
+    output: np.ndarray
+    zs: list[np.ndarray]
+    acts: list[np.ndarray]
+
+    @property
+    def predictions(self) -> np.ndarray:
+        """The output clipped a hair inside (0, 1), so logs stay finite."""
+        return np.clip(self.output, _PRED_EPS, 1.0 - _PRED_EPS)
 
 
 @dataclass
@@ -88,38 +112,40 @@ class MLPModel:
     def _hidden_grad(self, z: np.ndarray, h: np.ndarray) -> np.ndarray:
         return 1.0 - h**2 if self.activation == "tanh" else (z > 0).astype(np.float64)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Predictions in (0, 1); clipped a hair inside so logs stay finite."""
-        h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = self._hidden(h @ w + b)
-        z = h @ self.weights[-1] + self.biases[-1]
-        return np.clip(_sigmoid(z[:, 0]), _PRED_EPS, 1.0 - _PRED_EPS)
-
-    def backward(
-        self, x: np.ndarray, dloss_dpred: np.ndarray
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Parameter gradients for a given loss gradient over predictions."""
+    def propagate(self, x: np.ndarray) -> ForwardPass:
+        """One forward pass, keeping every activation for ``backward``."""
         acts = [x]
         zs = []
-        h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = h @ w + b
-            zs.append(z)
-            h = self._hidden(z)
-            acts.append(h)
-        z_out = h @ self.weights[-1] + self.biases[-1]
-        pred = _sigmoid(z_out[:, 0])
+            zs.append(acts[-1] @ w + b)
+            acts.append(self._hidden(zs[-1]))
+        z = acts[-1] @ self.weights[-1] + self.biases[-1]
+        return ForwardPass(output=_sigmoid(z[:, 0]), zs=zs, acts=acts)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Predictions in (0, 1); clipped a hair inside so logs stay finite."""
+        return self.propagate(x).predictions
+
+    def backward(
+        self, fwd: ForwardPass, dloss_dpred: np.ndarray
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Parameter gradients for a loss gradient over the predictions of ``fwd``.
+
+        ``fwd`` is this model's ``propagate`` on the inputs, at the current
+        parameters; nothing is recomputed.
+        """
+        pred = fwd.output
         delta = (dloss_dpred * pred * (1.0 - pred))[:, None]
-        grad_w = [np.zeros_like(w) for w in self.weights]
-        grad_b = [np.zeros_like(b) for b in self.biases]
-        grad_w[-1] = acts[-1].T @ delta
+        layers = len(self.weights)
+        grad_w = [None] * layers
+        grad_b = [None] * layers
+        grad_w[-1] = fwd.acts[-1].T @ delta
         grad_b[-1] = delta.sum(axis=0)
-        for layer in range(len(self.weights) - 2, -1, -1):
+        for layer in range(layers - 2, -1, -1):
             delta = (delta @ self.weights[layer + 1].T) * self._hidden_grad(
-                zs[layer], acts[layer + 1]
+                fwd.zs[layer], fwd.acts[layer + 1]
             )
-            grad_w[layer] = acts[layer].T @ delta
+            grad_w[layer] = fwd.acts[layer].T @ delta
             grad_b[layer] = delta.sum(axis=0)
         return grad_w, grad_b
 
@@ -153,8 +179,12 @@ class SyntheticSeriesConfig:
     features: int = 4
 
     def __post_init__(self):
+        for name in ("event_rate", "precursor_strength", "noise"):
+            object.__setattr__(self, name, check_finite(name, getattr(self, name)))
         if self.n < 1 or not (0.0 <= self.event_rate <= 1.0):
             raise ValidationError("bad synthetic dataset config")
+        if self.noise < 0:
+            raise ValidationError("noise must be non-negative")
         if self.features < 2 or self.window < 1:
             raise ValidationError("need at least 2 features and a positive window")
 
@@ -208,6 +238,9 @@ class TrainConfig:
     chunk: int | None = None  # None: full batch; else contiguous chunk length
 
     def __post_init__(self):
+        object.__setattr__(
+            self, "learning_rate", check_finite("learning_rate", self.learning_rate)
+        )
         if self.epochs < 0 or self.learning_rate < 0:
             raise ValidationError("epochs and learning rate must be non-negative")
         if self.chunk is not None and self.chunk < 1:
@@ -228,6 +261,21 @@ class TrainResult:
     history: list[EpochRecord] = field(default_factory=list)
 
 
+def _evaluate(
+    model: MLPModel,
+    x: np.ndarray,
+    y: np.ndarray,
+    loss: LossSpec | CombinedLossSpec,
+    epoch: int,
+) -> tuple[ForwardPass, LossEvaluation]:
+    """One forward pass and the loss's expected matrices at its predictions."""
+    fwd = model.propagate(x)
+    preds = fwd.predictions
+    if not np.all(np.isfinite(preds)):
+        raise TrainingDivergedError(epoch)
+    return fwd, evaluate_loss(LabeledSeries(preds, y, chronological=True), loss)
+
+
 def train(
     features: np.ndarray,
     labels: np.ndarray,
@@ -236,37 +284,44 @@ def train(
 ) -> TrainResult:
     """Gradient descent on the configured loss; aborts on divergence.
 
-    Each epoch record reflects the state after that epoch's updates: the
-    full-series loss plus the headline score at the prior-mean threshold,
-    on both the classical and the weighted hard matrix.  A chunk whose
-    score is degenerate (e.g. no positives inside it) contributes no
-    update.  Divergence means a non-finite loss, gradient, or parameter.
+    Each step takes one forward pass, whose activations the backward pass
+    reuses, and one expected matrix per loss component, which gives both
+    the loss and its gradient.  Each epoch record reflects the state after
+    that epoch's updates: the full-series loss plus the headline score at
+    the prior-mean threshold, on both the classical and the weighted hard
+    matrix, which come from one hard-matrix evaluation.  When one chunk
+    covers the whole series, the report's forward pass and expected
+    matrices are exactly the next step's inputs, so that step reuses them.
+    A chunk whose score is degenerate (e.g. no positives inside it)
+    contributes no update.  Divergence means a non-finite loss, gradient,
+    or parameter.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     head = cfg.loss.components[0][0]
-    tau_report = head.dist.mean()
+    tau_report = np.array([head.dist.mean()])
     result = TrainResult(model=model)
     n = labels.size
     if cfg.chunk is None:
         bounds = [(0, n)]
     else:
         bounds = [(s, min(s + cfg.chunk, n)) for s in range(0, n, cfg.chunk)]
+    full_batch = bounds == [(0, n)]
+    carried = None
     for epoch in range(cfg.epochs):
         for lo, hi in bounds:
-            x = features[lo:hi]
-            preds = model.forward(x)
-            if not np.all(np.isfinite(preds)):
-                raise TrainingDivergedError(epoch)
-            series = LabeledSeries(preds, labels[lo:hi], chronological=True)
+            fwd, ev = carried or _evaluate(
+                model, features[lo:hi], labels[lo:hi], cfg.loss, epoch
+            )
+            carried = None
             try:
-                value, grad = combined_loss(series, cfg.loss)
+                grad = ev.gradient()
             except DegenerateDenominatorError:
                 continue
             dloss_dpred = grad.values
-            if not np.isfinite(value) or not np.all(np.isfinite(dloss_dpred)):
+            if not np.isfinite(ev.value) or not np.all(np.isfinite(dloss_dpred)):
                 raise TrainingDivergedError(epoch)
-            grad_w, grad_b = model.backward(x, dloss_dpred)
+            grad_w, grad_b = model.backward(fwd, dloss_dpred)
             for w, gw in zip(model.weights, grad_w):
                 w -= cfg.learning_rate * gw
             for b, gb in zip(model.biases, grad_b):
@@ -274,24 +329,20 @@ def train(
             for arr in (*model.weights, *model.biases):
                 if not np.all(np.isfinite(arr)):
                     raise TrainingDivergedError(epoch)
-        preds = model.forward(features)
-        if not np.all(np.isfinite(preds)):
-            raise TrainingDivergedError(epoch)
-        series = LabeledSeries(preds, labels, chronological=True)
-        cm = hard_confusion(series, tau_report)
-        wc = weighted_hard_confusion(series, tau_report, head.weights)
+        fwd, ev = _evaluate(model, features, labels, cfg.loss, epoch)
+        wc = batch_weighted_entries(ev.series, tau_report, head.weights)
+        entries = np.stack([classical_entries(ev.series, wc[0], wc[3]), wc], axis=1)
+        (classical,), (weighted,) = score_array(head.score, *entries)[0]
         result.history.append(
             EpochRecord(
                 epoch=epoch,
-                loss=loss_value(series, cfg.loss),
-                score_classical=apply_score(
-                    head.score, cm.tn, cm.fp, cm.fn, cm.tp
-                ).value,
-                score_weighted=apply_score(
-                    head.score, wc.tn, wc.wfp, wc.wfn, wc.tp
-                ).value,
+                loss=ev.value,
+                score_classical=float(classical),
+                score_weighted=float(weighted),
             )
         )
+        if full_batch:
+            carried = fwd, ev
     return result
 
 
@@ -331,14 +382,17 @@ def sweep_report(
 ) -> dict:
     """Hard and weighted matrices with every score at each threshold, and the best taus.
 
-    Each matrix is one batch_weighted_entries call over all thresholds (the
-    classical one with unit weights); counts are reported as ints.
+    One batch_weighted_entries call over all thresholds gives the weighted
+    matrices, and their tn and tp give the classical ones; counts are
+    reported as ints.  Each score is one score_array call over both.
     """
     taus = np.array([_check_tau(tau) for tau in thresholds])
-    cm = batch_weighted_entries(series, taus, UnitWeight())
     wc = batch_weighted_entries(series, taus, weight_spec)
-    scores = {kind.value: score_array(kind, *cm)[0] for kind in ScoreKind}
-    weighted = {kind.value: score_array(kind, *wc)[0] for kind in ScoreKind}
+    cm = classical_entries(series, wc[0], wc[3])
+    entries = np.stack([cm, wc], axis=1)
+    both = {kind.value: score_array(kind, *entries)[0] for kind in ScoreKind}
+    scores = {name: v[0] for name, v in both.items()}
+    weighted = {name: v[1] for name, v in both.items()}
     rows = [
         {
             "tau": float(tau),

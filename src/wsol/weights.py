@@ -4,21 +4,23 @@ Five variants: unit (classical matrix), cost (fixed per-error-type cost),
 cross-entropy (prediction-dependent), and two value variants that reward
 errors adjacent in time to events or alarms through a window of length T.
 
-Each variant's class owns the four decisions that depend on it:
+Each variant's class owns the decisions that depend on it:
 
 * ``fp_factors`` -- the weight of each sample as a false positive, which
   never depends on the threshold;
 * ``fn_factors`` -- the weight of each sample as a false negative, given
   the (n, B) alarm matrix of B thresholds;
+* ``closed_form_terms`` -- what both closed forms derive from the series
+  and the prior's support alone, built once per loss evaluation;
 * ``expected_errors`` -- the closed-form (E[wFP], E[wFN]) under a
   threshold prior;
 * ``error_derivatives`` -- their derivatives in each prediction, with the
   indices where only a one-sided derivative exists.
 
-The two factor methods are the hard path the oracles integrate; the other
-two are the closed forms those oracles check.  ``eval_weight`` evaluates
-one sample from the definition and is the reference the tests compare
-both paths against.
+The two factor methods are the hard path the oracles integrate; the
+other three are the closed forms those oracles check.  ``eval_weight``
+evaluates one sample from the definition and is the reference the tests
+compare both paths against.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedCombinationError, ValidationError
+from .errors import UnsupportedCombinationError, ValidationError, check_finite
 from .series import LabeledSeries
 
 
@@ -54,19 +56,30 @@ class WeightSpec:
         """
         raise NotImplementedError
 
+    def closed_form_terms(self, series: LabeledSeries, dist):
+        """The terms both closed forms take, from the series and the prior's support.
+
+        None for the variants whose closed forms need only the series.
+        """
+        return None
+
     def expected_errors(
-        self, series: LabeledSeries, dist, cdf: np.ndarray
+        self, series: LabeledSeries, dist, cdf: np.ndarray, terms
     ) -> tuple[float, float]:
-        """(E[wFP], E[wFN]) under ``dist``; ``cdf`` is its cdf at each prediction."""
+        """(E[wFP], E[wFN]) under ``dist``; ``cdf`` is its cdf at each prediction.
+
+        ``terms`` is ``closed_form_terms(series, dist)``.
+        """
         raise NotImplementedError
 
     def error_derivatives(
-        self, series: LabeledSeries, dist, dens: np.ndarray
+        self, series: LabeledSeries, dist, dens: np.ndarray, terms
     ) -> tuple[np.ndarray, np.ndarray, set[int]]:
         """(dE[wFP]/dp, dE[wFN]/dp, kink indices) in each prediction.
 
-        ``dens`` is the prior pdf at each prediction.  At a kink index only
-        a one-sided derivative exists.
+        ``dens`` is the prior pdf at each prediction and ``terms`` is
+        ``closed_form_terms(series, dist)``.  At a kink index only a
+        one-sided derivative exists.
         """
         raise NotImplementedError
 
@@ -82,14 +95,14 @@ class _ErrorTypeWeight(WeightSpec):
     def fn_factors(self, series, alarm):
         return np.full((series.n, 1), float(self.c10))
 
-    def expected_errors(self, series, dist, cdf):
+    def expected_errors(self, series, dist, cdf, terms):
         pos = series.labels == 1
         return (
             self.c01 * float(np.sum(cdf[~pos])),
             self.c10 * float(np.sum(1.0 - cdf[pos])),
         )
 
-    def error_derivatives(self, series, dist, dens):
+    def error_derivatives(self, series, dist, dens, terms):
         y = series.labels
         neg = (y == 0).astype(np.float64)
         pos = y.astype(np.float64)
@@ -112,6 +125,8 @@ class CostWeight(_ErrorTypeWeight):
     name = "cost"
 
     def __post_init__(self):
+        for name in ("c01", "c10"):
+            object.__setattr__(self, name, check_finite(name, getattr(self, name)))
         if self.c01 < 0 or self.c10 < 0:
             raise ValidationError("costs must be non-negative")
 
@@ -125,6 +140,8 @@ class CrossEntropyWeight(WeightSpec):
     name = "cross_entropy"
 
     def __post_init__(self):
+        for name in ("omega0", "omega1"):
+            object.__setattr__(self, name, check_finite(name, getattr(self, name)))
         if self.omega0 <= 0 or self.omega1 <= 0:
             raise ValidationError("cross-entropy weight parameters must be positive")
 
@@ -143,7 +160,7 @@ class CrossEntropyWeight(WeightSpec):
         p = series.predictions
         return (-self.omega1 * np.log(p) / (1.0 - p))[:, None]
 
-    def expected_errors(self, series, dist, cdf):
+    def expected_errors(self, series, dist, cdf, terms):
         self.check_prior(dist)
         p = series.predictions
         pos = series.labels == 1
@@ -152,7 +169,7 @@ class CrossEntropyWeight(WeightSpec):
             float(-self.omega1 * np.sum(np.log(p[pos]))),
         )
 
-    def error_derivatives(self, series, dist, dens):
+    def error_derivatives(self, series, dist, dens, terms):
         p = series.predictions
         y = series.labels
         neg = (y == 0).astype(np.float64)
@@ -161,7 +178,7 @@ class CrossEntropyWeight(WeightSpec):
 
 
 def _check_omega(omega: tuple[float, ...]) -> tuple[float, ...]:
-    omega = tuple(float(w) for w in omega)
+    omega = tuple(check_finite("omega entries", w) for w in omega)
     if len(omega) < 1:
         raise ValidationError("omega must have at least one entry")
     if any(w < 0 for w in omega):
@@ -259,25 +276,31 @@ class _ValueWeight(WeightSpec):
         """
         raise NotImplementedError
 
-    def expected_errors(self, series, dist, cdf):
+    def closed_form_terms(self, series, dist):
+        """(fp_factors, coef, enters, tied), the last three from ``_lag_terms``."""
         _require_support(series, dist)
+        return (
+            self.fp_factors(series),
+            *self._lag_terms(series.predictions, dist.support[0]),
+        )
+
+    def expected_errors(self, series, dist, cdf, terms):
         n = series.n
         pos = series.labels == 1
-        e_wfp = float(np.sum(self.fp_factors(series)[~pos] * cdf[~pos]))
-        coef, _, _ = self._lag_terms(series.predictions, dist.support[0])
+        fp, coef, _, _ = terms
+        e_wfp = float(np.sum(fp[~pos] * cdf[~pos]))
         reduction = np.zeros(n)
         for j in range(1, min(self.window, n - 1) + 1):
             reduction[j:] += coef[j:, j - 1] * np.maximum(cdf[: n - j] - cdf[j:], 0.0)
         return e_wfp, float(np.sum((1.0 - cdf[pos]) - reduction[pos]))
 
-    def error_derivatives(self, series, dist, dens):
-        _require_support(series, dist)
+    def error_derivatives(self, series, dist, dens, terms):
         p = series.predictions
         y = series.labels
         n = series.n
         pos = y == 1
-        d_wfp = self.fp_factors(series) * (y == 0).astype(np.float64) * dens
-        coef, enters, tied = self._lag_terms(p, dist.support[0])
+        fp, coef, enters, tied = terms
+        d_wfp = fp * (y == 0).astype(np.float64) * dens
         kinks = set(np.flatnonzero(tied & pos).tolist())
         # A positive's own coefficient gains every entering lag predicted
         # above it; that lag's prediction gets the opposite cross term.  A

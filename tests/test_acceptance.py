@@ -124,7 +124,7 @@ def test_criterion_06_gradient_correctness():
         model = MLPModel.init((2, 4, 1), seed=k)
         preds = model.forward(x)
         dl = loss_gradient(LabeledSeries(preds, y), spec).values
-        grad_w, grad_b = model.backward(x, dl)
+        grad_w, grad_b = model.backward(model.propagate(x), dl)
         for arrs, grads in ((model.weights, grad_w), (model.biases, grad_b)):
             for arr, g in zip(arrs, grads):
                 flat = arr.ravel()

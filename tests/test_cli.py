@@ -264,8 +264,8 @@ class TestVerify:
 
         closed_form = ValueMaxWeight.expected_errors
 
-        def off(self, series, dist, cdf):
-            e_wfp, e_wfn = closed_form(self, series, dist, cdf)
+        def off(self, series, dist, cdf, terms):
+            e_wfp, e_wfn = closed_form(self, series, dist, cdf, terms)
             return e_wfp, e_wfn + error
 
         monkeypatch.setattr(ValueMaxWeight, "expected_errors", off)
@@ -327,6 +327,18 @@ class TestTrain:
         )
         assert code == 4
         assert "epoch 0" in capsys.readouterr().err
+
+    def test_non_finite_learning_rate_exits_2_before_any_output(
+        self, tmp_path, loss_file, synth_file, capsys
+    ):
+        out = tmp_path / "never"
+        argv = ["train", "--synth", synth_file, "--loss", loss_file, "--lr", "nan"]
+        assert run(argv + ["--out-dir", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [
+            "error: learning_rate must be finite, got nan"
+        ]
 
     def test_trains_from_dataset_csv(self, tmp_path, loss_file):
         rng = np.random.default_rng(0)

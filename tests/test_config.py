@@ -11,10 +11,36 @@ from wsol.config import (
     parse_synth,
     parse_weights,
 )
-from wsol.errors import ConfigError
+from wsol.errors import ConfigError, ValidationError
 from wsol.loss import CombinedLossSpec, LossSpec
 from wsol.scores import ScoreKind
-from wsol.weights import CostWeight, UnitWeight, ValueMaxWeight
+from wsol.threshold import ThresholdDistribution
+from wsol.trainer import SyntheticSeriesConfig, TrainConfig
+from wsol.weights import (
+    CostWeight,
+    CrossEntropyWeight,
+    UnitWeight,
+    ValueMaxWeight,
+    ValueProdWeight,
+)
+
+_UNIT_LOSS = LossSpec(ScoreKind.TSS, UnitWeight(), ThresholdDistribution.uniform())
+
+# Each builds its object with one real parameter set to v.  NaN passes the
+# range checks written with < or <=, and infinity passes the one-sided ones.
+_REAL_PARAMETERS = {
+    "train_learning_rate": lambda v: TrainConfig(loss=_UNIT_LOSS, learning_rate=v),
+    "synth_noise": lambda v: SyntheticSeriesConfig(noise=v),
+    "synth_precursor_strength": lambda v: SyntheticSeriesConfig(precursor_strength=v),
+    "value_max_omega": lambda v: ValueMaxWeight((v, 0.1)),
+    "value_prod_omega": lambda v: ValueProdWeight((0.2, v)),
+    "cost_c01": lambda v: CostWeight(v, 1.0),
+    "cost_c10": lambda v: CostWeight(1.0, v),
+    "cross_entropy_omega0": lambda v: CrossEntropyWeight(v, 1.0),
+    "beta_alpha": lambda v: ThresholdDistribution.beta_prior(v, 2.0),
+    "beta_beta": lambda v: ThresholdDistribution.beta_prior(2.0, v),
+    "uniform_b": lambda v: ThresholdDistribution.uniform(0.0, v),
+}
 
 
 def test_distribution_forms():
@@ -133,3 +159,22 @@ def test_malformed_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize("build", _REAL_PARAMETERS.values(), ids=_REAL_PARAMETERS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "x"])
+def test_constructors_reject_non_finite_numbers(build, value):
+    with pytest.raises(ValidationError, match="must be (finite|a number)"):
+        build(value)
+
+
+def test_non_finite_numbers_in_documents_become_config_errors():
+    nan = float("nan")
+    with pytest.raises(ConfigError, match="omega entries must be finite"):
+        parse_weights({"variant": "value_max", "omega": [nan, 0.1]})
+    with pytest.raises(ConfigError, match="c01 must be finite"):
+        parse_weights({"variant": "cost", "c01": nan, "c10": 1})
+    with pytest.raises(ConfigError, match="alpha must be finite"):
+        parse_distribution({"kind": "beta", "alpha": float("inf"), "beta": 2})
+    with pytest.raises(ConfigError, match="noise must be finite"):
+        parse_synth({"noise": nan})

@@ -3,21 +3,32 @@ import pytest
 
 from conftest import weight_menu
 from wsol.confusion import hard_confusion, weighted_hard_confusion
-from wsol.errors import TrainingDivergedError, ValidationError
+from wsol.errors import (
+    DegenerateDenominatorError,
+    TrainingDivergedError,
+    ValidationError,
+)
 from wsol.loss import CombinedLossSpec, LossSpec, combined_loss, loss_value
 from wsol.scores import ScoreKind, apply_score
 from wsol.series import LabeledSeries
 from wsol.threshold import ThresholdDistribution
 from wsol.trainer import (
+    EpochRecord,
     MLPModel,
     SyntheticSeriesConfig,
     TrainConfig,
+    _sigmoid,
     evaluate,
     generate_temporal_dataset,
     sweep_report,
     train,
 )
-from wsol.weights import CrossEntropyWeight, UnitWeight, ValueMaxWeight
+from wsol.weights import (
+    CrossEntropyWeight,
+    UnitWeight,
+    ValueMaxWeight,
+    ValueProdWeight,
+)
 
 
 def ce_loss():
@@ -108,7 +119,7 @@ class TestModel:
             from wsol.loss import loss_gradient
 
             dl = loss_gradient(LabeledSeries(preds, y), spec).values
-            grad_w, grad_b = model.backward(x, dl)
+            grad_w, grad_b = model.backward(model.propagate(x), dl)
             for arrs, grads in ((model.weights, grad_w), (model.biases, grad_b)):
                 for arr, g in zip(arrs, grads):
                     flat = arr.ravel()
@@ -222,6 +233,136 @@ class TestTraining:
             x, y, model, TrainConfig(loss=spec, epochs=5, learning_rate=0.1, seed=7, chunk=32)
         )
         assert len(result.history) == 5
+
+
+def reference_train(features, labels, model, cfg):
+    """Each epoch recomputed from the public pieces, nothing reused.
+
+    Every step runs its own forward pass, loss and a backward pass that
+    recomputes the activations; every report builds the classical and the
+    weighted hard matrix and the loss afresh.  Returns the history and
+    the number of chunks skipped as degenerate.
+    """
+    head = cfg.loss.components[0][0]
+    tau = head.dist.mean()
+    n = labels.size
+    step = cfg.chunk or n
+    history = []
+    skipped = 0
+    for epoch in range(cfg.epochs):
+        for lo in range(0, n, step):
+            x = features[lo : lo + step]
+            series = LabeledSeries(model.forward(x), labels[lo : lo + step])
+            try:
+                _, grad = combined_loss(series, cfg.loss)
+            except DegenerateDenominatorError:
+                skipped += 1
+                continue
+            grad_w, grad_b = model.backward(model.propagate(x), grad.values)
+            for w, gw in zip(model.weights, grad_w):
+                w -= cfg.learning_rate * gw
+            for b, gb in zip(model.biases, grad_b):
+                b -= cfg.learning_rate * gb
+        series = LabeledSeries(model.forward(features), labels)
+        cm = hard_confusion(series, tau)
+        wc = weighted_hard_confusion(series, tau, head.weights)
+        history.append(
+            EpochRecord(
+                epoch=epoch,
+                loss=loss_value(series, cfg.loss),
+                score_classical=apply_score(
+                    head.score, cm.tn, cm.fp, cm.fn, cm.tp
+                ).value,
+                score_weighted=apply_score(
+                    head.score, wc.tn, wc.wfp, wc.wfn, wc.tp
+                ).value,
+            )
+        )
+    return history, skipped
+
+
+_UNIFORM = ThresholdDistribution.uniform()
+_BETA22 = ThresholdDistribution.beta_prior(2.0, 2.0)
+
+
+def _loss(kind, dist):
+    weights = {
+        "unit": UnitWeight(),
+        "value_prod": ValueProdWeight((0.5, 0.2)),
+        "value_max": ValueMaxWeight((0.6, 0.3, 0.1)),
+    }
+    if kind == "combined":
+        return CombinedLossSpec(
+            (
+                (LossSpec(ScoreKind.TSS, weights["value_max"], dist), 0.6),
+                (LossSpec(ScoreKind.HSS, weights["value_prod"], _UNIFORM), 0.4),
+            )
+        )
+    return LossSpec(ScoreKind.TSS, weights[kind], dist)
+
+
+class TestTrainMatchesReference:
+    """train reuses the forward pass and, in full batch, the report; the
+    histories and parameters stay exactly those of recomputing everything."""
+
+    def _assert_same(self, x, y, loss, expect_skips=False, sizes=(4, 6, 1), **kw):
+        cfg = TrainConfig(loss=loss, epochs=5, learning_rate=0.3, **kw)
+        model = MLPModel.init(sizes, seed=3, activation=cfg.activation)
+        ref_model = MLPModel.init(sizes, seed=3, activation=cfg.activation)
+        history = train(x, y, model, cfg).history
+        ref_history, skipped = reference_train(x, y, ref_model, cfg)
+        assert history == ref_history
+        for got, want in zip(
+            (*model.weights, *model.biases), (*ref_model.weights, *ref_model.biases)
+        ):
+            np.testing.assert_array_equal(got, want)
+        assert (skipped > 0) == expect_skips
+
+    @pytest.mark.parametrize("prior", [_UNIFORM, _BETA22], ids=["uniform", "beta22"])
+    @pytest.mark.parametrize("kind", ["unit", "value_prod", "value_max", "combined"])
+    def test_full_batch(self, kind, prior):
+        x, y = generate_temporal_dataset(SyntheticSeriesConfig(n=150, seed=21))
+        self._assert_same(x, y, _loss(kind, prior))
+
+    def test_chunks(self):
+        x, y = generate_temporal_dataset(SyntheticSeriesConfig(n=150, seed=22))
+        self._assert_same(x, y, _loss("value_max", _BETA22), chunk=40)
+
+    def test_degenerate_chunk_is_skipped(self):
+        x, y = generate_temporal_dataset(SyntheticSeriesConfig(n=150, seed=23))
+        y = y.copy()
+        y[:40] = 0
+        self._assert_same(
+            x, y, _loss("value_max", _UNIFORM), expect_skips=True, chunk=40
+        )
+
+    def test_degenerate_full_batch_is_skipped(self):
+        x, _ = generate_temporal_dataset(SyntheticSeriesConfig(n=60, seed=24))
+        y = np.zeros(60, dtype=np.int64)
+        self._assert_same(x, y, _loss("value_max", _UNIFORM), expect_skips=True)
+
+    def test_relu_two_hidden_layers(self):
+        x, y = generate_temporal_dataset(SyntheticSeriesConfig(n=150, seed=25))
+        self._assert_same(
+            x, y, _loss("combined", _UNIFORM), sizes=(4, 6, 3, 1), activation="relu"
+        )
+
+
+def test_sigmoid_matches_sign_split_form():
+    # The form split on the sign of z, one exp per branch: the reference
+    # the single-expression sigmoid must reproduce bit for bit.
+    z = np.concatenate(
+        [
+            [0.0, -0.0, 800.0, -800.0, 37.0, -37.0, 710.0, -745.0, np.inf, -np.inf],
+            np.random.default_rng(5).normal(0.0, 20.0, 10_000),
+        ]
+    )
+    want = np.empty_like(z)
+    pos = z >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    want[~pos] = ez / (1.0 + ez)
+    np.testing.assert_array_equal(_sigmoid(z), want)
 
 
 class TestEvaluate:
