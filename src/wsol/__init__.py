@@ -18,13 +18,10 @@ from .errors import (
 )
 from .expected import (
     ExpectedConfusion,
-    PowerInterval,
-    PowerIntervalDecomposition,
     expected_confusion,
     expected_tp_tn,
     expected_wfn,
     expected_wfp,
-    power_intervals,
 )
 from .loss import (
     CombinedLossSpec,
@@ -80,8 +77,6 @@ __all__ = [
     "LossSpec",
     "MultilabelSeries",
     "MultilabelSpec",
-    "PowerInterval",
-    "PowerIntervalDecomposition",
     "ScoreGap",
     "ScoreKind",
     "ScoreValue",
@@ -113,7 +108,6 @@ __all__ = [
     "mc_expected_score",
     "multilabel_global_score",
     "multilabel_wsol",
-    "power_intervals",
     "read_series_csv",
     "regularized_incomplete_beta",
     "score_partials",

@@ -11,13 +11,10 @@ data, 2 bad config, 3 verification failure, 4 training divergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import config as cfg
 from .demo import adjacent_error_series, compare_series, isolated_error_series
@@ -30,7 +27,12 @@ from .errors import (
 )
 from .loss import combined_loss, loss_value
 from .oracle import MC_MIN_SAMPLES
-from .series import LabeledSeries, read_series_csv, write_series_csv
+from .series import (
+    LabeledSeries,
+    read_dataset_csv,
+    read_series_csv,
+    write_series_csv,
+)
 from .threshold import ThresholdDistribution
 from .trainer import (
     MLPModel,
@@ -38,6 +40,7 @@ from .trainer import (
     expected_report,
     generate_temporal_dataset,
     sweep_report,
+    sweep_thresholds,
     train,
     write_history_csv,
 )
@@ -160,54 +163,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def read_dataset_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a training CSV: feature columns f1..fm then a final label column."""
-    path = Path(path)
-    try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = [h.strip().lower() for h in next(reader)]
-            except StopIteration:
-                raise InputError(f"{path}: empty dataset") from None
-            if len(header) < 2 or header[-1] != "label":
-                raise InputError(f"{path}: expected feature columns then 'label'")
-            rows = []
-            labels = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise InputError(f"{path}:{lineno}: wrong field count")
-                try:
-                    rows.append([float(v) for v in row[:-1]])
-                    labels.append(int(row[-1]))
-                except ValueError as exc:
-                    raise InputError(f"{path}:{lineno}: {exc}") from None
-    except OSError as exc:
-        raise InputError(str(exc)) from None
-    if not rows:
-        raise InputError(f"{path}: empty dataset")
-    y = np.array(labels)
-    if not np.all(np.isin(y, (0, 1))):
-        raise InputError(f"{path}: labels must be 0 or 1")
-    return np.array(rows), y
-
-
-def write_dataset_csv(path: str | Path, features: np.ndarray, labels: np.ndarray) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{j + 1}" for j in range(features.shape[1])] + ["label"])
-        for row, label in zip(features, labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
-
-
 def cmd_eval(args) -> int:
     document = cfg.load_config(args.config)
     dist = document.get("distribution") or ThresholdDistribution.uniform()
     weights = document.get("weights") or UnitWeight()
     series = read_series_csv(args.data)
-    thresholds = np.round(np.arange(args.sweep_step, 1.0, args.sweep_step), 10)
+    thresholds = sweep_thresholds(args.sweep_step)
     report = {
         "n": series.n,
         "positives": int(series.labels.sum()),
@@ -267,7 +228,6 @@ def cmd_train(args) -> int:
         epochs=args.epochs,
         learning_rate=args.lr,
         seed=args.seed,
-        hidden=args.hidden,
         chunk=args.chunk,
     )
     if args.data is not None:
@@ -284,8 +244,7 @@ def cmd_train(args) -> int:
     head = loss.components[0][0]
     preds = result.model.forward(features)
     series = LabeledSeries(preds, labels, chronological=True)
-    thresholds = np.round(np.arange(0.01, 1.0, 0.01), 10)
-    report = sweep_report(series, thresholds, head.weights)
+    report = sweep_report(series, sweep_thresholds(), head.weights)
     report["expected"] = expected_report(series, head.dist, head.weights)
     (out / "evaluation.json").write_text(json.dumps(report, indent=2))
     final = result.history[-1] if result.history else None

@@ -1,8 +1,10 @@
 """JSON config documents: one file, fixed sections, unknown keys rejected.
 
-Sections: ``distribution``, ``weights``, ``score``, ``loss``, ``train``.
-A loss is either a single {score, weights, distribution} object or
+Sections: ``distribution``, ``weights``, ``score`` and ``loss``.  A loss
+is either a single {score, weights, distribution} object or
 {"components": [{..., "beta": b}, ...]} with coefficients summing to 1.
+A synthetic dataset file holds ``SyntheticSeriesConfig`` fields.  Every
+value the constructors reject is a ConfigError naming where it sits.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .errors import ConfigError, ValidationError
 from .loss import CombinedLossSpec, LossSpec
 from .scores import ScoreKind
 from .threshold import ThresholdDistribution
-from .trainer import SyntheticSeriesConfig, TrainConfig
+from .trainer import SyntheticSeriesConfig
 from .weights import (
     CostWeight,
     CrossEntropyWeight,
@@ -24,7 +26,7 @@ from .weights import (
     WeightSpec,
 )
 
-_TOP_KEYS = {"distribution", "weights", "score", "loss", "train"}
+_TOP_KEYS = {"distribution", "weights", "score", "loss"}
 
 
 def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -36,6 +38,8 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
 
 
 def _need(obj: dict, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
     if key not in obj:
         raise ConfigError(f"{where}: missing key {key!r}")
     return obj[key]
@@ -73,10 +77,10 @@ def parse_weights(obj: dict, where: str = "weights") -> WeightSpec:
             )
         if variant == "value_prod":
             _check_keys(obj, {"variant", "omega"}, where)
-            return ValueProdWeight(omega=tuple(_need(obj, "omega", where)))
+            return ValueProdWeight(omega=_need(obj, "omega", where))
         if variant == "value_max":
             _check_keys(obj, {"variant", "omega"}, where)
-            return ValueMaxWeight(omega=tuple(_need(obj, "omega", where)))
+            return ValueMaxWeight(omega=_need(obj, "omega", where))
     except ValidationError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where}: unknown variant {variant!r}")
@@ -90,10 +94,13 @@ def parse_score(name, where: str = "score") -> ScoreKind:
 
 
 def parse_loss(obj: dict, where: str = "loss") -> LossSpec | CombinedLossSpec:
-    if "components" in obj:
+    if isinstance(obj, dict) and "components" in obj:
         _check_keys(obj, {"components"}, where)
+        components = obj["components"]
+        if not isinstance(components, list):
+            raise ConfigError(f"{where}.components: expected a list")
         parts = []
-        for k, comp in enumerate(_need(obj, "components", where)):
+        for k, comp in enumerate(components):
             sub = f"{where}.components[{k}]"
             _check_keys(comp, {"score", "weights", "distribution", "beta"}, sub)
             parts.append(
@@ -103,7 +110,7 @@ def parse_loss(obj: dict, where: str = "loss") -> LossSpec | CombinedLossSpec:
                         weights=parse_weights(_need(comp, "weights", sub), sub),
                         dist=parse_distribution(_need(comp, "distribution", sub), sub),
                     ),
-                    float(_need(comp, "beta", sub)),
+                    _need(comp, "beta", sub),
                 )
             )
         try:
@@ -118,55 +125,10 @@ def parse_loss(obj: dict, where: str = "loss") -> LossSpec | CombinedLossSpec:
     )
 
 
-def parse_train(
-    obj: dict, loss: LossSpec | CombinedLossSpec, where: str = "train"
-) -> TrainConfig:
-    _check_keys(
-        obj,
-        {"epochs", "learning_rate", "seed", "hidden", "activation", "chunk"},
-        where,
-    )
-    try:
-        return TrainConfig(
-            loss=loss,
-            epochs=int(obj.get("epochs", 300)),
-            learning_rate=float(obj.get("learning_rate", 0.5)),
-            seed=int(obj.get("seed", 0)),
-            hidden=tuple(int(h) for h in obj.get("hidden", [8])),
-            activation=obj.get("activation", "tanh"),
-            chunk=None if obj.get("chunk") is None else int(obj["chunk"]),
-        )
-    except ValidationError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
 def parse_synth(obj: dict, where: str = "synth") -> SyntheticSeriesConfig:
-    _check_keys(
-        obj,
-        {
-            "n",
-            "event_rate",
-            "precursor_strength",
-            "noise",
-            "window",
-            "seed",
-            "features",
-        },
-        where,
-    )
-    defaults = SyntheticSeriesConfig()
+    _check_keys(obj, set(SyntheticSeriesConfig.__dataclass_fields__), where)
     try:
-        return SyntheticSeriesConfig(
-            n=int(obj.get("n", defaults.n)),
-            event_rate=float(obj.get("event_rate", defaults.event_rate)),
-            precursor_strength=float(
-                obj.get("precursor_strength", defaults.precursor_strength)
-            ),
-            noise=float(obj.get("noise", defaults.noise)),
-            window=int(obj.get("window", defaults.window)),
-            seed=int(obj.get("seed", defaults.seed)),
-            features=int(obj.get("features", defaults.features)),
-        )
+        return SyntheticSeriesConfig(**obj)
     except ValidationError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -196,8 +158,6 @@ def load_config(path: str | Path) -> dict:
         out["score"] = parse_score(doc["score"])
     if "loss" in doc:
         out["loss"] = parse_loss(doc["loss"])
-    if "train" in doc:
-        out["train_raw"] = doc["train"]
     return out
 
 

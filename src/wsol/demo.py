@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .confusion import ConfusionCounts, classical_entries, weighted_hard_confusion
 from .expected import expected_confusion
-from .scores import ScoreKind, apply_score
+from .scores import score_table
 from .series import LabeledSeries
 from .threshold import ThresholdDistribution
 from .weights import ValueMaxWeight, WeightSpec
@@ -94,41 +92,19 @@ def compare_series(
     series_a = adjacent_error_series()
     series_b = isolated_error_series()
     wc_a = weighted_hard_confusion(series_a, tau, weights)
+    wc_b = weighted_hard_confusion(series_b, tau, weights)
     # Both series share one classical matrix, read off the weighted one.
     cm = ConfusionCounts(*classical_entries(series_a, wc_a.tn, wc_a.tp))
-    classical = {
-        kind.value: apply_score(kind, cm.tn, cm.fp, cm.fn, cm.tp).value
-        for kind in ScoreKind
-    }
-
-    def hard_weighted(wc):
-        return {
-            kind.value: apply_score(kind, wc.tn, wc.wfp, wc.wfn, wc.tp).value
-            for kind in ScoreKind
-        }
-
-    def expected_weighted(series):
-        exp = expected_confusion(series, dist, weights)
-        return {
-            kind.value: apply_score(kind, *exp.entries()).value for kind in ScoreKind
-        }
-
     return DemoComparison(
         tau=tau,
         confusion=cm.to_dict(),
-        classical_scores=classical,
-        weighted_scores_adjacent=hard_weighted(wc_a),
-        weighted_scores_isolated=hard_weighted(
-            weighted_hard_confusion(series_b, tau, weights)
+        classical_scores=score_table(cm.tn, cm.fp, cm.fn, cm.tp),
+        weighted_scores_adjacent=score_table(wc_a.tn, wc_a.wfp, wc_a.wfn, wc_a.tp),
+        weighted_scores_isolated=score_table(wc_b.tn, wc_b.wfp, wc_b.wfn, wc_b.tp),
+        expected_weighted_adjacent=score_table(
+            *expected_confusion(series_a, dist, weights).entries()
         ),
-        expected_weighted_adjacent=expected_weighted(series_a),
-        expected_weighted_isolated=expected_weighted(series_b),
+        expected_weighted_isolated=score_table(
+            *expected_confusion(series_b, dist, weights).entries()
+        ),
     )
-
-
-def pair_prediction_multiset() -> np.ndarray:
-    """Sorted (prediction, label) pairs shared by both series."""
-    a = np.array(sorted(_ADJACENT))
-    b = np.array(sorted(_ISOLATED))
-    assert np.array_equal(a, b)
-    return a

@@ -1,10 +1,11 @@
-"""Exception types shared across the package, and the finite-number check.
+"""Exception types shared across the package, and the number checks.
 
 The CLI maps these onto its exit codes (input 1, config 2, verification 3,
 divergence 4), so library code should raise the most specific type it can.
 """
 
 import math
+import numbers
 
 
 class WsolError(Exception):
@@ -52,3 +53,24 @@ def check_finite(name: str, value) -> float:
     if not math.isfinite(number):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return number
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; ValidationError unless it is a finite whole number."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    number = check_finite(name, value)
+    if not number.is_integer():
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
+def check_convex(name: str, values) -> tuple[float, ...]:
+    """``values`` as floats; ValidationError unless they are finite,
+    non-negative and sum to 1 within 1e-12: convex combination weights."""
+    values = tuple(check_finite(name, v) for v in values)
+    if any(v < 0 for v in values):
+        raise ValidationError(f"{name} must be non-negative")
+    if abs(sum(values) - 1.0) > 1e-12:
+        raise ValidationError(f"{name} must sum to 1")
+    return values

@@ -6,9 +6,9 @@ variant and are assembled here; the weighted error entries come from the
 variant's own ``expected_errors``.  For the value weights the
 false-negative entry couples each positive sample to its window of past
 predictions: the dot-product form needs only pairwise cdf differences,
-while the max form needs the power-interval decomposition of the window,
-the ranges of thresholds on which each past prediction is the nearest
-alarm, linked into a chain of strictly increasing precursors.
+while the max form needs the window's chain, the lags whose predictions
+strictly exceed every nearer one, each the nearest alarm on its power
+interval of thresholds (``weights._chain_members`` marks it).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .series import LabeledSeries
 from .threshold import ThresholdDistribution
-from .weights import WeightSpec, _chain_members
+from .weights import WeightSpec
 
 
 @dataclass(frozen=True)
@@ -49,64 +49,6 @@ class ExpectedConfusion:
             "e_wfn": self.e_wfn,
             "e_tp": self.e_tp,
         }
-
-
-@dataclass(frozen=True)
-class PowerInterval:
-    """Threshold range on which the prediction at `lag` is the nearest alarm.
-
-    `precursor` is the lag whose prediction forms the lower endpoint; 0
-    stands for the lower support bound (the first interval has no
-    predecessor).
-    """
-
-    lag: int
-    lower: float
-    upper: float
-    precursor: int
-
-
-@dataclass(frozen=True)
-class PowerIntervalDecomposition:
-    intervals: tuple[PowerInterval, ...]
-    chain: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.chain)
-
-
-def power_intervals(
-    past, a: float = 0.0, b: float = 1.0
-) -> PowerIntervalDecomposition:
-    """Decompose a window of past predictions (nearest lag first).
-
-    Every past prediction must lie inside the open support (a, b); the
-    closed forms below reject windows that violate this rather than guess
-    how clamped predictions should enter the chain.
-    """
-    past = np.asarray(past, dtype=np.float64)
-    if past.ndim != 1 or past.size == 0:
-        raise ValidationError("past window must be a non-empty 1-d sequence")
-    if np.any((past <= a) | (past >= b)):
-        raise ValidationError(
-            "past prediction outside the open support "
-            f"({a}, {b}); the threshold prior must give every window "
-            "prediction positive density"
-        )
-    # The chain marking of the closed form, read off a one-row window; the
-    # current prediction takes no part in it.
-    member = _chain_members(np.append(past[::-1], b), a, past.size)[0][-1]
-    chain = tuple(int(j) + 1 for j in np.flatnonzero(member))
-    intervals = []
-    lower, precursor = float(a), 0
-    for lag in chain:
-        upper = float(past[lag - 1])
-        intervals.append(
-            PowerInterval(lag=lag, lower=lower, upper=upper, precursor=precursor)
-        )
-        lower, precursor = upper, lag
-    return PowerIntervalDecomposition(tuple(intervals), chain)
 
 
 def _tp_tn(labels: np.ndarray, cdf: np.ndarray) -> tuple[float, float]:

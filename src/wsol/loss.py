@@ -5,6 +5,8 @@ the expectation replaces indicators with the prior cdf, the loss is
 differentiable in the predictions; the gradient here is assembled by the
 chain rule through the score partials and the closed-form entry
 derivatives.  Composing with a model's own Jacobian is the trainer's job.
+``evaluate_loss`` computes each component's expected matrix once; the
+value and, if asked for, the gradient are both read off that evaluation.
 
 At value-weight kinks (a window prediction exactly equal to the current
 one, or a tie inside the window's chain) a one-sided derivative is
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_convex
 from .expected import ExpectedConfusion, expected_confusion
 from .oracle import exact_expected_score, mc_expected_score
 from .scores import ScoreKind, apply_score, score_partials
@@ -51,11 +53,14 @@ class CombinedLossSpec:
     def __post_init__(self):
         if not self.components:
             raise ValidationError("combined loss needs at least one component")
-        betas = [beta for _, beta in self.components]
-        if any(beta < 0 for beta in betas):
-            raise ValidationError("combination coefficients must be non-negative")
-        if abs(sum(betas) - 1.0) > 1e-12:
-            raise ValidationError("combination coefficients must sum to 1")
+        betas = check_convex(
+            "combination coefficients", [beta for _, beta in self.components]
+        )
+        object.__setattr__(
+            self,
+            "components",
+            tuple((spec, beta) for (spec, _), beta in zip(self.components, betas)),
+        )
 
 
 @dataclass(frozen=True)
@@ -74,15 +79,6 @@ class LossResult:
     degenerate: bool
     expected: ExpectedConfusion = field(repr=False)
     terms: object = field(repr=False)
-
-
-def loss_eval(series: LabeledSeries, spec: LossSpec) -> LossResult:
-    terms = spec.weights.closed_form_terms(series, spec.dist)
-    exp = expected_confusion(series, spec.dist, spec.weights, terms)
-    score = apply_score(spec.score, *exp.entries())
-    return LossResult(
-        value=-score.value, degenerate=score.degenerate, expected=exp, terms=terms
-    )
 
 
 @dataclass(frozen=True)
@@ -109,11 +105,23 @@ class LossEvaluation:
 
         Raises DegenerateDenominatorError where a score partial is undefined.
         """
-        grad = np.zeros(self.series.n)
+        series = self.series
+        neg = (series.labels == 0).astype(np.float64)
+        pos = series.labels.astype(np.float64)
+        grad = np.zeros(series.n)
         kinks: set[int] = set()
-        for (component, beta), r in zip(self.spec.components, self.results):
-            g, k = gradient_at(self.series, component, r)
-            grad += beta * g
+        for (spec, beta), r in zip(self.spec.components, self.results):
+            # The score partials at the result's expected matrix chained with
+            # the entry derivatives; a value weight contributes cross terms,
+            # since a prediction enters the windows of up to T later positives.
+            s_tn, s_wfp, s_wfn, s_tp = score_partials(spec.score, *r.expected.entries())
+            dens = np.asarray(spec.dist.pdf(series.predictions), dtype=np.float64)
+            d_wfp, d_wfn, k = spec.weights.error_derivatives(
+                series, spec.dist, dens, r.terms
+            )
+            d_tn = -neg * dens
+            d_tp = pos * dens
+            grad += beta * -(s_tn * d_tn + s_wfp * d_wfp + s_wfn * d_wfn + s_tp * d_tp)
             kinks |= k
         return GradientVector(
             values=grad, nonsmooth=bool(kinks), kink_indices=tuple(sorted(kinks))
@@ -124,9 +132,13 @@ def evaluate_loss(
     series: LabeledSeries, spec: LossSpec | CombinedLossSpec
 ) -> LossEvaluation:
     """One expected matrix per component, with the terms its gradient reuses."""
-    return LossEvaluation(
-        series, spec, tuple(loss_eval(series, c) for c, _ in spec.components)
-    )
+    results = []
+    for component, _ in spec.components:
+        terms = component.weights.closed_form_terms(series, component.dist)
+        exp = expected_confusion(series, component.dist, component.weights, terms)
+        score = apply_score(component.score, *exp.entries())
+        results.append(LossResult(-score.value, score.degenerate, exp, terms))
+    return LossEvaluation(series, spec, tuple(results))
 
 
 def loss_value(series: LabeledSeries, spec: LossSpec | CombinedLossSpec) -> float:
@@ -144,29 +156,6 @@ def combined_loss(
     """
     ev = evaluate_loss(series, spec)
     return ev.value, ev.gradient()
-
-
-def gradient_at(
-    series: LabeledSeries, spec: LossSpec, result: LossResult
-) -> tuple[np.ndarray, set[int]]:
-    """Gradient of one loss, given its ``loss_eval`` result on ``series``.
-
-    The score partials at the result's expected matrix chained with the
-    entry derivatives; a value weight contributes cross terms, since a
-    prediction enters the windows of up to T later positives.  Also
-    returns the kink indices, where the derivative is one-sided.
-    """
-    y = series.labels
-    neg = (y == 0).astype(np.float64)
-    pos = y.astype(np.float64)
-    s_tn, s_wfp, s_wfn, s_tp = score_partials(spec.score, *result.expected.entries())
-    dens = np.asarray(spec.dist.pdf(series.predictions), dtype=np.float64)
-    d_wfp, d_wfn, kinks = spec.weights.error_derivatives(
-        series, spec.dist, dens, result.terms
-    )
-    d_tn = -neg * dens
-    d_tp = pos * dens
-    return -(s_tn * d_tn + s_wfp * d_wfp + s_wfn * d_wfn + s_tp * d_tp), kinks
 
 
 def loss_gradient(

@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, ValidationError
-from .loss import LossResult, LossSpec, gradient_at, loss_eval
+from .errors import ValidationError, check_convex
+from .loss import LossEvaluation, LossSpec, evaluate_loss
 from .scores import ScoreKind
-from .series import LabeledSeries
+from .series import LabeledSeries, read_csv
 from .threshold import ThresholdDistribution
 from .weights import WeightSpec
 
@@ -70,11 +70,7 @@ class Aggregator:
         if self.kind == "weighted_mean":
             if not self.weights:
                 raise ValidationError("weighted_mean needs weights")
-            w = tuple(float(x) for x in self.weights)
-            if any(x < 0 for x in w):
-                raise ValidationError("aggregator weights must be non-negative")
-            if abs(sum(w) - 1.0) > 1e-12:
-                raise ValidationError("aggregator weights must sum to 1")
+            w = check_convex("aggregator weights", self.weights)
             object.__setattr__(self, "weights", w)
         elif self.weights is not None:
             raise ValidationError(f"{self.kind} aggregator takes no weights")
@@ -127,21 +123,21 @@ def _check_shape(ml: MultilabelSeries, spec: MultilabelSpec) -> None:
         )
 
 
-def _class_results(
+def _class_losses(
     ml: MultilabelSeries, spec: MultilabelSpec
-) -> tuple[list[LossResult], np.ndarray]:
-    """Each class column's loss result and score; degenerate columns score 0."""
+) -> tuple[list[LossEvaluation], np.ndarray]:
+    """Each class column's loss evaluation and score; degenerate columns score 0."""
     _check_shape(ml, spec)
-    results = [
-        loss_eval(ml.column(j), LossSpec(score=spec.score, weights=wspec, dist=dist))
+    evals = [
+        evaluate_loss(ml.column(j), LossSpec(spec.score, wspec, dist))
         for j, (dist, wspec) in enumerate(spec.class_specs)
     ]
-    return results, np.array([-r.value for r in results])
+    return evals, np.array([-ev.value for ev in evals])
 
 
 def per_class_scores(ml: MultilabelSeries, spec: MultilabelSpec) -> np.ndarray:
     """Score of each class column; degenerate columns score 0."""
-    return _class_results(ml, spec)[1]
+    return _class_losses(ml, spec)[1]
 
 
 def multilabel_global_score(ml: MultilabelSeries, spec: MultilabelSpec) -> float:
@@ -167,78 +163,51 @@ def multilabel_wsol(
     partial is not differentiated, so an inactive degenerate class is
     harmless.
     """
-    results, scores = _class_results(ml, spec)
+    evals, scores = _class_losses(ml, spec)
     mu_partials, tied = spec.aggregator.partials(scores)
     grad = np.zeros_like(ml.predictions)
     nonsmooth = tied
-    for j, ((dist, wspec), result) in enumerate(zip(spec.class_specs, results)):
+    for j, ev in enumerate(evals):
         if mu_partials[j] == 0.0:
             continue
-        g, kinks = gradient_at(
-            ml.column(j), LossSpec(score=spec.score, weights=wspec, dist=dist), result
-        )
-        grad[:, j] = mu_partials[j] * g
-        nonsmooth = nonsmooth or bool(kinks)
+        g = ev.gradient()
+        grad[:, j] = mu_partials[j] * g.values
+        nonsmooth = nonsmooth or g.nonsmooth
     return -spec.aggregator.combine(scores), MultilabelGradient(
         values=grad, nonsmooth=nonsmooth
     )
 
 
+def _multilabel_header(header: list[str]):
+    first = int(header[:1] == ["timestamp"])
+    d = (len(header) - first) // 2
+    if d < 2 or header[first:] != _columns(d):
+        raise ValueError("expected columns label_1..label_d,pred_1..pred_d")
+    return lambda row: (
+        [int(v) for v in row[first : first + d]],
+        [float(v) for v in row[first + d :]],
+    )
+
+
+def _columns(d: int) -> list[str]:
+    return [f"label_{j + 1}" for j in range(d)] + [f"pred_{j + 1}" for j in range(d)]
+
+
 def read_multilabel_csv(path: str | Path) -> MultilabelSeries:
     """Read `timestamp,label_1..label_d,pred_1..pred_d` (timestamp optional)."""
-    path = Path(path)
-    try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = [h.strip().lower() for h in next(reader)]
-            except StopIteration:
-                raise InputError(f"{path}: empty series") from None
-            has_ts = bool(header) and header[0] == "timestamp"
-            cols = header[1:] if has_ts else header
-            d = len(cols) // 2
-            expected = [f"label_{j + 1}" for j in range(d)] + [
-                f"pred_{j + 1}" for j in range(d)
-            ]
-            if d < 2 or cols != expected:
-                raise InputError(
-                    f"{path}: expected columns label_1..label_d,pred_1..pred_d"
-                )
-            labels = []
-            preds = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise InputError(f"{path}:{lineno}: wrong field count")
-                body = row[1:] if has_ts else row
-                try:
-                    labels.append([int(v) for v in body[:d]])
-                    preds.append([float(v) for v in body[d:]])
-                except ValueError as exc:
-                    raise InputError(f"{path}:{lineno}: {exc}") from None
-    except OSError as exc:
-        raise InputError(str(exc)) from None
-    if not labels:
-        raise InputError(f"{path}: empty series")
-    try:
-        return MultilabelSeries(np.array(labels), np.array(preds), chronological=True)
-    except ValidationError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    return read_csv(
+        path,
+        "series",
+        _multilabel_header,
+        lambda _, rows: MultilabelSeries(*map(np.array, zip(*rows))),
+    )
 
 
 def write_multilabel_csv(path: str | Path, ml: MultilabelSeries) -> None:
-    d = ml.num_classes
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["timestamp"]
-            + [f"label_{j + 1}" for j in range(d)]
-            + [f"pred_{j + 1}" for j in range(d)]
-        )
-        for i in range(ml.n):
+        writer.writerow(["timestamp"] + _columns(ml.num_classes))
+        for i, (labels, preds) in enumerate(zip(ml.labels, ml.predictions)):
             writer.writerow(
-                [i]
-                + [int(v) for v in ml.labels[i]]
-                + [repr(float(v)) for v in ml.predictions[i]]
+                [i, *(int(v) for v in labels), *(repr(float(v)) for v in preds)]
             )

@@ -132,3 +132,14 @@ def score_array(kind: ScoreKind, tn, wfp, wfn, tp):
             (tp + wfn) * (wfn + tn) + (tp + wfp) * (wfp + tn),
         )
     raise ValidationError(f"unknown score kind {kind!r}")
+
+
+def score_table(tn, wfp, wfn, tp) -> dict:
+    """Every score by name, each a score_array over the entries.
+
+    Floats at scalar entries, nested lists at arrays; degenerate places are 0.
+    """
+    return {
+        kind.value: score_array(kind, tn, wfp, wfn, tp)[0].tolist()
+        for kind in ScoreKind
+    }

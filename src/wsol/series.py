@@ -1,15 +1,20 @@
-"""Prediction/label batches and their CSV representation.
+"""Prediction/label batches, and the CSV files of the package.
 
 A series is an ordered batch of (prediction, label) pairs.  Predictions
 must lie strictly inside (0, 1) -- the cross-entropy weight takes logs of
 both the prediction and its complement -- and labels are exactly 0 or 1.
 When ``chronological`` is set, index order is time order, which the
 value-weighted paths rely on.
+
+Every CSV format -- series, training dataset (finite features, then a
+label), and the multilabel series -- is read by one skeleton, ``read_csv``;
+a format supplies only its header rule and its row conversion.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -68,58 +73,76 @@ class LabeledSeries:
         )
 
 
-def read_series_csv(path: str | Path) -> LabeledSeries:
-    """Read a `timestamp,label,prediction` CSV (timestamp column optional).
+def read_csv(path: str | Path, what: str, read_header, build):
+    """The skeleton every CSV reader shares: one format is two functions.
 
-    Row order is time order; the returned series is marked chronological.
+    ``read_header`` takes the lower-cased header and returns the row
+    conversion, or raises ValueError; ``build`` takes the header and the
+    converted rows.  Blank lines are skipped, every other row needs the
+    header's field count, and a ValueError from a conversion names its
+    ``path:line``.  An unreadable or rowless file, a ValueError from the
+    header and a ValidationError from ``build`` are InputErrors.
     """
     path = Path(path)
     try:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
+                header = [h.strip().lower() for h in next(reader)]
             except StopIteration:
-                raise InputError(f"{path}: empty series") from None
-            header = [h.strip().lower() for h in header]
-            if header == ["timestamp", "label", "prediction"]:
-                has_ts = True
-            elif header == ["label", "prediction"]:
-                has_ts = False
-            else:
-                raise InputError(
-                    f"{path}: expected header 'timestamp,label,prediction' or "
-                    f"'label,prediction', got {','.join(header)!r}"
-                )
-            timestamps: list[str] = []
-            labels: list[int] = []
-            preds: list[float] = []
+                raise InputError(f"{path}: empty {what}") from None
+            try:
+                convert = read_header(header)
+            except ValueError as exc:
+                raise InputError(f"{path}: {exc}") from None
+            rows = []
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                expected = 3 if has_ts else 2
-                if len(row) != expected:
-                    raise InputError(f"{path}:{lineno}: expected {expected} fields")
-                if has_ts:
-                    timestamps.append(row[0])
                 try:
-                    labels.append(int(row[-2]))
-                    preds.append(float(row[-1]))
+                    if len(row) != len(header):
+                        raise ValueError(f"expected {len(header)} fields")
+                    rows.append(convert(row))
                 except ValueError as exc:
                     raise InputError(f"{path}:{lineno}: {exc}") from None
     except OSError as exc:
         raise InputError(str(exc)) from None
-    if not preds:
-        raise InputError(f"{path}: empty series")
+    if not rows:
+        raise InputError(f"{path}: empty {what}")
     try:
-        return LabeledSeries(
-            np.array(preds),
-            np.array(labels),
-            chronological=True,
-            timestamps=tuple(timestamps) if has_ts else None,
-        )
+        return build(header, rows)
     except ValidationError as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+_SERIES_HEADERS = (["timestamp", "label", "prediction"], ["label", "prediction"])
+
+
+def _series_header(header: list[str]):
+    if header not in _SERIES_HEADERS:
+        raise ValueError(
+            "expected header 'timestamp,label,prediction' or "
+            f"'label,prediction', got {','.join(header)!r}"
+        )
+    return lambda row: (row[0], int(row[-2]), float(row[-1]))
+
+
+def _build_series(header: list[str], rows: list[tuple]) -> LabeledSeries:
+    stamps, labels, preds = zip(*rows)
+    return LabeledSeries(
+        np.array(preds),
+        np.array(labels),
+        chronological=True,
+        timestamps=stamps if len(header) == 3 else None,
+    )
+
+
+def read_series_csv(path: str | Path) -> LabeledSeries:
+    """Read a `timestamp,label,prediction` CSV (timestamp column optional).
+
+    Row order is time order; the returned series is marked chronological.
+    """
+    return read_csv(path, "series", _series_header, _build_series)
 
 
 def write_series_csv(path: str | Path, series: LabeledSeries) -> None:
@@ -129,3 +152,39 @@ def write_series_csv(path: str | Path, series: LabeledSeries) -> None:
         stamps = series.timestamps or tuple(str(i) for i in range(series.n))
         for ts, label, pred in zip(stamps, series.labels, series.predictions):
             writer.writerow([ts, int(label), repr(float(pred))])
+
+
+def _dataset_row(row: list[str]) -> tuple[list[float], int]:
+    features = [float(v) for v in row[:-1]]
+    if not all(math.isfinite(v) for v in features):
+        raise ValueError("features must be finite")
+    return features, int(row[-1])
+
+
+def _dataset_header(header: list[str]):
+    if len(header) < 2 or header[-1] != "label":
+        raise ValueError("expected feature columns then 'label'")
+    return _dataset_row
+
+
+def _build_dataset(header, rows) -> tuple[np.ndarray, np.ndarray]:
+    features, labels = zip(*rows)
+    y = np.array(labels)
+    if not np.all(np.isin(y, (0, 1))):
+        raise ValidationError("labels must be 0 or 1")
+    return np.array(features), y
+
+
+def read_dataset_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a training CSV: finite feature columns f1..fm then a final label column."""
+    return read_csv(path, "dataset", _dataset_header, _build_dataset)
+
+
+def write_dataset_csv(
+    path: str | Path, features: np.ndarray, labels: np.ndarray
+) -> None:
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{j + 1}" for j in range(features.shape[1])] + ["label"])
+        for row, label in zip(features, labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])

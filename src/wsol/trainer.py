@@ -38,11 +38,12 @@ from .errors import (
     TrainingDivergedError,
     ValidationError,
     check_finite,
+    check_integer,
 )
 from .expected import expected_confusion
 from .loss import CombinedLossSpec, LossEvaluation, LossSpec, evaluate_loss
 from .oracle import batch_weighted_entries
-from .scores import ScoreKind, apply_score, score_array
+from .scores import ScoreKind, score_array, score_table
 from .series import LabeledSeries
 from .weights import UnitWeight, WeightSpec
 
@@ -181,12 +182,16 @@ class SyntheticSeriesConfig:
     def __post_init__(self):
         for name in ("event_rate", "precursor_strength", "noise"):
             object.__setattr__(self, name, check_finite(name, getattr(self, name)))
+        for name in ("n", "window", "seed", "features"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if self.n < 1 or not (0.0 <= self.event_rate <= 1.0):
             raise ValidationError("bad synthetic dataset config")
         if self.noise < 0:
             raise ValidationError("noise must be non-negative")
-        if self.features < 2 or self.window < 1:
-            raise ValidationError("need at least 2 features and a positive window")
+        if self.features < 2 or self.window < 1 or self.seed < 0:
+            raise ValidationError(
+                "need at least 2 features, a positive window and a non-negative seed"
+            )
 
 
 def generate_temporal_dataset(
@@ -233,8 +238,6 @@ class TrainConfig:
     epochs: int = 300
     learning_rate: float = 0.5
     seed: int = 0
-    hidden: tuple[int, ...] = (8,)
-    activation: str = "tanh"
     chunk: int | None = None  # None: full batch; else contiguous chunk length
 
     def __post_init__(self):
@@ -361,20 +364,9 @@ def write_history_csv(path: str | Path, history: list[EpochRecord]) -> None:
             )
 
 
-def evaluate(
-    model: MLPModel,
-    features: np.ndarray,
-    labels: np.ndarray,
-    thresholds: np.ndarray | None = None,
-    weight_spec: WeightSpec | None = None,
-) -> dict:
-    """Threshold sweep report: hard and weighted matrices, every score, best taus."""
-    if thresholds is None:
-        thresholds = np.round(np.arange(0.01, 1.0, 0.01), 10)
-    weight_spec = weight_spec or UnitWeight()
-    preds = model.forward(np.asarray(features, dtype=np.float64))
-    series = LabeledSeries(preds, np.asarray(labels, dtype=np.int64), True)
-    return sweep_report(series, thresholds, weight_spec)
+def sweep_thresholds(step: float = 0.01) -> np.ndarray:
+    """The sweep grid step, 2 * step, ... below 1, rounded to 10 decimals."""
+    return np.round(np.arange(step, 1.0, step), 10)
 
 
 def sweep_report(
@@ -389,8 +381,7 @@ def sweep_report(
     taus = np.array([_check_tau(tau) for tau in thresholds])
     wc = batch_weighted_entries(series, taus, weight_spec)
     cm = classical_entries(series, wc[0], wc[3])
-    entries = np.stack([cm, wc], axis=1)
-    both = {kind.value: score_array(kind, *entries)[0] for kind in ScoreKind}
+    both = score_table(*np.stack([cm, wc], axis=1))
     scores = {name: v[0] for name, v in both.items()}
     weighted = {name: v[1] for name, v in both.items()}
     rows = [
@@ -442,7 +433,7 @@ def _weighted_metric(
     """Weighted-matrix score at tau_mean and the best over the 0.01-step sweep."""
     preds = model.forward(features)
     series = LabeledSeries(preds, labels, chronological=True)
-    taus = np.append(np.round(np.arange(0.01, 1.0, 0.01), 10), tau_mean)
+    taus = np.append(sweep_thresholds(), tau_mean)
     values, _ = score_array(metric, *batch_weighted_entries(series, taus, weights))
     return float(values[-1]), float(np.max(values[:-1]))
 
@@ -525,12 +516,6 @@ def expected_report(
     return {
         "classical": classical.to_dict(),
         "weighted": weighted.to_dict(),
-        "scores_classical": {
-            kind.value: apply_score(kind, *classical.entries()).value
-            for kind in ScoreKind
-        },
-        "scores_weighted": {
-            kind.value: apply_score(kind, *weighted.entries()).value
-            for kind in ScoreKind
-        },
+        "scores_classical": score_table(*classical.entries()),
+        "scores_weighted": score_table(*weighted.entries()),
     }

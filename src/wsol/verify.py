@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .confusion import hard_confusion, weighted_hard_confusion
-from .expected import expected_confusion, power_intervals
+from .expected import expected_confusion
 from .loss import LossSpec, expected_score_gap, loss_gradient, loss_value
 from .oracle import exact_expected_confusion, finite_diff_gradient, mc_expected_confusion
 from .scores import ScoreKind, apply_score
@@ -29,6 +29,7 @@ from .weights import (
     ValueMaxWeight,
     ValueProdWeight,
     WeightSpec,
+    _chain_members,
 )
 
 EXACT_TOL = 1e-10
@@ -183,11 +184,15 @@ def criterion_max_window(
     )
     worst["window_mismatches"] = 0
     for window, intervals in WORKED_WINDOWS:
-        dec = power_intervals(list(window), a=0.0)
-        got = [(iv.lag, iv.lower, iv.upper, iv.precursor) for iv in dec.intervals]
-        chain = tuple(lag for lag, *_ in intervals)
-        worst["window_mismatches"] += dec.chain != chain or got != intervals
+        # The window's chain, read off the closed form's own marking; each
+        # member's interval runs up from its precursor's prediction.
         preds = np.concatenate([window[::-1], [0.45]])
+        member = _chain_members(preds, 0.0, len(window))[0][-1]
+        got, lower, precursor = [], 0.0, 0
+        for lag in (np.flatnonzero(member) + 1).tolist():
+            got.append((lag, lower, window[lag - 1], precursor))
+            lower, precursor = window[lag - 1], lag
+        worst["window_mismatches"] += got != intervals
         series = LabeledSeries(preds, np.array([0, 0, 0, 0, 1]))
         spec = ValueMaxWeight((0.6, 0.5, 0.4, 0.3))
         closed = expected_confusion(series, PRIORS[0], spec)

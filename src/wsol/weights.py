@@ -177,8 +177,11 @@ class CrossEntropyWeight(WeightSpec):
         return self.omega0 * neg / (1.0 - p), -self.omega1 * pos / p, set()
 
 
-def _check_omega(omega: tuple[float, ...]) -> tuple[float, ...]:
-    omega = tuple(check_finite("omega entries", w) for w in omega)
+def _check_omega(omega) -> tuple[float, ...]:
+    try:
+        omega = tuple(check_finite("omega entries", w) for w in omega)
+    except TypeError:
+        raise ValidationError(f"omega must be a list, got {omega!r}") from None
     if len(omega) < 1:
         raise ValidationError("omega must have at least one entry")
     if any(w < 0 for w in omega):

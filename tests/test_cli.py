@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from wsol.cli import main, read_dataset_csv, write_dataset_csv
+from wsol.cli import main
+from wsol.series import read_dataset_csv, write_dataset_csv
 
 
 def run(argv):
@@ -306,27 +307,37 @@ class TestTrain:
         assert run(["train", "--loss", loss_file]) == 1
         assert "needs --data or --synth" in capsys.readouterr().err
 
-    def test_divergence_exit_code(self, tmp_path, loss_file, capsys):
-        # A non-finite feature poisons the forward pass at epoch 0.
-        data = tmp_path / "poisoned.csv"
-        data.write_text(
-            "f1,f2,label\n0.5,1.0,1\nnan,0.2,0\n0.1,0.3,1\n0.2,0.1,0\n"
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        # Large features and a huge learning rate overflow the first update.
+        data = tmp_path / "large.csv"
+        data.write_text("f1,f2,label\n10,300,1\n200,20,0\n50,150,1\n300,10,0\n")
+        loss = tmp_path / "ce.json"
+        loss.write_text(
+            json.dumps(
+                {
+                    "score": "neg_error_sum",
+                    "weights": {"variant": "cross_entropy", "omega0": 1, "omega1": 1},
+                    "distribution": {"kind": "uniform"},
+                }
+            )
         )
-        code = run(
-            [
-                "train",
-                "--data",
-                data,
-                "--loss",
-                loss_file,
-                "--epochs",
-                10,
-                "--out-dir",
-                tmp_path / "diverge",
-            ]
-        )
-        assert code == 4
+        argv = ["train", "--data", data, "--loss", loss, "--lr", "1e308"]
+        assert run(argv + ["--epochs", 10, "--out-dir", tmp_path / "diverge"]) == 4
         assert "epoch 0" in capsys.readouterr().err
+
+    def test_non_finite_feature_exits_1_before_any_output(
+        self, tmp_path, loss_file, capsys
+    ):
+        data = tmp_path / "poisoned.csv"
+        data.write_text("f1,f2,label\n0.5,1.0,1\nnan,0.2,0\n0.1,0.3,1\n")
+        out = tmp_path / "never"
+        argv = ["train", "--data", data, "--loss", loss_file, "--out-dir", out]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [
+            f"input error: {data}:3: features must be finite"
+        ]
 
     def test_non_finite_learning_rate_exits_2_before_any_output(
         self, tmp_path, loss_file, synth_file, capsys
@@ -420,3 +431,57 @@ def assert_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+_COMPONENT = {
+    "score": "tss",
+    "weights": {"variant": "unit"},
+    "distribution": {"kind": "uniform"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, document",
+    [
+        ("loss", {"components": [dict(_COMPONENT, beta=float("nan"))]}),
+        ("loss", dict(_COMPONENT, weights={"variant": "value_max", "omega": 5})),
+        ("loss", dict(_COMPONENT, weights={"variant": "value_max", "omega": None})),
+        ("loss", {"components": 3}),
+        ("loss", {"components": [dict(_COMPONENT, beta="x")]}),
+        ("loss", {"loss": 3}),
+        ("loss", dict(_COMPONENT, weights=3)),
+        ("synth", {"n": "abc"}),
+        ("synth", {"n": None}),
+        ("synth", {"seed": -1}),
+    ],
+    ids=[
+        "beta-nan",
+        "omega-5",
+        "omega-null",
+        "components-3",
+        "beta-x",
+        "loss-3",
+        "weights-3",
+        "n-abc",
+        "n-null",
+        "seed-negative",
+    ],
+)
+def test_bad_document_values_exit_2_with_one_line(
+    tmp_path, loss_file, command, document, capsys
+):
+    """A value of the wrong type or a non-finite one is a config error."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    out = tmp_path / "never"
+    if command == "loss":
+        data = tmp_path / "s.csv"
+        data.write_text("label,prediction\n0,0.2\n1,0.7\n")
+        argv = ["loss", "--data", data, "--loss", bad, "--gradient"]
+    else:
+        argv = ["train", "--synth", bad, "--loss", loss_file, "--out-dir", out]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("config error: ")

@@ -13,6 +13,7 @@ from wsol.config import (
 )
 from wsol.errors import ConfigError, ValidationError
 from wsol.loss import CombinedLossSpec, LossSpec
+from wsol.multilabel import Aggregator
 from wsol.scores import ScoreKind
 from wsol.threshold import ThresholdDistribution
 from wsol.trainer import SyntheticSeriesConfig, TrainConfig
@@ -40,6 +41,8 @@ _REAL_PARAMETERS = {
     "beta_alpha": lambda v: ThresholdDistribution.beta_prior(v, 2.0),
     "beta_beta": lambda v: ThresholdDistribution.beta_prior(2.0, v),
     "uniform_b": lambda v: ThresholdDistribution.uniform(0.0, v),
+    "combined_loss_beta": lambda v: CombinedLossSpec(((_UNIT_LOSS, v),)),
+    "aggregator_weight": lambda v: Aggregator("weighted_mean", (v, 1.0)),
 }
 
 
@@ -136,9 +139,10 @@ def test_load_config_sections(tmp_path):
     path.write_text(json.dumps(doc))
     out = load_config(path)
     assert out["score"] is ScoreKind.F1
-    path.write_text(json.dumps(dict(doc, extra=1)))
-    with pytest.raises(ConfigError, match="unknown keys"):
-        load_config(path)
+    for extra in ({"extra": 1}, {"train": {"epochs": 3}}):
+        path.write_text(json.dumps(dict(doc, **extra)))
+        with pytest.raises(ConfigError, match="unknown keys"):
+            load_config(path)
 
 
 def test_load_loss_accepts_bare_or_wrapped(tmp_path):
@@ -178,3 +182,4 @@ def test_non_finite_numbers_in_documents_become_config_errors():
         parse_distribution({"kind": "beta", "alpha": float("inf"), "beta": 2})
     with pytest.raises(ConfigError, match="noise must be finite"):
         parse_synth({"noise": nan})
+

@@ -10,7 +10,6 @@ from wsol.expected import (
     expected_tp_tn,
     expected_wfn,
     expected_wfp,
-    power_intervals,
 )
 from wsol.oracle import exact_expected_confusion, mc_expected_confusion
 from wsol.series import LabeledSeries
@@ -21,6 +20,7 @@ from wsol.weights import (
     UnitWeight,
     ValueMaxWeight,
     ValueProdWeight,
+    _chain_members,
 )
 
 
@@ -132,46 +132,35 @@ class TestErrorEntries:
                 assert val.e_wfp <= unit.e_wfp + 1e-12
 
 
+def chain_intervals(past, a=0.0):
+    """(lag, lower, upper) of each chain member of a past window (nearest
+    lag first), as the max closed form marks it: a member's interval runs
+    from the previous member's prediction (``a`` for the first) to its own.
+    """
+    past = np.asarray(past, dtype=np.float64)
+    member = _chain_members(np.append(past[::-1], 1.0), a, past.size)[0][-1]
+    uppers = past[member]
+    lowers = np.concatenate([[a], uppers[:-1]])
+    return list(zip(np.flatnonzero(member) + 1, lowers, uppers))
+
+
 class TestPowerIntervals:
-    def test_first_worked_example(self):
-        dec = power_intervals([0.5, 0.6, 0.1, 0.8], a=0.0)
-        assert [(iv.lag, iv.lower, iv.upper) for iv in dec.intervals] == [
-            (1, 0.0, 0.5),
-            (2, 0.5, 0.6),
-            (4, 0.6, 0.8),
-        ]
-        assert {iv.lag: iv.precursor for iv in dec.intervals} == {1: 0, 2: 1, 4: 2}
-        assert dec.chain == (1, 2, 4)
-
-    def test_second_worked_example(self):
-        dec = power_intervals([0.7, 0.2, 0.9, 0.3], a=0.0)
-        assert [(iv.lag, iv.lower, iv.upper) for iv in dec.intervals] == [
-            (1, 0.0, 0.7),
-            (3, 0.7, 0.9),
-        ]
-        assert {iv.lag: iv.precursor for iv in dec.intervals} == {1: 0, 3: 1}
-        assert dec.chain == (1, 3)
-
     def test_single_past_sample(self):
-        dec = power_intervals([0.4], a=0.0)
-        assert dec.chain == (1,)
-        assert [(iv.lower, iv.upper) for iv in dec.intervals] == [(0.0, 0.4)]
+        assert chain_intervals([0.4]) == [(1, 0.0, 0.4)]
 
     def test_first_interval_always_present(self, rng):
         for _ in range(50):
             past = rng.uniform(0.01, 0.99, size=int(rng.integers(1, 8)))
-            dec = power_intervals(past, a=0.0)
-            assert dec.chain[0] == 1
-            assert dec.intervals[0].lower == 0.0
+            lag, lower, _ = chain_intervals(past)[0]
+            assert lag == 1 and lower == 0.0
 
     def test_chain_predictions_strictly_increase(self, rng):
         for _ in range(50):
             past = rng.uniform(0.01, 0.99, size=6)
-            dec = power_intervals(past, a=0.0)
-            values = [past[lag - 1] for lag in dec.chain]
-            assert all(a < b for a, b in zip(values, values[1:]))
-            for iv in dec.intervals[1:]:
-                assert iv.precursor < iv.lag
+            intervals = chain_intervals(past)
+            lags = [lag for lag, _, _ in intervals]
+            assert lags == sorted(set(lags))
+            assert all(lower < upper for _, lower, upper in intervals)
 
     def test_definition_pointwise_on_random_windows(self, rng):
         # For sampled thresholds, membership in the decomposition must agree
@@ -179,30 +168,19 @@ class TestPowerIntervals:
         # threshold and every nearer lag's does not.
         for _ in range(20):
             past = rng.uniform(0.05, 0.95, size=int(rng.integers(2, 7)))
-            dec = power_intervals(past, a=0.0)
-            by_lag = {iv.lag: iv for iv in dec.intervals}
+            intervals = chain_intervals(past)
             for xi in rng.uniform(0.0, 1.0, size=500):
                 above = [j + 1 for j, p in enumerate(past) if p > xi]
-                containing = [
-                    iv.lag for iv in dec.intervals if iv.lower <= xi < iv.upper
-                ]
+                containing = [lag for lag, lo, hi in intervals if lo <= xi < hi]
                 if not above:
                     assert containing == []
                 else:
                     assert containing == [min(above)]
-            union = sum(iv.upper - iv.lower for iv in dec.intervals)
+            union = sum(upper - lower for _, lower, upper in intervals)
             assert union == pytest.approx(max(past), abs=1e-12)
-            assert set(by_lag) == set(dec.chain)
 
     def test_ties_keep_earlier_lag(self):
-        dec = power_intervals([0.5, 0.5, 0.7], a=0.0)
-        assert dec.chain == (1, 3)
-
-    def test_support_validation(self):
-        with pytest.raises(ValidationError, match="support"):
-            power_intervals([0.5, 0.9], a=0.0, b=0.8)
-        with pytest.raises(ValidationError, match="support"):
-            power_intervals([0.1], a=0.2, b=0.8)
+        assert [lag for lag, _, _ in chain_intervals([0.5, 0.5, 0.7])] == [1, 3]
 
 
 class TestOracleEquivalence:

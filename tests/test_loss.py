@@ -12,8 +12,8 @@ from wsol.loss import (
     CombinedLossSpec,
     LossSpec,
     combined_loss,
+    evaluate_loss,
     expected_score_gap,
-    loss_eval,
     loss_gradient,
     loss_value,
 )
@@ -71,7 +71,7 @@ class TestLossValue:
     def test_degenerate_score_flagged(self, uniform01):
         series = LabeledSeries(np.array([0.4, 0.6]), np.array([1, 1]))
         spec = LossSpec(ScoreKind.TSS, UnitWeight(), uniform01)
-        res = loss_eval(series, spec)
+        (res,) = evaluate_loss(series, spec).results
         assert res.degenerate and res.value == 0.0
 
 

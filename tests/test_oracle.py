@@ -59,16 +59,6 @@ class TestExactOracle:
         for a, b in zip(exact.entries(), closed.entries()):
             assert a == pytest.approx(b, abs=1e-12)
 
-    def test_worked_max_window_example_embedded(self, uniform01):
-        # Window (0.5, 0.6, 0.1, 0.8) in lag order ahead of a positive.
-        preds = np.array([0.8, 0.1, 0.6, 0.5, 0.45])
-        labels = np.array([0, 0, 0, 0, 1])
-        series = LabeledSeries(preds, labels)
-        spec = ValueMaxWeight((0.6, 0.5, 0.4, 0.3))
-        closed = expected_confusion(series, uniform01, spec)
-        exact = exact_expected_confusion(series, uniform01, spec)
-        assert closed.e_wfn == pytest.approx(exact.e_wfn, abs=1e-10)
-
 
 class TestBatchEntries:
     def test_columns_match_scalar_path(self, rng, both_priors):

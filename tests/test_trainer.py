@@ -18,9 +18,9 @@ from wsol.trainer import (
     SyntheticSeriesConfig,
     TrainConfig,
     _sigmoid,
-    evaluate,
     generate_temporal_dataset,
     sweep_report,
+    sweep_thresholds,
     train,
 )
 from wsol.weights import (
@@ -305,10 +305,12 @@ class TestTrainMatchesReference:
     """train reuses the forward pass and, in full batch, the report; the
     histories and parameters stay exactly those of recomputing everything."""
 
-    def _assert_same(self, x, y, loss, expect_skips=False, sizes=(4, 6, 1), **kw):
+    def _assert_same(
+        self, x, y, loss, expect_skips=False, sizes=(4, 6, 1), activation="tanh", **kw
+    ):
         cfg = TrainConfig(loss=loss, epochs=5, learning_rate=0.3, **kw)
-        model = MLPModel.init(sizes, seed=3, activation=cfg.activation)
-        ref_model = MLPModel.init(sizes, seed=3, activation=cfg.activation)
+        model = MLPModel.init(sizes, seed=3, activation=activation)
+        ref_model = MLPModel.init(sizes, seed=3, activation=activation)
         history = train(x, y, model, cfg).history
         ref_history, skipped = reference_train(x, y, ref_model, cfg)
         assert history == ref_history
@@ -363,6 +365,12 @@ def test_sigmoid_matches_sign_split_form():
     ez = np.exp(z[~pos])
     want[~pos] = ez / (1.0 + ez)
     np.testing.assert_array_equal(_sigmoid(z), want)
+
+
+def evaluate(model, x, y):
+    """The sweep report of a model's predictions under unit weights."""
+    series = LabeledSeries(model.forward(x), y, chronological=True)
+    return sweep_report(series, sweep_thresholds(), UnitWeight())
 
 
 class TestEvaluate:
