@@ -159,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_demo.add_argument("--out-dir", default="demo_out")
     p_demo.add_argument("--omega", type=_max_weights, default="0.6,0.3,0.1")
-    p_demo.add_argument("--tau", type=float, default=0.5)
+    p_demo.add_argument("--tau", type=_open_unit_interval, default=0.5)
     return parser
 
 
@@ -243,7 +243,7 @@ def cmd_train(args) -> int:
     write_history_csv(out / "history.csv", result.history)
     head = loss.components[0][0]
     preds = result.model.forward(features)
-    series = LabeledSeries(preds, labels, chronological=True)
+    series = LabeledSeries(preds, labels)
     report = sweep_report(series, sweep_thresholds(), head.weights)
     report["expected"] = expected_report(series, head.dist, head.weights)
     (out / "evaluation.json").write_text(json.dumps(report, indent=2))

@@ -1,9 +1,11 @@
 """JSON config documents: one file, fixed sections, unknown keys rejected.
 
-Sections: ``distribution``, ``weights``, ``score`` and ``loss``.  A loss
-is either a single {score, weights, distribution} object or
-{"components": [{..., "beta": b}, ...]} with coefficients summing to 1.
-A synthetic dataset file holds ``SyntheticSeriesConfig`` fields.  Every
+An eval config has the sections ``distribution``, ``weights`` and
+``score``.  A loss file holds a single {score, weights, distribution}
+object or {"components": [{..., "beta": b}, ...]} with coefficients
+summing to 1, bare or as the one key of {"loss": ...}.  A synthetic
+dataset file holds ``SyntheticSeriesConfig`` fields.  Numbers must be
+JSON numbers: a string or a boolean is rejected, not converted.  Every
 value the constructors reject is a ConfigError naming where it sits.
 """
 
@@ -26,7 +28,7 @@ from .weights import (
     WeightSpec,
 )
 
-_TOP_KEYS = {"distribution", "weights", "score", "loss"}
+_TOP_KEYS = {"distribution", "weights", "score"}
 
 
 def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -138,7 +140,7 @@ def load_json(path: str | Path) -> dict:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(str(exc)) from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer too long to read
         raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
@@ -146,7 +148,7 @@ def load_json(path: str | Path) -> dict:
 
 
 def load_config(path: str | Path) -> dict:
-    """Load and validate a sectioned config document."""
+    """Load and validate an eval config document."""
     doc = load_json(path)
     _check_keys(doc, _TOP_KEYS, str(path))
     out: dict = {}
@@ -156,8 +158,6 @@ def load_config(path: str | Path) -> dict:
         out["weights"] = parse_weights(doc["weights"])
     if "score" in doc:
         out["score"] = parse_score(doc["score"])
-    if "loss" in doc:
-        out["loss"] = parse_loss(doc["loss"])
     return out
 
 

@@ -6,7 +6,9 @@ threshold sees the same classical matrix -- (tn, fp, fn, tp) =
 only in arrangement: in the adjacent-error series each missed event is
 preceded by alarms and each false alarm anticipates a nearby event, while
 in the isolated-error series the misses come out of the blue and the
-false alarms trail after everything.  Value weights tell them apart.
+false alarms trail after everything.  Value weights tell them apart, both
+on the hard matrices at one threshold and in expectation under the
+uniform threshold prior.
 """
 
 from __future__ import annotations
@@ -83,12 +85,10 @@ class DemoComparison:
 
 
 def compare_series(
-    weights: WeightSpec = DEFAULT_DEMO_WEIGHTS,
-    dist: ThresholdDistribution | None = None,
-    tau: float = DEMO_THRESHOLD,
+    weights: WeightSpec = DEFAULT_DEMO_WEIGHTS, tau: float = DEMO_THRESHOLD
 ) -> DemoComparison:
     """Score both arrangements classically and with value weights."""
-    dist = dist or ThresholdDistribution.uniform()
+    dist = ThresholdDistribution.uniform()
     series_a = adjacent_error_series()
     series_b = isolated_error_series()
     wc_a = weighted_hard_confusion(series_a, tau, weights)

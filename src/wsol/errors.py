@@ -41,15 +41,19 @@ class TrainingDivergedError(WsolError):
 
 
 def check_finite(name: str, value) -> float:
-    """``value`` as a float; ValidationError unless it is a finite number.
+    """``value`` as a float; ValidationError unless it is a finite real number.
 
     Every constructor that takes a real parameter calls this first, since
-    NaN passes every range comparison written with ``<`` or ``<=``.
+    NaN passes every range comparison written with ``<`` or ``<=``.  A
+    string or a boolean is not a number here, although ``float()`` takes both;
+    an integer too large for a float is not finite.
     """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:
+        number = math.inf
     if not math.isfinite(number):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return number
@@ -57,7 +61,7 @@ def check_finite(name: str, value) -> float:
 
 def check_integer(name: str, value) -> int:
     """``value`` as an int; ValidationError unless it is a finite whole number."""
-    if isinstance(value, numbers.Integral):
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     number = check_finite(name, value)
     if not number.is_integer():

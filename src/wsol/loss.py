@@ -66,8 +66,12 @@ class CombinedLossSpec:
 @dataclass(frozen=True)
 class GradientVector:
     values: np.ndarray
-    nonsmooth: bool = False
     kink_indices: tuple[int, ...] = ()
+
+    @property
+    def nonsmooth(self) -> bool:
+        """Whether some entry is only a one-sided derivative."""
+        return bool(self.kink_indices)
 
 
 @dataclass(frozen=True)
@@ -123,9 +127,7 @@ class LossEvaluation:
             d_tp = pos * dens
             grad += beta * -(s_tn * d_tn + s_wfp * d_wfp + s_wfn * d_wfn + s_tp * d_tp)
             kinks |= k
-        return GradientVector(
-            values=grad, nonsmooth=bool(kinks), kink_indices=tuple(sorted(kinks))
-        )
+        return GradientVector(values=grad, kink_indices=tuple(sorted(kinks)))
 
 
 def evaluate_loss(

@@ -26,7 +26,6 @@ from .weights import WeightSpec
 class MultilabelSeries:
     labels: np.ndarray
     predictions: np.ndarray
-    chronological: bool = True
 
     def __post_init__(self):
         labels = np.asarray(self.labels)
@@ -52,9 +51,7 @@ class MultilabelSeries:
         return self.labels.shape[1]
 
     def column(self, j: int) -> LabeledSeries:
-        return LabeledSeries(
-            self.predictions[:, j], self.labels[:, j], self.chronological
-        )
+        return LabeledSeries(self.predictions[:, j], self.labels[:, j])
 
 
 @dataclass(frozen=True)

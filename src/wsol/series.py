@@ -3,8 +3,8 @@
 A series is an ordered batch of (prediction, label) pairs.  Predictions
 must lie strictly inside (0, 1) -- the cross-entropy weight takes logs of
 both the prediction and its complement -- and labels are exactly 0 or 1.
-When ``chronological`` is set, index order is time order, which the
-value-weighted paths rely on.
+Index order is time order, which the value-weighted paths rely on: every
+reader takes rows in file order and every builder keeps sample order.
 
 Every CSV format -- series, training dataset (finite features, then a
 label), and the multilabel series -- is read by one skeleton, ``read_csv``;
@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .errors import InputError, ValidationError
 class LabeledSeries:
     predictions: np.ndarray
     labels: np.ndarray
-    chronological: bool = True
-    timestamps: tuple[str, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         preds = np.asarray(self.predictions, dtype=np.float64)
@@ -49,28 +47,18 @@ class LabeledSeries:
         labels.flags.writeable = False
         object.__setattr__(self, "predictions", preds)
         object.__setattr__(self, "labels", labels)
-        if self.timestamps is not None and len(self.timestamps) != preds.size:
-            raise ValidationError("timestamps must match the number of samples")
 
     @property
     def n(self) -> int:
         return int(self.predictions.size)
 
     @classmethod
-    def from_pairs(
-        cls, pairs: Iterable[tuple[float, int]], chronological: bool = True
-    ) -> "LabeledSeries":
+    def from_pairs(cls, pairs: Iterable[tuple[float, int]]) -> "LabeledSeries":
         preds, labels = zip(*pairs)
-        return cls(np.array(preds, dtype=np.float64), np.array(labels), chronological)
+        return cls(np.array(preds, dtype=np.float64), np.array(labels))
 
     def with_predictions(self, predictions: np.ndarray) -> "LabeledSeries":
-        return LabeledSeries(predictions, self.labels, self.chronological, self.timestamps)
-
-    def permuted(self, order: Sequence[int]) -> "LabeledSeries":
-        idx = np.asarray(order)
-        return LabeledSeries(
-            self.predictions[idx], self.labels[idx], chronological=False
-        )
+        return LabeledSeries(predictions, self.labels)
 
 
 def read_csv(path: str | Path, what: str, read_header, build):
@@ -124,34 +112,29 @@ def _series_header(header: list[str]):
             "expected header 'timestamp,label,prediction' or "
             f"'label,prediction', got {','.join(header)!r}"
         )
-    return lambda row: (row[0], int(row[-2]), float(row[-1]))
+    return lambda row: (int(row[-2]), float(row[-1]))
 
 
 def _build_series(header: list[str], rows: list[tuple]) -> LabeledSeries:
-    stamps, labels, preds = zip(*rows)
-    return LabeledSeries(
-        np.array(preds),
-        np.array(labels),
-        chronological=True,
-        timestamps=stamps if len(header) == 3 else None,
-    )
+    labels, preds = zip(*rows)
+    return LabeledSeries(np.array(preds), np.array(labels))
 
 
 def read_series_csv(path: str | Path) -> LabeledSeries:
     """Read a `timestamp,label,prediction` CSV (timestamp column optional).
 
-    Row order is time order; the returned series is marked chronological.
+    Row order is time order; timestamp values are accepted and ignored.
     """
     return read_csv(path, "series", _series_header, _build_series)
 
 
 def write_series_csv(path: str | Path, series: LabeledSeries) -> None:
+    """Write a series with its rows numbered 0..n-1 in the timestamp column."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "label", "prediction"])
-        stamps = series.timestamps or tuple(str(i) for i in range(series.n))
-        for ts, label, pred in zip(stamps, series.labels, series.predictions):
-            writer.writerow([ts, int(label), repr(float(pred))])
+        for i, (label, pred) in enumerate(zip(series.labels, series.predictions)):
+            writer.writerow([i, int(label), repr(float(pred))])
 
 
 def _dataset_row(row: list[str]) -> tuple[list[float], int]:

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .confusion import hard_confusion, weighted_hard_confusion
+from .errors import UnsupportedCombinationError
 from .expected import expected_confusion
 from .loss import LossSpec, expected_score_gap, loss_gradient, loss_value
 from .oracle import exact_expected_confusion, finite_diff_gradient, mc_expected_confusion
@@ -45,7 +46,7 @@ PRIORS = (
 
 
 def random_series(rng: np.random.Generator, n: int | None = None) -> LabeledSeries:
-    """Chronological series of 4-50 samples (or ``n``) with both classes present.
+    """Series of 4-50 samples (or ``n``) with both classes present.
 
     Predictions are uniform on (0.02, 0.98); each label is 1 with rate 0.4.
     """
@@ -56,7 +57,7 @@ def random_series(rng: np.random.Generator, n: int | None = None) -> LabeledSeri
         labels[int(rng.integers(0, n))] = 1
     if labels.sum() == n:
         labels[int(rng.integers(0, n))] = 0
-    return LabeledSeries(preds, labels, chronological=True)
+    return LabeledSeries(preds, labels)
 
 
 def random_omega(rng: np.random.Generator, kind: str) -> tuple[float, ...]:
@@ -89,8 +90,11 @@ def _worst(*values: float) -> float:
 
 
 def _supports(spec: WeightSpec, dist: ThresholdDistribution) -> bool:
-    # The cross-entropy weight is defined for the uniform prior only.
-    return spec.name != "cross_entropy" or dist.kind == "uniform"
+    try:
+        spec.check_prior(dist)
+    except UnsupportedCombinationError:
+        return False
+    return True
 
 
 def closed_form_protocol(

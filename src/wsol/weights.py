@@ -3,6 +3,7 @@
 Five variants: unit (classical matrix), cost (fixed per-error-type cost),
 cross-entropy (prediction-dependent), and two value variants that reward
 errors adjacent in time to events or alarms through a window of length T.
+The value variants read a series' index order as its time order.
 
 Each variant's class owns the decisions that depend on it:
 
@@ -37,9 +38,6 @@ class WeightSpec:
     """Base for the weight-function variants."""
 
     name = "abstract"
-
-    def requires_chronological(self) -> bool:
-        return False
 
     def check_prior(self, dist) -> None:
         """Raise when the closed forms do not cover this threshold prior."""
@@ -178,6 +176,8 @@ class CrossEntropyWeight(WeightSpec):
 
 
 def _check_omega(omega) -> tuple[float, ...]:
+    if isinstance(omega, str):
+        raise ValidationError(f"omega must be a list, got {omega!r}")
     try:
         omega = tuple(check_finite("omega entries", w) for w in omega)
     except TypeError:
@@ -191,15 +191,9 @@ def _check_omega(omega) -> tuple[float, ...]:
     return omega
 
 
-def _require_chronological(series: LabeledSeries) -> None:
-    if not series.chronological:
-        raise ValidationError("value weights require a chronological series")
-
-
 def _require_support(series: LabeledSeries, dist) -> None:
-    # The value closed forms need time order and every prediction inside
-    # the open support of the prior, where it has positive density.
-    _require_chronological(series)
+    # The value closed forms need every prediction inside the open support
+    # of the prior, where it has positive density.
     a, b = dist.support
     if a > 0.0 or b < 1.0:
         p = series.predictions
@@ -247,11 +241,7 @@ class _ValueWeight(WeightSpec):
     def window(self) -> int:
         return len(self.omega)
 
-    def requires_chronological(self) -> bool:
-        return True
-
     def fp_factors(self, series):
-        _require_chronological(series)
         n = series.n
         event = series.labels == 1
         g = np.zeros(n)
@@ -260,7 +250,6 @@ class _ValueWeight(WeightSpec):
         return 1.0 - g
 
     def fn_factors(self, series, alarm):
-        _require_chronological(series)
         n = series.n
         g = np.zeros(alarm.shape)
         for j, w in enumerate(self.omega[: n - 1], start=1):
@@ -402,12 +391,10 @@ def past_alarm_indicators(
 def eval_weight(spec: WeightSpec, tau: float, i: int, series: LabeledSeries) -> float:
     """Weight of sample i (0-based) at a fixed threshold.
 
-    Value variants require a chronological series; window positions falling
-    outside the record contribute nothing (no alarm before the record
-    starts, no event after it ends).
+    For value variants, window positions falling outside the record
+    contribute nothing (no alarm before the record starts, no event after
+    it ends).
     """
-    if spec.requires_chronological() and not series.chronological:
-        raise ValidationError("value weights require a chronological series")
     y = int(series.labels[i])
     if isinstance(spec, UnitWeight):
         return 1.0

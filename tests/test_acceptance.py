@@ -196,7 +196,7 @@ def test_criterion_09_multilabel_mean_gradient(d):
     labels = (rng.random((n, d)) < 0.4).astype(int)
     labels[0] = 1
     labels[1] = 0
-    ml = MultilabelSeries(labels, preds, chronological=True)
+    ml = MultilabelSeries(labels, preds)
     uni = ThresholdDistribution.uniform()
     spec = MultilabelSpec(
         class_specs=tuple((uni, UnitWeight()) for _ in range(d)),

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -322,8 +323,12 @@ class TestTrain:
             )
         )
         argv = ["train", "--data", data, "--loss", loss, "--lr", "1e308"]
-        assert run(argv + ["--epochs", 10, "--out-dir", tmp_path / "diverge"]) == 4
-        assert "epoch 0" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv + ["--epochs", 10, "--out-dir", tmp_path / "diverge"])
+        assert code == 4 and caught == []
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("training diverged: ") and "epoch 0" in line
 
     def test_non_finite_feature_exits_1_before_any_output(
         self, tmp_path, loss_file, capsys
@@ -400,6 +405,8 @@ def test_seed_env_override(tmp_path, monkeypatch, loss_file, synth_file):
         ["verify", "--samples", "999", "--only", "cost"],
         ["verify", "--seed", "-1", "--only", "cost"],
         ["train", "--loss", "l.json", "--seed", "-1"],
+        ["demo-figure1", "--tau", "nan"],
+        ["demo-figure1", "--tau", "2"],
     ],
     ids=[
         "sweep-step-0",
@@ -411,10 +418,15 @@ def test_seed_env_override(tmp_path, monkeypatch, loss_file, synth_file):
         "samples-999",
         "seed-negative",
         "train-seed-negative",
+        "tau-nan",
+        "tau-2",
     ],
 )
-def test_bad_numeric_argument_exits_2(argv, capsys):
+def test_bad_numeric_argument_exits_2(argv, tmp_path, monkeypatch, capsys):
+    # Relative output paths land in the empty working directory.
+    monkeypatch.chdir(tmp_path)
     assert_usage_error(argv, capsys)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", ["abc", "-1"])
@@ -450,9 +462,13 @@ _COMPONENT = {
         ("loss", {"components": [dict(_COMPONENT, beta="x")]}),
         ("loss", {"loss": 3}),
         ("loss", dict(_COMPONENT, weights=3)),
+        ("loss", dict(_COMPONENT, distribution={"kind": "beta", "alpha": "2", "beta": 2})),
+        ("loss", dict(_COMPONENT, weights={"variant": "cost", "c01": True, "c10": 1})),
+        ("loss", dict(_COMPONENT, weights={"variant": "value_max", "omega": "0.5"})),
         ("synth", {"n": "abc"}),
         ("synth", {"n": None}),
         ("synth", {"seed": -1}),
+        ("synth", {"n": "80"}),
     ],
     ids=[
         "beta-nan",
@@ -462,9 +478,13 @@ _COMPONENT = {
         "beta-x",
         "loss-3",
         "weights-3",
+        "alpha-str",
+        "c01-true",
+        "omega-str",
         "n-abc",
         "n-null",
         "seed-negative",
+        "n-str",
     ],
 )
 def test_bad_document_values_exit_2_with_one_line(

@@ -4,6 +4,7 @@ import pytest
 
 from wsol.config import (
     load_config,
+    load_json,
     load_loss,
     parse_distribution,
     parse_loss,
@@ -139,7 +140,8 @@ def test_load_config_sections(tmp_path):
     path.write_text(json.dumps(doc))
     out = load_config(path)
     assert out["score"] is ScoreKind.F1
-    for extra in ({"extra": 1}, {"train": {"epochs": 3}}):
+    # The document's own sections make a valid loss, which only a loss file takes.
+    for extra in ({"extra": 1}, {"train": {"epochs": 3}}, {"loss": doc}):
         path.write_text(json.dumps(dict(doc, **extra)))
         with pytest.raises(ConfigError, match="unknown keys"):
             load_config(path)
@@ -163,10 +165,20 @@ def test_malformed_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(path)
+    path.write_text('{"noise": 1' + "0" * 5000 + "}")
+    with pytest.raises(ConfigError, match="digits"):
+        load_json(path)
+
+
+# None is a finite real number: 10**400 is an int no float holds, and a
+# string or a boolean is not read as a number even where float() takes it.
+_NOT_FINITE_REALS = [float("nan"), float("inf"), -float("inf"), 10**400, "x", "2", True]
 
 
 @pytest.mark.parametrize("build", _REAL_PARAMETERS.values(), ids=_REAL_PARAMETERS)
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "x"])
+@pytest.mark.parametrize(
+    "value", _NOT_FINITE_REALS, ids=["nan", "inf", "-inf", "1e400", "x", "2", "True"]
+)
 def test_constructors_reject_non_finite_numbers(build, value):
     with pytest.raises(ValidationError, match="must be (finite|a number)"):
         build(value)

@@ -249,13 +249,6 @@ class TestValueGating:
         with pytest.raises(ValidationError, match="support"):
             expected_wfp(series, dist, ValueProdWeight((0.5,)))
 
-    def test_non_chronological_rejected(self, rng):
-        series = make_series(rng, n=6).permuted(np.arange(6))
-        with pytest.raises(ValidationError):
-            expected_wfn(
-                series, ThresholdDistribution.uniform(), ValueMaxWeight((0.5,))
-            )
-
 
 @settings(max_examples=40, deadline=None)
 @given(

@@ -30,7 +30,7 @@ def random_multilabel(rng, n=20, d=3) -> MultilabelSeries:
             labels[rng.integers(0, n), j] = 1
         if labels[:, j].sum() == n:
             labels[rng.integers(0, n), j] = 0
-    return MultilabelSeries(labels, preds, chronological=True)
+    return MultilabelSeries(labels, preds)
 
 
 def unit_spec(d, score=ScoreKind.TSS, aggregator=None):
@@ -140,9 +140,7 @@ class TestGradient:
         base = per_class_scores(ml, spec)
         preds = ml.predictions.copy()
         preds[:, 1] = np.clip(preds[:, 1] * 0.5 + 0.1, 0.01, 0.99)
-        bumped = per_class_scores(
-            MultilabelSeries(ml.labels, preds, ml.chronological), spec
-        )
+        bumped = per_class_scores(MultilabelSeries(ml.labels, preds), spec)
         assert bumped[0] == base[0] and bumped[2] == base[2]
         assert bumped[1] != base[1]
 

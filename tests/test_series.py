@@ -35,7 +35,6 @@ def test_csv_round_trip(tmp_path):
     back = read_series_csv(path)
     np.testing.assert_array_equal(back.predictions, s.predictions)
     np.testing.assert_array_equal(back.labels, s.labels)
-    assert back.chronological
 
 
 def test_csv_without_timestamp_column(tmp_path):
@@ -71,10 +70,3 @@ def test_csv_out_of_domain_prediction(tmp_path):
     path.write_text("label,prediction\n0,1.5\n")
     with pytest.raises(InputError):
         read_series_csv(path)
-
-
-def test_permuted_loses_chronology():
-    s = LabeledSeries(np.array([0.2, 0.5, 0.9]), np.array([0, 1, 1]))
-    p = s.permuted([2, 0, 1])
-    assert not p.chronological
-    assert p.predictions.tolist() == [0.9, 0.2, 0.5]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -95,21 +97,32 @@ class TestModel:
         for w1, w2 in zip(model.weights, back.weights):
             np.testing.assert_array_equal(w1, w2)
 
+    def test_load_rejects_other_activations(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        MLPModel.init((3, 4, 1), seed=1).save(path)
+        doc = json.loads(path.read_text())
+        assert doc["activation"] == "tanh"
+        path.write_text(json.dumps(dict(doc, activation="relu")))
+        with pytest.raises(ValidationError, match="activation 'relu'"):
+            MLPModel.load(path)
+
     def test_init_shapes_validated(self):
         with pytest.raises(ValidationError):
             MLPModel.init((3, 4, 2), seed=0)
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_composed_gradient_matches_finite_differences(self, rng, activation):
+    @pytest.mark.parametrize(
+        "sizes", [(2, 4, 1), (2, 4, 3, 1)], ids=["tanh", "tanh-two-hidden"]
+    )
+    def test_composed_gradient_matches_finite_differences(self, rng, sizes):
         # Backprop through model + loss against central differences over
-        # every parameter of a 2-4-1 network.
+        # every parameter of a network with tanh hidden layers.
         x = rng.normal(size=(12, 2))
         y = (rng.random(12) < 0.5).astype(int)
         y[0], y[1] = 1, 0
         for k, wspec in enumerate(weight_menu(rng)):
             dist = ThresholdDistribution.uniform()
             spec = LossSpec(list(ScoreKind)[k % 5], wspec, dist)
-            model = MLPModel.init((2, 4, 1), seed=k, activation=activation)
+            model = MLPModel.init(sizes, seed=k)
 
             def composed_loss():
                 preds = model.forward(x)
@@ -305,12 +318,10 @@ class TestTrainMatchesReference:
     """train reuses the forward pass and, in full batch, the report; the
     histories and parameters stay exactly those of recomputing everything."""
 
-    def _assert_same(
-        self, x, y, loss, expect_skips=False, sizes=(4, 6, 1), activation="tanh", **kw
-    ):
+    def _assert_same(self, x, y, loss, expect_skips=False, sizes=(4, 6, 1), **kw):
         cfg = TrainConfig(loss=loss, epochs=5, learning_rate=0.3, **kw)
-        model = MLPModel.init(sizes, seed=3, activation=activation)
-        ref_model = MLPModel.init(sizes, seed=3, activation=activation)
+        model = MLPModel.init(sizes, seed=3)
+        ref_model = MLPModel.init(sizes, seed=3)
         history = train(x, y, model, cfg).history
         ref_history, skipped = reference_train(x, y, ref_model, cfg)
         assert history == ref_history
@@ -343,11 +354,9 @@ class TestTrainMatchesReference:
         y = np.zeros(60, dtype=np.int64)
         self._assert_same(x, y, _loss("value_max", _UNIFORM), expect_skips=True)
 
-    def test_relu_two_hidden_layers(self):
+    def test_two_hidden_layers(self):
         x, y = generate_temporal_dataset(SyntheticSeriesConfig(n=150, seed=25))
-        self._assert_same(
-            x, y, _loss("combined", _UNIFORM), sizes=(4, 6, 3, 1), activation="relu"
-        )
+        self._assert_same(x, y, _loss("combined", _UNIFORM), sizes=(4, 6, 3, 1))
 
 
 def test_sigmoid_matches_sign_split_form():
@@ -369,7 +378,7 @@ def test_sigmoid_matches_sign_split_form():
 
 def evaluate(model, x, y):
     """The sweep report of a model's predictions under unit weights."""
-    series = LabeledSeries(model.forward(x), y, chronological=True)
+    series = LabeledSeries(model.forward(x), y)
     return sweep_report(series, sweep_thresholds(), UnitWeight())
 
 
@@ -412,7 +421,7 @@ class TestEvaluate:
         # sweep thresholds, where an alarm needs a strictly larger prediction.
         preds = rng.choice([0.1, 0.25, 0.5, 0.5, 0.73, 0.9], size=60)
         labels = (rng.random(60) < 0.4).astype(int)
-        series = LabeledSeries(preds, labels, chronological=True)
+        series = LabeledSeries(preds, labels)
         weights = ValueMaxWeight(omega=(0.6, 0.3, 0.1))
         thresholds = np.round(np.arange(0.01, 1.0, 0.01), 10)
         report = sweep_report(series, thresholds, weights)

@@ -98,11 +98,6 @@ class TestEval:
             values.append(eval_weight(spec, 0.5, 0, series))
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_value_requires_chronological(self, rng):
-        series = make_series(rng, n=6).permuted(np.arange(6))
-        with pytest.raises(ValidationError):
-            eval_weight(ValueProdWeight((0.2,)), 0.5, 0, series)
-
 
 class TestWindows:
     def test_future_labels_pads_with_zero(self):
