@@ -11,7 +11,6 @@ data, 2 bad config, 3 verification failure, 4 training divergence.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -24,6 +23,7 @@ from .errors import (
     InputError,
     TrainingDivergedError,
     ValidationError,
+    finite_json,
 )
 from .loss import combined_loss, loss_value
 from .oracle import MC_MIN_SAMPLES
@@ -177,7 +177,7 @@ def cmd_eval(args) -> int:
     report.update(sweep_report(series, thresholds, weights))
     if "score" in document:
         report["headline_score"] = document["score"].value
-    Path(args.out).write_text(json.dumps(report, indent=2))
+    Path(args.out).write_text(finite_json(report, indent=2))
     print(f"wrote {args.out} ({series.n} samples, {len(thresholds)} thresholds)")
     return EXIT_OK
 
@@ -210,7 +210,7 @@ def cmd_verify(args) -> int:
         return EXIT_VERIFY
     print(format_table(results))
     if args.out:
-        Path(args.out).write_text(json.dumps(results, indent=2))
+        Path(args.out).write_text(finite_json(results, indent=2))
     if all(r["passed"] for r in results):
         return EXIT_OK
     for r in results:
@@ -237,16 +237,19 @@ def cmd_train(args) -> int:
         features, labels = generate_temporal_dataset(synth)
     model = MLPModel.init((features.shape[1], *args.hidden, 1), seed=args.seed)
     result = train(features, labels, model, train_cfg)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    result.model.save(out / "checkpoint.json")
-    write_history_csv(out / "history.csv", result.history)
     head = loss.components[0][0]
     preds = result.model.forward(features)
     series = LabeledSeries(preds, labels)
     report = sweep_report(series, sweep_thresholds(), head.weights)
     report["expected"] = expected_report(series, head.dist, head.weights)
-    (out / "evaluation.json").write_text(json.dumps(report, indent=2))
+    # Serialised before the output directory exists, so a report that JSON
+    # cannot hold leaves no partial output.
+    evaluation = finite_json(report, indent=2)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    result.model.save(out / "checkpoint.json")
+    write_history_csv(out / "history.csv", result.history)
+    (out / "evaluation.json").write_text(evaluation)
     final = result.history[-1] if result.history else None
     if final:
         print(
@@ -264,7 +267,9 @@ def cmd_demo_figure1(args) -> int:
     write_series_csv(out / "series_adjacent_errors.csv", adjacent_error_series())
     write_series_csv(out / "series_isolated_errors.csv", isolated_error_series())
     comparison = compare_series(weights=args.omega, tau=args.tau)
-    (out / "comparison.json").write_text(json.dumps(comparison.to_dict(), indent=2))
+    (out / "comparison.json").write_text(
+        finite_json(comparison.to_dict(), indent=2)
+    )
     cm = comparison.confusion
     print(
         f"both series: tn={cm['tn']} fp={cm['fp']} fn={cm['fn']} tp={cm['tp']} "

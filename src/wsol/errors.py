@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and the number checks.
+"""Exception types shared across the package, the number checks, and the
+JSON writer that refuses non-finite numbers.
 
 The CLI maps these onto its exit codes (input 1, config 2, verification 3,
 divergence 4), so library code should raise the most specific type it can.
 """
 
+import json
 import math
 import numbers
 
@@ -78,3 +80,16 @@ def check_convex(name: str, values) -> tuple[float, ...]:
     if abs(sum(values) - 1.0) > 1e-12:
         raise ValidationError(f"{name} must sum to 1")
     return values
+
+
+def finite_json(doc, indent: int | None = None) -> str:
+    """``doc`` as JSON text; ValidationError if it holds a NaN or an infinity.
+
+    JSON has no token for either, and Python's default writes bare ``NaN``
+    and ``Infinity``, which other readers reject.  Every document the package
+    writes goes through here, before its file is opened.
+    """
+    try:
+        return json.dumps(doc, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"cannot write JSON: {exc}") from None

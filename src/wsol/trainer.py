@@ -8,10 +8,14 @@ order is available and applies the window boundary policy per chunk.
 
 Each step runs one forward pass, keeps its activations for the backward
 pass, and evaluates one expected matrix per loss component for both the
-loss and its gradient.  The epoch report scores the classical and the
-weighted matrix from one hard-matrix evaluation.  In full-batch mode the
-report's pass and matrices are the next step's inputs, bit for bit, so
-the next step takes them over.  A degenerate chunk is still skipped.
+loss and its gradient.  Inside the network every activation and every
+backpropagated delta is a (units, n) array, samples innermost, so each
+hidden-layer broadcast and each bias sum runs along the samples; the
+weights keep their (in, out) shape.  The epoch report scores the
+classical and the weighted matrix from one hard-matrix evaluation.  In
+full-batch mode the report's pass and matrices are the next step's
+inputs, bit for bit, so the next step takes them over.  A degenerate
+chunk is still skipped.
 
 The synthetic dataset generator produces bursty event sequences with
 noisy leading indicators, so near-miss alarms (alarms adjacent to missed
@@ -39,6 +43,7 @@ from .errors import (
     ValidationError,
     check_finite,
     check_integer,
+    finite_json,
 )
 from .expected import expected_confusion
 from .loss import CombinedLossSpec, LossEvaluation, LossSpec, evaluate_loss
@@ -62,13 +67,12 @@ _PRED_EPS = 1e-9
 class ForwardPass:
     """One pass through the network: what ``backward`` needs, kept from it.
 
-    ``output`` is the unclipped logistic output; ``zs`` holds each hidden
-    layer's pre-activation and ``acts`` each layer's input, the network
-    input first.
+    ``output`` is the unclipped logistic output, shape (n,).  ``acts``
+    holds each layer's input as a (units, n) array, samples innermost: the
+    network input as the view ``x.T``, then each hidden layer's activation.
     """
 
     output: np.ndarray
-    zs: list[np.ndarray]
     acts: list[np.ndarray]
 
     @property
@@ -103,14 +107,15 @@ class MLPModel:
         return tuple([self.weights[0].shape[0]] + [w.shape[1] for w in self.weights])
 
     def propagate(self, x: np.ndarray) -> ForwardPass:
-        """One forward pass, keeping every activation for ``backward``."""
-        acts = [x]
-        zs = []
+        """One forward pass over the (n, in) inputs ``x``, keeping every
+        activation for ``backward``."""
+        acts = [x.T]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            zs.append(acts[-1] @ w + b)
-            acts.append(np.tanh(zs[-1]))
-        z = acts[-1] @ self.weights[-1] + self.biases[-1]
-        return ForwardPass(output=_sigmoid(z[:, 0]), zs=zs, acts=acts)
+            z = w.T @ acts[-1]
+            z += b[:, None]
+            acts.append(np.tanh(z, out=z))
+        z = self.weights[-1][:, 0] @ acts[-1] + self.biases[-1][0]
+        return ForwardPass(output=_sigmoid(z), acts=acts)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Predictions in (0, 1); clipped a hair inside so logs stay finite."""
@@ -122,20 +127,23 @@ class MLPModel:
         """Parameter gradients for a loss gradient over the predictions of ``fwd``.
 
         ``fwd`` is this model's ``propagate`` on the inputs, at the current
-        parameters; nothing is recomputed.
+        parameters; nothing is recomputed.  Each delta is (units, n), like
+        the activations, and each gradient has its parameter's shape.
         """
         pred = fwd.output
-        delta = (dloss_dpred * pred * (1.0 - pred))[:, None]
+        delta = (dloss_dpred * pred * (1.0 - pred))[None, :]
         layers = len(self.weights)
         grad_w = [None] * layers
         grad_b = [None] * layers
-        grad_w[-1] = fwd.acts[-1].T @ delta
-        grad_b[-1] = delta.sum(axis=0)
-        for layer in range(layers - 2, -1, -1):
-            h = fwd.acts[layer + 1]
-            delta = (delta @ self.weights[layer + 1].T) * (1.0 - h**2)
-            grad_w[layer] = fwd.acts[layer].T @ delta
-            grad_b[layer] = delta.sum(axis=0)
+        for layer in range(layers - 1, -1, -1):
+            a = fwd.acts[layer]
+            grad_w[layer] = (delta @ a.T).T
+            grad_b[layer] = delta.sum(axis=1)
+            if layer:
+                slope = a * a
+                np.subtract(1.0, slope, out=slope)
+                delta = self.weights[layer] @ delta
+                delta *= slope
         return grad_w, grad_b
 
     def save(self, path: str | Path) -> None:
@@ -145,7 +153,7 @@ class MLPModel:
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
         }
-        Path(path).write_text(json.dumps(doc))
+        Path(path).write_text(finite_json(doc))
 
     @classmethod
     def load(cls, path: str | Path) -> "MLPModel":
@@ -156,6 +164,13 @@ class MLPModel:
             weights=[np.array(w) for w in doc["weights"]],
             biases=[np.array(b) for b in doc["biases"]],
         )
+
+
+# Upper bounds on a synthetic dataset, so that its (n, features) matrix
+# stays below 800 MB and an absurd size is a config error, not an
+# allocation failure.
+MAX_SYNTH_SAMPLES = 10**6
+MAX_SYNTH_FEATURES = 100
 
 
 @dataclass(frozen=True)
@@ -173,14 +188,20 @@ class SyntheticSeriesConfig:
             object.__setattr__(self, name, check_finite(name, getattr(self, name)))
         for name in ("n", "window", "seed", "features"):
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
-        if self.n < 1 or not (0.0 <= self.event_rate <= 1.0):
-            raise ValidationError("bad synthetic dataset config")
+        if not 1 <= self.n <= MAX_SYNTH_SAMPLES:
+            raise ValidationError(
+                f"n must lie in [1, {MAX_SYNTH_SAMPLES}], got {self.n}"
+            )
+        if not 2 <= self.features <= MAX_SYNTH_FEATURES:
+            raise ValidationError(
+                f"features must lie in [2, {MAX_SYNTH_FEATURES}], got {self.features}"
+            )
+        if not 0.0 <= self.event_rate <= 1.0:
+            raise ValidationError("event_rate must lie in [0, 1]")
         if self.noise < 0:
             raise ValidationError("noise must be non-negative")
-        if self.features < 2 or self.window < 1 or self.seed < 0:
-            raise ValidationError(
-                "need at least 2 features, a positive window and a non-negative seed"
-            )
+        if self.window < 1 or self.seed < 0:
+            raise ValidationError("need a positive window and a non-negative seed")
 
 
 def generate_temporal_dataset(
@@ -210,7 +231,8 @@ def generate_temporal_dataset(
     x = rng.normal(0.0, cfg.noise, size=(n, cfg.features))
     lead = np.zeros(n)
     conc = np.zeros(n)
-    decay = np.array([0.9**k for k in range(1, cfg.window + 1)])
+    # No look-ahead is longer than the series, however wide the window.
+    decay = np.array([0.9**k for k in range(1, min(cfg.window, n) + 1)])
     for t in range(n):
         future = labels[t + 1 : t + 1 + cfg.window]
         if future.size:

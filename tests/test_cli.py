@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from wsol import cli
 from wsol.cli import main
 from wsol.series import read_dataset_csv, write_dataset_csv
 
@@ -445,6 +446,31 @@ def assert_usage_error(argv, capsys):
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
 
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_non_finite_report_exits_2_without_writing(
+    demo_dir, tmp_path, loss_file, synth_file, monkeypatch, capsys, command
+):
+    # JSON has no NaN: a report holding one fails before any file opens.
+    real = cli.expected_report
+    monkeypatch.setattr(
+        cli, "expected_report", lambda *a: dict(real(*a), bad=float("nan"))
+    )
+    out = tmp_path / "out"
+    if command == "eval":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"weights": {"variant": "unit"}}))
+        data = demo_dir / "series_adjacent_errors.csv"
+        argv = ["eval", "--data", data, "--config", cfg, "--out", out]
+    else:
+        argv = ["train", "--synth", synth_file, "--loss", loss_file]
+        argv += ["--epochs", 2, "--out-dir", out]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: cannot write JSON")
+
+
 _COMPONENT = {
     "score": "tss",
     "weights": {"variant": "unit"},
@@ -469,6 +495,9 @@ _COMPONENT = {
         ("synth", {"n": None}),
         ("synth", {"seed": -1}),
         ("synth", {"n": "80"}),
+        ("synth", {"n": 1e30}),
+        ("synth", {"n": 1_000_001}),
+        ("synth", {"features": 101}),
     ],
     ids=[
         "beta-nan",
@@ -485,12 +514,16 @@ _COMPONENT = {
         "n-null",
         "seed-negative",
         "n-str",
+        "n-1e30",
+        "n-over-bound",
+        "features-over-bound",
     ],
 )
 def test_bad_document_values_exit_2_with_one_line(
     tmp_path, loss_file, command, document, capsys
 ):
-    """A value of the wrong type or a non-finite one is a config error."""
+    """A value of the wrong type, a non-finite one or one past its bound is a
+    config error."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(document))
     out = tmp_path / "never"

@@ -15,6 +15,8 @@ from wsol.scores import ScoreKind, apply_score
 from wsol.series import LabeledSeries
 from wsol.threshold import ThresholdDistribution
 from wsol.trainer import (
+    MAX_SYNTH_FEATURES,
+    MAX_SYNTH_SAMPLES,
     EpochRecord,
     MLPModel,
     SyntheticSeriesConfig,
@@ -75,6 +77,26 @@ class TestSyntheticData:
         )
         assert best < 0.3
 
+    def test_window_wider_than_series_is_the_series_length(self):
+        wide = generate_temporal_dataset(SyntheticSeriesConfig(n=50, window=10**30))
+        snug = generate_temporal_dataset(SyntheticSeriesConfig(n=50, window=49))
+        for got, want in zip(wide, snug):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "field, edge, past",
+        [
+            ("n", 1, 0),
+            ("n", MAX_SYNTH_SAMPLES, MAX_SYNTH_SAMPLES + 1),
+            ("features", 2, 1),
+            ("features", MAX_SYNTH_FEATURES, MAX_SYNTH_FEATURES + 1),
+        ],
+    )
+    def test_size_bounds(self, field, edge, past):
+        SyntheticSeriesConfig(**{field: edge})
+        with pytest.raises(ValidationError, match=f"{field} must lie in"):
+            SyntheticSeriesConfig(**{field: past})
+
     def test_events_arrive_in_bursts(self):
         cfg = SyntheticSeriesConfig(n=400, event_rate=0.2, seed=11)
         _, labels = generate_temporal_dataset(cfg)
@@ -96,6 +118,14 @@ class TestModel:
         assert back.sizes == model.sizes
         for w1, w2 in zip(model.weights, back.weights):
             np.testing.assert_array_equal(w1, w2)
+
+    def test_save_rejects_non_finite_parameters(self, tmp_path):
+        model = MLPModel.init((3, 4, 1), seed=1)
+        model.biases[0][2] = np.nan
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(ValidationError, match="cannot write JSON"):
+            model.save(path)
+        assert not path.exists()
 
     def test_load_rejects_other_activations(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -374,6 +404,67 @@ def test_sigmoid_matches_sign_split_form():
     ez = np.exp(z[~pos])
     want[~pos] = ez / (1.0 + ez)
     np.testing.assert_array_equal(_sigmoid(z), want)
+
+
+def sample_major_propagate(model, x):
+    """The forward pass with (n, units) activations: the output and each
+    layer's input, the reference for the (units, n) layout."""
+    acts = [x]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        acts.append(np.tanh(acts[-1] @ w + b))
+    z = acts[-1] @ model.weights[-1] + model.biases[-1]
+    return _sigmoid(z[:, 0]), acts
+
+
+def sample_major_backward(model, output, acts, dloss_dpred):
+    """The backward pass over (n, units) deltas, as ``sample_major_propagate``."""
+    delta = (dloss_dpred * output * (1.0 - output))[:, None]
+    layers = len(model.weights)
+    grad_w = [None] * layers
+    grad_b = [None] * layers
+    grad_w[-1] = acts[-1].T @ delta
+    grad_b[-1] = delta.sum(axis=0)
+    for layer in range(layers - 2, -1, -1):
+        h = acts[layer + 1]
+        delta = (delta @ model.weights[layer + 1].T) * (1.0 - h**2)
+        grad_w[layer] = acts[layer].T @ delta
+        grad_b[layer] = delta.sum(axis=0)
+    return grad_w, grad_b
+
+
+def assert_close_to_scale(got, want, rel=1e-13):
+    """Equal shapes, and every element within ``rel`` of the largest in ``want``:
+    the two layouts sum the same terms in another order."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestFeatureMajorLayout:
+    """C-contiguous (units, n) activations give the sample-major pass's
+    numbers up to summation order."""
+
+    @pytest.mark.parametrize("n", [1, 2, 2333])
+    @pytest.mark.parametrize(
+        "sizes", [(4, 1), (4, 8, 1), (4, 6, 3, 1)], ids=["linear", "one", "two"]
+    )
+    def test_matches_sample_major_reference(self, sizes, n):
+        rng = np.random.default_rng(n)
+        model = MLPModel.init(sizes, seed=n)
+        for b in model.biases:
+            b += rng.normal(0.0, 0.5, b.shape)
+        x = rng.normal(size=(n, sizes[0]))
+        dloss = rng.normal(size=n)
+        fwd = model.propagate(x)
+        output, acts = sample_major_propagate(model, x)
+        assert_close_to_scale(fwd.output, output)
+        assert len(fwd.acts) == len(acts)
+        for got, want in zip(fwd.acts, acts):
+            assert_close_to_scale(got, want.T)
+        assert all(a.flags.c_contiguous for a in fwd.acts[1:])
+        grad_w, grad_b = model.backward(fwd, dloss)
+        ref_w, ref_b = sample_major_backward(model, output, acts, dloss)
+        for got, want in zip((*grad_w, *grad_b), (*ref_w, *ref_b)):
+            assert_close_to_scale(got, want)
 
 
 def evaluate(model, x, y):
