@@ -12,9 +12,9 @@ import argparse
 
 import numpy as np
 
-from wsol.confusion import hard_confusion
 from wsol.loss import LossSpec
-from wsol.scores import ScoreKind, apply_score
+from wsol.oracle import batch_weighted_entries
+from wsol.scores import ScoreKind, score_array
 from wsol.series import LabeledSeries
 from wsol.threshold import ThresholdDistribution
 from wsol.trainer import (
@@ -22,6 +22,7 @@ from wsol.trainer import (
     SyntheticSeriesConfig,
     TrainConfig,
     generate_temporal_dataset,
+    sweep_thresholds,
     train,
 )
 from wsol.weights import UnitWeight
@@ -29,11 +30,8 @@ from wsol.weights import UnitWeight
 
 def skill_curve(model, features, labels, taus):
     series = LabeledSeries(model.forward(features), labels)
-    out = []
-    for tau in taus:
-        cm = hard_confusion(series, float(tau))
-        out.append(apply_score(ScoreKind.TSS, cm.tn, cm.fp, cm.fn, cm.tp).value)
-    return np.array(out)
+    entries = batch_weighted_entries(series, taus, UnitWeight())
+    return score_array(ScoreKind.TSS, *entries)[0]
 
 
 def main() -> None:
@@ -47,7 +45,7 @@ def main() -> None:
 
     cfg = SyntheticSeriesConfig(n=args.n, event_rate=0.2, seed=args.seed)
     features, labels = generate_temporal_dataset(cfg)
-    taus = np.round(np.arange(0.02, 1.0, 0.02), 10)
+    taus = sweep_thresholds(0.02)
 
     curves = {}
     for alpha, beta in ((2.0, args.shape), (args.shape, 2.0)):

@@ -53,12 +53,24 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_DIVERGED = 4
 
+# eval writes one report row per threshold, so a finer grid outgrows memory.
+MIN_SWEEP_STEP = 1e-4
+
 
 def _open_unit_interval(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(
             f"must lie strictly inside (0, 1), got {text!r}"
+        )
+    return value
+
+
+def _sweep_step(text: str) -> float:
+    value = _open_unit_interval(text)
+    if value < MIN_SWEEP_STEP:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {MIN_SWEEP_STEP:g}, got {text!r}"
         )
     return value
 
@@ -116,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--out", default="report.json")
-    p_eval.add_argument("--sweep-step", type=_open_unit_interval, default=0.01)
+    p_eval.add_argument("--sweep-step", type=_sweep_step, default=0.01)
 
     p_loss = sub.add_parser("loss", help="evaluate a loss spec on a series")
     p_loss.add_argument("--data", required=True)

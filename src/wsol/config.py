@@ -12,6 +12,7 @@ value the constructors reject is a ConfigError naming where it sits.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError, ValidationError
@@ -29,6 +30,12 @@ from .weights import (
 )
 
 _TOP_KEYS = {"distribution", "weights", "score"}
+_WEIGHT_VARIANTS = {
+    cls.name: cls
+    for cls in (
+        UnitWeight, CostWeight, CrossEntropyWeight, ValueProdWeight, ValueMaxWeight
+    )
+}
 
 
 def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -65,27 +72,16 @@ def parse_distribution(obj: dict, where: str = "distribution") -> ThresholdDistr
 
 def parse_weights(obj: dict, where: str = "weights") -> WeightSpec:
     variant = _need(obj, "variant", where)
+    cls = _WEIGHT_VARIANTS.get(variant) if isinstance(variant, str) else None
+    if cls is None:
+        raise ConfigError(f"{where}: unknown variant {variant!r}")
+    names = [f.name for f in fields(cls)]
+    _check_keys(obj, {"variant", *names}, where)
+    params = {name: _need(obj, name, where) for name in names}
     try:
-        if variant == "unit":
-            _check_keys(obj, {"variant"}, where)
-            return UnitWeight()
-        if variant == "cost":
-            _check_keys(obj, {"variant", "c01", "c10"}, where)
-            return CostWeight(c01=_need(obj, "c01", where), c10=_need(obj, "c10", where))
-        if variant == "cross_entropy":
-            _check_keys(obj, {"variant", "omega0", "omega1"}, where)
-            return CrossEntropyWeight(
-                omega0=_need(obj, "omega0", where), omega1=_need(obj, "omega1", where)
-            )
-        if variant == "value_prod":
-            _check_keys(obj, {"variant", "omega"}, where)
-            return ValueProdWeight(omega=_need(obj, "omega", where))
-        if variant == "value_max":
-            _check_keys(obj, {"variant", "omega"}, where)
-            return ValueMaxWeight(omega=_need(obj, "omega", where))
+        return cls(**params)
     except ValidationError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    raise ConfigError(f"{where}: unknown variant {variant!r}")
 
 
 def parse_score(name, where: str = "score") -> ScoreKind:
@@ -93,6 +89,16 @@ def parse_score(name, where: str = "score") -> ScoreKind:
         return ScoreKind.parse(name)
     except ValidationError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+
+
+def _loss_spec(obj: dict, where: str, *extra: str) -> LossSpec:
+    """A {score, weights, distribution} object; ``extra`` keys are the caller's."""
+    _check_keys(obj, {"score", "weights", "distribution", *extra}, where)
+    return LossSpec(
+        score=parse_score(_need(obj, "score", where), where),
+        weights=parse_weights(_need(obj, "weights", where), where),
+        dist=parse_distribution(_need(obj, "distribution", where), where),
+    )
 
 
 def parse_loss(obj: dict, where: str = "loss") -> LossSpec | CombinedLossSpec:
@@ -104,27 +110,12 @@ def parse_loss(obj: dict, where: str = "loss") -> LossSpec | CombinedLossSpec:
         parts = []
         for k, comp in enumerate(components):
             sub = f"{where}.components[{k}]"
-            _check_keys(comp, {"score", "weights", "distribution", "beta"}, sub)
-            parts.append(
-                (
-                    LossSpec(
-                        score=parse_score(_need(comp, "score", sub), sub),
-                        weights=parse_weights(_need(comp, "weights", sub), sub),
-                        dist=parse_distribution(_need(comp, "distribution", sub), sub),
-                    ),
-                    _need(comp, "beta", sub),
-                )
-            )
+            parts.append((_loss_spec(comp, sub, "beta"), _need(comp, "beta", sub)))
         try:
             return CombinedLossSpec(components=tuple(parts))
         except ValidationError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-    _check_keys(obj, {"score", "weights", "distribution"}, where)
-    return LossSpec(
-        score=parse_score(_need(obj, "score", where), where),
-        weights=parse_weights(_need(obj, "weights", where), where),
-        dist=parse_distribution(_need(obj, "distribution", where), where),
-    )
+    return _loss_spec(obj, where)
 
 
 def parse_synth(obj: dict, where: str = "synth") -> SyntheticSeriesConfig:

@@ -34,9 +34,6 @@ class ConfusionCounts:
     def n(self) -> int:
         return self.tn + self.fp + self.fn + self.tp
 
-    def to_dict(self) -> dict:
-        return {"tn": self.tn, "fp": self.fp, "fn": self.fn, "tp": self.tp}
-
 
 @dataclass(frozen=True)
 class WeightedCounts:
@@ -46,9 +43,6 @@ class WeightedCounts:
     wfp: float
     wfn: float
     tp: int
-
-    def to_dict(self) -> dict:
-        return {"tn": self.tn, "wfp": self.wfp, "wfn": self.wfn, "tp": self.tp}
 
 
 def _check_tau(tau: float) -> float:

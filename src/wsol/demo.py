@@ -13,7 +13,7 @@ uniform threshold prior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .confusion import ConfusionCounts, classical_entries, weighted_hard_confusion
 from .expected import expected_confusion
@@ -97,7 +97,7 @@ def compare_series(
     cm = ConfusionCounts(*classical_entries(series_a, wc_a.tn, wc_a.tp))
     return DemoComparison(
         tau=tau,
-        confusion=cm.to_dict(),
+        confusion=asdict(cm),
         classical_scores=score_table(cm.tn, cm.fp, cm.fn, cm.tp),
         weighted_scores_adjacent=score_table(wc_a.tn, wc_a.wfp, wc_a.wfn, wc_a.tp),
         weighted_scores_isolated=score_table(wc_b.tn, wc_b.wfp, wc_b.wfn, wc_b.tp),

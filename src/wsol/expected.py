@@ -13,14 +13,14 @@ interval of thresholds (``weights._chain_members`` marks it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ValidationError
 from .series import LabeledSeries
 from .threshold import ThresholdDistribution
-from .weights import WeightSpec
+from .weights import UnitWeight, WeightSpec
 
 
 @dataclass(frozen=True)
@@ -31,56 +31,38 @@ class ExpectedConfusion:
     e_tp: float
 
     def __post_init__(self):
-        for name in ("e_tn", "e_wfp", "e_wfn", "e_tp"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if v < -1e-9:
-                raise ValidationError(f"expected entry {name} is negative: {v}")
+                raise ValidationError(f"expected entry {f.name} is negative: {v}")
             if v < 0.0:
-                object.__setattr__(self, name, 0.0)
+                object.__setattr__(self, f.name, 0.0)
 
     def entries(self) -> tuple[float, float, float, float]:
         """(tn, wfp, wfn, tp) order, matching the score functions."""
         return (self.e_tn, self.e_wfp, self.e_wfn, self.e_tp)
-
-    def to_dict(self) -> dict:
-        return {
-            "e_tn": self.e_tn,
-            "e_wfp": self.e_wfp,
-            "e_wfn": self.e_wfn,
-            "e_tp": self.e_tp,
-        }
-
-
-def _tp_tn(labels: np.ndarray, cdf: np.ndarray) -> tuple[float, float]:
-    return float(np.sum(labels * cdf)), float(np.sum((1 - labels) * (1.0 - cdf)))
 
 
 def expected_tp_tn(
     series: LabeledSeries, dist: ThresholdDistribution
 ) -> tuple[float, float]:
     """(E[TP], E[TN]): correct entries are untouched by any weight variant."""
-    return _tp_tn(series.labels, dist.cdf(series.predictions))
-
-
-def _expected_errors(
-    series: LabeledSeries, dist: ThresholdDistribution, spec: WeightSpec
-) -> tuple[float, float]:
-    terms = spec.closed_form_terms(series, dist)
-    return spec.expected_errors(series, dist, dist.cdf(series.predictions), terms)
+    exp = expected_confusion(series, dist, UnitWeight())
+    return exp.e_tp, exp.e_tn
 
 
 def expected_wfp(
     series: LabeledSeries, dist: ThresholdDistribution, spec: WeightSpec
 ) -> float:
     """Expected weighted false-positive entry."""
-    return _expected_errors(series, dist, spec)[0]
+    return expected_confusion(series, dist, spec).e_wfp
 
 
 def expected_wfn(
     series: LabeledSeries, dist: ThresholdDistribution, spec: WeightSpec
 ) -> float:
     """Expected weighted false-negative entry."""
-    return _expected_errors(series, dist, spec)[1]
+    return expected_confusion(series, dist, spec).e_wfn
 
 
 def expected_confusion(
@@ -93,7 +75,12 @@ def expected_confusion(
     """
     if terms is None:
         terms = spec.closed_form_terms(series, dist)
+    labels = series.labels
     cdf = dist.cdf(series.predictions)
-    e_tp, e_tn = _tp_tn(series.labels, cdf)
     e_wfp, e_wfn = spec.expected_errors(series, dist, cdf, terms)
-    return ExpectedConfusion(e_tn=e_tn, e_wfp=e_wfp, e_wfn=e_wfn, e_tp=e_tp)
+    return ExpectedConfusion(
+        e_tn=float(np.sum((1 - labels) * (1.0 - cdf))),
+        e_wfp=e_wfp,
+        e_wfn=e_wfn,
+        e_tp=float(np.sum(labels * cdf)),
+    )

@@ -195,9 +195,7 @@ def expected_score_gap(
     piecewise oracle (stderr 0); otherwise from Monte Carlo with its
     standard error.
     """
-    lhs = apply_score(
-        spec.score, *expected_confusion(series, spec.dist, spec.weights).entries()
-    ).value
+    lhs = -loss_value(series, spec)
     if mc_samples is None:
         rhs = exact_expected_score(series, spec.dist, spec.weights, spec.score)
         se = 0.0

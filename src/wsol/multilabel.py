@@ -34,11 +34,8 @@ class MultilabelSeries:
             raise ValidationError("labels and predictions must be (n, d) and congruent")
         if labels.shape[1] < 2:
             raise ValidationError("multilabel series needs at least 2 classes")
-        if not np.all(np.isin(labels, (0, 1))):
-            raise ValidationError("labels must be exactly 0 or 1")
-        # Written so that NaN, which fails every comparison, fails it too.
-        if not np.all((preds > 0.0) & (preds < 1.0)):
-            raise ValidationError("predictions must lie strictly inside (0, 1)")
+        for j in range(labels.shape[1]):  # each column is a series, checked as one
+            LabeledSeries(preds[:, j], labels[:, j])
         object.__setattr__(self, "labels", labels.astype(np.int64))
         object.__setattr__(self, "predictions", preds)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +57,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) never overflows, and each branch divides as the stable form
     # for its sign of z does.
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 _PRED_EPS = 1e-9
@@ -229,17 +230,18 @@ def generate_temporal_dataset(
         labels[start : start + length] = 1
         budget -= length
     x = rng.normal(0.0, cfg.noise, size=(n, cfg.features))
-    lead = np.zeros(n)
-    conc = np.zeros(n)
-    # No look-ahead is longer than the series, however wide the window.
+    # The decay falls with lag, so the nearest event ahead sets the precursor:
+    # decay[d - 1] at distance d within the window, else 0.  No look-ahead is
+    # longer than the series, however wide the window.
     decay = np.array([0.9**k for k in range(1, min(cfg.window, n) + 1)])
-    for t in range(n):
-        future = labels[t + 1 : t + 1 + cfg.window]
-        if future.size:
-            lead[t] = np.max(decay[: future.size] * future)
-        conc[t] = labels[t]
+    t = np.arange(n)
+    events = np.append(np.flatnonzero(labels), 2 * n)  # a sentinel past any window
+    ahead = events[np.searchsorted(events, t, side="right")] - t
+    near = ahead <= decay.size
+    lead = np.zeros(n)
+    lead[near] = decay[ahead[near] - 1]
     x[:, 0] += cfg.precursor_strength * lead
-    x[:, 1] += 0.8 * cfg.precursor_strength * conc
+    x[:, 1] += 0.8 * cfg.precursor_strength * labels
     return x, labels
 
 
@@ -400,10 +402,12 @@ def sweep_report(
     rows = [
         {
             "tau": float(tau),
-            "cm": ConfusionCounts(*(int(v[b]) for v in cm)).to_dict(),
-            "wcm": WeightedCounts(
-                int(wc[0][b]), float(wc[1][b]), float(wc[2][b]), int(wc[3][b])
-            ).to_dict(),
+            "cm": asdict(ConfusionCounts(*(int(v[b]) for v in cm))),
+            "wcm": asdict(
+                WeightedCounts(
+                    int(wc[0][b]), float(wc[1][b]), float(wc[2][b]), int(wc[3][b])
+                )
+            ),
             "scores": {name: float(v[b]) for name, v in scores.items()},
             "weighted_scores": {name: float(v[b]) for name, v in weighted.items()},
         }
@@ -513,8 +517,8 @@ def expected_report(
     classical = expected_confusion(series, dist, UnitWeight())
     weighted = expected_confusion(series, dist, weight_spec)
     return {
-        "classical": classical.to_dict(),
-        "weighted": weighted.to_dict(),
+        "classical": asdict(classical),
+        "weighted": asdict(weighted),
         "scores_classical": score_table(*classical.entries()),
         "scores_weighted": score_table(*weighted.entries()),
     }

@@ -207,7 +207,7 @@ def _require_support(series: LabeledSeries, dist) -> None:
 def _chain_members(
     p: np.ndarray, a: float, window: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Chain marking of the past window of every sample.
+    """Chain marking of the past ``window`` lags of every sample, window < p.size.
 
     ``member[i, j - 1]`` is set when the prediction at lag j of sample i
     exceeds the lower support bound ``a`` and every nearer lag's prediction
@@ -221,7 +221,7 @@ def _chain_members(
     member = np.zeros((n, window), dtype=bool)
     tied = np.zeros(n, dtype=bool)
     top = np.full(n, float(a))
-    for j in range(1, min(window, n - 1) + 1):
+    for j in range(1, window + 1):
         past = p[: n - j]
         member[j:, j - 1] = past > top[j:]
         tied[j:] |= past == top[j:]
@@ -241,18 +241,22 @@ class _ValueWeight(WeightSpec):
     def window(self) -> int:
         return len(self.omega)
 
+    def _record_omega(self, n: int) -> tuple[float, ...]:
+        """Weights of the min(T, n - 1) lags a series of n samples has."""
+        return self.omega[: n - 1]
+
     def fp_factors(self, series):
         n = series.n
         event = series.labels == 1
         g = np.zeros(n)
-        for j, w in enumerate(self.omega[: n - 1], start=1):
+        for j, w in enumerate(self._record_omega(n), start=1):
             self._merge(g[: n - j], w * event[j:], out=g[: n - j])
         return 1.0 - g
 
     def fn_factors(self, series, alarm):
         n = series.n
         g = np.zeros(alarm.shape)
-        for j, w in enumerate(self.omega[: n - 1], start=1):
+        for j, w in enumerate(self._record_omega(n), start=1):
             self._merge(g[j:], w * alarm[: n - j], out=g[j:])
         return 1.0 - g
 
@@ -269,7 +273,8 @@ class _ValueWeight(WeightSpec):
         raise NotImplementedError
 
     def closed_form_terms(self, series, dist):
-        """(fp_factors, coef, enters, tied), the last three from ``_lag_terms``."""
+        """(fp_factors, coef, enters, tied), the last three from ``_lag_terms``
+        with one column per lag of ``_record_omega``."""
         _require_support(series, dist)
         return (
             self.fp_factors(series),
@@ -282,7 +287,7 @@ class _ValueWeight(WeightSpec):
         fp, coef, _, _ = terms
         e_wfp = float(np.sum(fp[~pos] * cdf[~pos]))
         reduction = np.zeros(n)
-        for j in range(1, min(self.window, n - 1) + 1):
+        for j in range(1, coef.shape[1] + 1):
             reduction[j:] += coef[j:, j - 1] * np.maximum(cdf[: n - j] - cdf[j:], 0.0)
         return e_wfp, float(np.sum((1.0 - cdf[pos]) - reduction[pos]))
 
@@ -299,7 +304,7 @@ class _ValueWeight(WeightSpec):
         # lag predicted exactly at the positive's value is a kink.
         own = np.full(n, -1.0)
         cross = []
-        for j in range(1, min(self.window, n - 1) + 1):
+        for j in range(1, coef.shape[1] + 1):
             live = enters[j:, j - 1] & pos[j:]
             above = live & (p[: n - j] > p[j:])
             own[j:] += np.where(above, coef[j:, j - 1], 0.0)
@@ -332,8 +337,9 @@ class ValueProdWeight(_ValueWeight):
 
     def _lag_terms(self, p, a):
         # Every lag inside the record enters with its own omega.
-        enters = np.arange(p.size)[:, None] >= np.arange(1, self.window + 1)
-        return np.where(enters, self.omega, 0.0), enters, np.zeros(p.size, dtype=bool)
+        omega = self._record_omega(p.size)
+        enters = np.arange(p.size)[:, None] >= np.arange(1, len(omega) + 1)
+        return np.where(enters, omega, 0.0), enters, np.zeros(p.size, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -354,16 +360,17 @@ class ValueMaxWeight(_ValueWeight):
         return float(np.max(np.asarray(self.omega) * z)) if len(self.omega) else 0.0
 
     def _lag_terms(self, p, a):
+        omega = self._record_omega(p.size)
         # Chain form: telescoping the per-interval integrals leaves one term
         # per chain member, weighted by the drop from its omega to the next
         # member's (0 after the last), found by scanning the lags backwards.
-        member, tied = _chain_members(p, a, self.window)
+        member, tied = _chain_members(p, a, len(omega))
         coef = np.zeros(member.shape)
         following = np.zeros(p.size)
-        for j in range(self.window, 0, -1):
+        for j in range(len(omega), 0, -1):
             here = member[:, j - 1]
-            coef[:, j - 1] = np.where(here, self.omega[j - 1] - following, 0.0)
-            following = np.where(here, self.omega[j - 1], following)
+            coef[:, j - 1] = np.where(here, omega[j - 1] - following, 0.0)
+            following = np.where(here, omega[j - 1], following)
         return coef, member, tied
 
 

@@ -399,6 +399,8 @@ def test_seed_env_override(tmp_path, monkeypatch, loss_file, synth_file):
     [
         ["eval", "--data", "s.csv", "--config", "c.json", "--sweep-step", "0"],
         ["eval", "--data", "s.csv", "--config", "c.json", "--sweep-step", "2"],
+        ["eval", "--data", "s.csv", "--config", "c.json", "--sweep-step", "9e-5"],
+        ["eval", "--data", "s.csv", "--config", "c.json", "--sweep-step", "1e-9"],
         ["demo-figure1", "--omega", ""],
         ["train", "--loss", "l.json", "--hidden", "x"],
         ["train", "--loss", "l.json", "--hidden", "0"],
@@ -412,6 +414,8 @@ def test_seed_env_override(tmp_path, monkeypatch, loss_file, synth_file):
     ids=[
         "sweep-step-0",
         "sweep-step-2",
+        "sweep-step-9e-5",
+        "sweep-step-1e-9",
         "omega-empty",
         "hidden-x",
         "hidden-0",
@@ -428,6 +432,11 @@ def test_bad_numeric_argument_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert_usage_error(argv, capsys)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_step_bound_is_accepted():
+    argv = ["eval", "--data", "s.csv", "--config", "c.json", "--sweep-step", "1e-4"]
+    assert cli._build_parser().parse_args(argv).sweep_step == cli.MIN_SWEEP_STEP
 
 
 @pytest.mark.parametrize("value", ["abc", "-1"])

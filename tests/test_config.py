@@ -1,6 +1,11 @@
 import json
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import weight_menu
 
 from wsol.config import (
     load_config,
@@ -195,3 +200,79 @@ def test_non_finite_numbers_in_documents_become_config_errors():
     with pytest.raises(ConfigError, match="noise must be finite"):
         parse_synth({"noise": nan})
 
+
+
+def test_every_weight_spec_parses_back_from_its_fields(rng):
+    for _ in range(10):
+        for spec in weight_menu(rng):
+            doc = json.loads(json.dumps({"variant": spec.name, **asdict(spec)}))
+            assert parse_weights(doc) == spec
+
+
+_KEYS = (
+    "score", "weights", "distribution", "components", "beta", "loss", "variant",
+    "omega", "c01", "c10", "omega0", "omega1", "kind", "a", "b", "alpha",
+)
+_WORDS = ("tss", "f1", "hss", "unit", "value_max", "uniform", "beta")
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400)]),
+    st.floats(),  # NaN and both infinities included
+    st.sampled_from(_WORDS),
+    st.text(max_size=4),
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), kids, max_size=5),
+    max_leaves=12,
+)
+# Documents shaped like a loss, so the fuzz reaches every parser below the top.
+_NUMBER = st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0]) | st.floats(0.0, 3.0) | _LEAVES
+_OMEGA = st.lists(_NUMBER, min_size=1, max_size=3) | _LEAVES
+_WEIGHTS = st.one_of(
+    *(
+        st.fixed_dictionaries({"variant": st.just(name), **fields})
+        for name, fields in (
+            ("unit", {}),
+            ("cost", {"c01": _NUMBER, "c10": _NUMBER}),
+            ("cross_entropy", {"omega0": _NUMBER, "omega1": _NUMBER}),
+            ("value_prod", {"omega": _OMEGA}),
+            ("value_max", {"omega": _OMEGA}),
+        )
+    ),
+    _JSON,
+)
+_DIST = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.just("uniform")}, optional={"a": _NUMBER, "b": _NUMBER}
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.just("beta"), "alpha": _NUMBER, "beta": _NUMBER}
+    ),
+    _JSON,
+)
+_LOSS = {
+    "score": st.sampled_from([*(kind.value for kind in ScoreKind), "x", None, [], 2]),
+    "weights": _WEIGHTS,
+    "distribution": _DIST,
+}
+_DOCUMENTS = st.one_of(
+    st.fixed_dictionaries(_LOSS),
+    st.fixed_dictionaries(
+        {"components": st.lists(st.fixed_dictionaries({**_LOSS, "beta": _NUMBER}))}
+    ),
+    _JSON,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_DOCUMENTS)
+def test_parse_loss_raises_only_config_errors(doc):
+    try:
+        spec = parse_loss(doc)
+    except ConfigError:
+        return
+    assert isinstance(spec, (LossSpec, CombinedLossSpec))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -33,6 +34,35 @@ from wsol.weights import (
     ValueMaxWeight,
     ValueProdWeight,
 )
+
+
+def looped_temporal_dataset(cfg):
+    """The generator with its per-sample precursor loop: the reference."""
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.n
+    labels = np.zeros(n, dtype=np.int64)
+    budget = int(rng.binomial(n, cfg.event_rate))
+    guard = 0
+    while budget > 0 and guard < 10000:
+        guard += 1
+        length = min(int(rng.geometric(0.5)), budget, 4)
+        start = int(rng.integers(0, n))
+        if start + length > n or labels[start : start + length].any():
+            continue
+        labels[start : start + length] = 1
+        budget -= length
+    x = rng.normal(0.0, cfg.noise, size=(n, cfg.features))
+    lead = np.zeros(n)
+    conc = np.zeros(n)
+    decay = np.array([0.9**k for k in range(1, min(cfg.window, n) + 1)])
+    for t in range(n):
+        future = labels[t + 1 : t + 1 + cfg.window]
+        if future.size:
+            lead[t] = np.max(decay[: future.size] * future)
+        conc[t] = labels[t]
+    x[:, 0] += cfg.precursor_strength * lead
+    x[:, 1] += 0.8 * cfg.precursor_strength * conc
+    return x, labels
 
 
 def ce_loss():
@@ -76,6 +106,28 @@ class TestSyntheticData:
             for t in np.arange(0.05, 1.0, 0.05)
         )
         assert best < 0.3
+
+    @pytest.mark.parametrize(
+        "n, window, event_rate, seed",
+        [
+            (200, 3, 0.2, 7),
+            (300, 1, 0.5, 1),
+            (40, 10**30, 0.3, 2),  # a window wider than the series
+            (60, 5, 0.0, 3),  # no events
+            (6, 4, 1.0, 4),  # all events
+            (1, 3, 1.0, 5),
+            (500, 17, 0.05, 6),
+        ],
+    )
+    def test_matches_per_sample_precursor_loop(self, n, window, event_rate, seed):
+        cfg = SyntheticSeriesConfig(
+            n=n, window=window, event_rate=event_rate, seed=seed
+        )
+        got = generate_temporal_dataset(cfg)
+        if event_rate in (0.0, 1.0):
+            assert np.all(got[1] == event_rate)
+        for g, w in zip(got, looped_temporal_dataset(cfg)):
+            np.testing.assert_array_equal(g, w)
 
     def test_window_wider_than_series_is_the_series_length(self):
         wide = generate_temporal_dataset(SyntheticSeriesConfig(n=50, window=10**30))
@@ -505,7 +557,7 @@ class TestEvaluate:
         series = LabeledSeries(model.forward(x), y)
         row = next(r for r in report["sweep"] if abs(r["tau"] - 0.5) < 1e-9)
         cm = hard_confusion(series, 0.5)
-        assert row["cm"] == cm.to_dict()
+        assert row["cm"] == asdict(cm)
 
     def test_sweep_rows_match_scalar_path(self, rng):
         # Tie-heavy value_max series: predictions repeat and sit exactly on
@@ -521,7 +573,7 @@ class TestEvaluate:
             cm = hard_confusion(series, float(tau))
             wc = weighted_hard_confusion(series, float(tau), weights)
             assert row["tau"] == float(tau)
-            assert row["cm"] == cm.to_dict()
+            assert row["cm"] == asdict(cm)
             assert all(type(v) is int for v in row["cm"].values())
             wcm = row["wcm"]
             assert (wcm["tn"], wcm["tp"]) == (wc.tn, wc.tp)

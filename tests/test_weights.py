@@ -3,7 +3,10 @@ import pytest
 
 from conftest import make_series, random_omega
 from wsol.errors import ValidationError
+from wsol.loss import LossSpec, combined_loss
+from wsol.scores import ScoreKind
 from wsol.series import LabeledSeries
+from wsol.verify import PRIORS
 from wsol.weights import (
     CostWeight,
     CrossEntropyWeight,
@@ -147,3 +150,47 @@ def test_factor_methods_match_eval_weight(spec, rng):
                 assert got == pytest.approx(
                     eval_weight(spec, float(tau), i, series), abs=1e-15
                 )
+
+
+def grid_series(rng, n: int) -> LabeledSeries:
+    """n samples with predictions on a coarse grid, so they tie and kinks occur;
+    both classes once n > 1."""
+    labels = np.arange(n) % 2 if n > 1 else np.array([1])
+    rng.shuffle(labels)
+    return LabeledSeries(rng.integers(1, 10, size=n) / 10, labels)
+
+
+def long_omega(cls, length: int, rng) -> tuple[float, ...]:
+    """A valid non-increasing omega of any length for ``cls``."""
+    raw = np.sort(rng.uniform(0.05, 1.0, size=length))[::-1]
+    return tuple(raw * (0.9 / (raw.sum() if cls is ValueProdWeight else raw[0])))
+
+
+@pytest.mark.parametrize("cls", [ValueProdWeight, ValueMaxWeight])
+@pytest.mark.parametrize("n", [1, 2, 5, 50])
+def test_closed_form_terms_have_one_column_per_lag(cls, n, rng):
+    series = grid_series(rng, n)
+    for length in (1, n, 3 * n, 20000):
+        spec = cls(long_omega(cls, length, rng))
+        for dist in PRIORS:
+            _, coef, enters, _ = spec.closed_form_terms(series, dist)
+            assert coef.shape == enters.shape == (n, min(length, n - 1))
+
+
+@pytest.mark.parametrize("cls", [ValueProdWeight, ValueMaxWeight])
+@pytest.mark.parametrize("n", [1, 2, 5, 50])
+def test_lags_past_the_record_change_nothing(cls, n, rng):
+    # Loss, gradient and kinks equal those of the omega cut to the n - 1
+    # lags the series has (one entry at n = 1, the shortest valid omega).
+    series = grid_series(rng, n)
+    score = ScoreKind.TSS if n > 1 else ScoreKind.NEG_ERROR_SUM
+    for length in sorted({1, max(n - 1, 1), n, 3 * n, 20000}):
+        omega = long_omega(cls, length, rng)
+        for dist in PRIORS:
+            value, grad = combined_loss(series, LossSpec(score, cls(omega), dist))
+            cut_value, cut_grad = combined_loss(
+                series, LossSpec(score, cls(omega[: max(n - 1, 1)]), dist)
+            )
+            assert value == cut_value
+            np.testing.assert_array_equal(grad.values, cut_grad.values)
+            assert grad.kink_indices == cut_grad.kink_indices
