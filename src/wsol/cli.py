@@ -58,10 +58,13 @@ MIN_SWEEP_STEP = 1e-4
 
 
 def _open_unit_interval(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")  # fails the range check, as a NaN argument does
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(
-            f"must lie strictly inside (0, 1), got {text!r}"
+            f"expected a number strictly inside (0, 1), got {text!r}"
         )
     return value
 
@@ -279,21 +282,19 @@ def cmd_demo_figure1(args) -> int:
     write_series_csv(out / "series_adjacent_errors.csv", adjacent_error_series())
     write_series_csv(out / "series_isolated_errors.csv", isolated_error_series())
     comparison = compare_series(weights=args.omega, tau=args.tau)
-    (out / "comparison.json").write_text(
-        finite_json(comparison.to_dict(), indent=2)
-    )
-    cm = comparison.confusion
+    (out / "comparison.json").write_text(finite_json(comparison, indent=2))
+    cm = comparison["confusion"]
     print(
         f"both series: tn={cm['tn']} fp={cm['fp']} fn={cm['fn']} tp={cm['tp']} "
-        f"at tau={comparison.tau}"
+        f"at tau={comparison['tau']}"
     )
     print(f"{'score':<14}{'classical':>12}{'adjacent':>12}{'isolated':>12}")
-    for name in comparison.classical_scores:
+    weighted = comparison["weighted_scores"]
+    for name, classical in comparison["classical_scores"].items():
         print(
-            f"{name:<14}"
-            f"{comparison.classical_scores[name]:>12.5f}"
-            f"{comparison.weighted_scores_adjacent[name]:>12.5f}"
-            f"{comparison.weighted_scores_isolated[name]:>12.5f}"
+            f"{name:<14}{classical:>12.5f}"
+            f"{weighted['adjacent_errors'][name]:>12.5f}"
+            f"{weighted['isolated_errors'][name]:>12.5f}"
         )
     print(f"wrote {out}/series_*.csv, comparison.json")
     return EXIT_OK

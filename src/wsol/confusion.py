@@ -51,15 +51,21 @@ def _check_tau(tau: float) -> float:
     return float(tau)
 
 
-def classical_entries(series: LabeledSeries, tn, tp):
-    """Classical (tn, fp, fn, tp) from the tn and tp of any weighted hard matrix.
+def hard_entries(series: LabeledSeries, taus, spec: WeightSpec) -> np.ndarray:
+    """The classical and the weighted hard matrix at each threshold, as (4, 2, B).
 
-    A weight touches only the error entries, so every variant counts tn
-    and tp alike; the errors are the remaining negatives and positives.
-    Works elementwise on arrays of matrices.
+    Axis 0 is (tn, fp or wfp, fn or wfn, tp), axis 1 is (classical,
+    weighted), axis 2 follows ``taus``.  A weight touches only the error
+    entries, so one batch_weighted_entries call gives both: every variant
+    counts tn and tp alike, and the classical errors are the remaining
+    negatives and positives.
     """
+    taus = np.array([_check_tau(tau) for tau in taus])
+    wc = batch_weighted_entries(series, taus, spec)
+    tn, tp = wc[0], wc[3]
     positives = int(np.sum(series.labels))
-    return tn, (series.n - positives) - tn, positives - tp, tp
+    classical = (tn, (series.n - positives) - tn, positives - tp, tp)
+    return np.stack([classical, wc], axis=1)
 
 
 def hard_confusion(series: LabeledSeries, tau: float) -> ConfusionCounts:

@@ -13,9 +13,7 @@ uniform threshold prior.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
-from .confusion import ConfusionCounts, classical_entries, weighted_hard_confusion
+from .confusion import hard_entries
 from .expected import expected_confusion
 from .scores import score_table
 from .series import LabeledSeries
@@ -58,53 +56,28 @@ def isolated_error_series() -> LabeledSeries:
     return LabeledSeries.from_pairs(_ISOLATED)
 
 
-@dataclass(frozen=True)
-class DemoComparison:
-    tau: float
-    confusion: dict
-    classical_scores: dict
-    weighted_scores_adjacent: dict
-    weighted_scores_isolated: dict
-    expected_weighted_adjacent: dict
-    expected_weighted_isolated: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "confusion": self.confusion,
-            "classical_scores": self.classical_scores,
-            "weighted_scores": {
-                "adjacent_errors": self.weighted_scores_adjacent,
-                "isolated_errors": self.weighted_scores_isolated,
-            },
-            "expected_weighted_scores": {
-                "adjacent_errors": self.expected_weighted_adjacent,
-                "isolated_errors": self.expected_weighted_isolated,
-            },
-        }
-
-
 def compare_series(
     weights: WeightSpec = DEFAULT_DEMO_WEIGHTS, tau: float = DEMO_THRESHOLD
-) -> DemoComparison:
-    """Score both arrangements classically and with value weights."""
+) -> dict:
+    """The comparison document: both arrangements scored classically and with
+    value weights, at ``tau`` and in expectation under the uniform prior."""
     dist = ThresholdDistribution.uniform()
-    series_a = adjacent_error_series()
-    series_b = isolated_error_series()
-    wc_a = weighted_hard_confusion(series_a, tau, weights)
-    wc_b = weighted_hard_confusion(series_b, tau, weights)
-    # Both series share one classical matrix, read off the weighted one.
-    cm = ConfusionCounts(*classical_entries(series_a, wc_a.tn, wc_a.tp))
-    return DemoComparison(
-        tau=tau,
-        confusion=asdict(cm),
-        classical_scores=score_table(cm.tn, cm.fp, cm.fn, cm.tp),
-        weighted_scores_adjacent=score_table(wc_a.tn, wc_a.wfp, wc_a.wfn, wc_a.tp),
-        weighted_scores_isolated=score_table(wc_b.tn, wc_b.wfp, wc_b.wfn, wc_b.tp),
-        expected_weighted_adjacent=score_table(
-            *expected_confusion(series_a, dist, weights).entries()
-        ),
-        expected_weighted_isolated=score_table(
-            *expected_confusion(series_b, dist, weights).entries()
-        ),
-    )
+    series = {
+        "adjacent_errors": adjacent_error_series(),
+        "isolated_errors": isolated_error_series(),
+    }
+    entries = {
+        name: hard_entries(s, (tau,), weights)[..., 0] for name, s in series.items()
+    }
+    # Both series share one classical matrix.
+    cm = entries["adjacent_errors"][:, 0]
+    return {
+        "tau": tau,
+        "confusion": dict(zip(("tn", "fp", "fn", "tp"), cm.astype(int).tolist())),
+        "classical_scores": score_table(*cm),
+        "weighted_scores": {name: score_table(*e[:, 1]) for name, e in entries.items()},
+        "expected_weighted_scores": {
+            name: score_table(*expected_confusion(s, dist, weights).entries())
+            for name, s in series.items()
+        },
+    }

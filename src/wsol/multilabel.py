@@ -8,16 +8,14 @@ positive in several columns at once.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError, check_convex
 from .loss import LossEvaluation, LossSpec, evaluate_loss
 from .scores import ScoreKind
-from .series import LabeledSeries, read_csv
+from .series import LabeledSeries
 from .threshold import ThresholdDistribution
 from .weights import WeightSpec
 
@@ -171,37 +169,3 @@ def multilabel_wsol(
         values=grad, nonsmooth=nonsmooth
     )
 
-
-def _multilabel_header(header: list[str]):
-    first = int(header[:1] == ["timestamp"])
-    d = (len(header) - first) // 2
-    if d < 2 or header[first:] != _columns(d):
-        raise ValueError("expected columns label_1..label_d,pred_1..pred_d")
-    return lambda row: (
-        [int(v) for v in row[first : first + d]],
-        [float(v) for v in row[first + d :]],
-    )
-
-
-def _columns(d: int) -> list[str]:
-    return [f"label_{j + 1}" for j in range(d)] + [f"pred_{j + 1}" for j in range(d)]
-
-
-def read_multilabel_csv(path: str | Path) -> MultilabelSeries:
-    """Read `timestamp,label_1..label_d,pred_1..pred_d` (timestamp optional)."""
-    return read_csv(
-        path,
-        "series",
-        _multilabel_header,
-        lambda _, rows: MultilabelSeries(*map(np.array, zip(*rows))),
-    )
-
-
-def write_multilabel_csv(path: str | Path, ml: MultilabelSeries) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp"] + _columns(ml.num_classes))
-        for i, (labels, preds) in enumerate(zip(ml.labels, ml.predictions)):
-            writer.writerow(
-                [i, *(int(v) for v in labels), *(repr(float(v)) for v in preds)]
-            )

@@ -6,9 +6,9 @@ both the prediction and its complement -- and labels are exactly 0 or 1.
 Index order is time order, which the value-weighted paths rely on: every
 reader takes rows in file order and every builder keeps sample order.
 
-Every CSV format -- series, training dataset (finite features, then a
-label), and the multilabel series -- is read by one skeleton, ``read_csv``;
-a format supplies only its header rule and its row conversion.
+Both CSV formats -- series, and training dataset (finite features, then
+a label) -- are read by one skeleton, ``read_csv``; a format supplies only
+its header rule and its row conversion.
 """
 
 from __future__ import annotations
@@ -65,15 +65,16 @@ def read_csv(path: str | Path, what: str, read_header, build):
     """The skeleton every CSV reader shares: one format is two functions.
 
     ``read_header`` takes the lower-cased header and returns the row
-    conversion, or raises ValueError; ``build`` takes the header and the
-    converted rows.  Blank lines are skipped, every other row needs the
-    header's field count, and a ValueError from a conversion names its
-    ``path:line``.  An unreadable or rowless file, a ValueError from the
-    header and a ValidationError from ``build`` are InputErrors.
+    conversion, or raises ValueError; ``build`` takes the converted rows.
+    Blank lines are skipped, and every other row needs the header's field
+    count.  A ValueError from a conversion and a malformed record
+    (``csv.Error``) name ``path:line``, the file line on which the record
+    ends.  An unreadable, non-UTF-8 or rowless file, a ValueError from the
+    header and a ValidationError from ``build`` are InputErrors too.
     """
     path = Path(path)
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
                 header = [h.strip().lower() for h in next(reader)]
@@ -84,7 +85,7 @@ def read_csv(path: str | Path, what: str, read_header, build):
             except ValueError as exc:
                 raise InputError(f"{path}: {exc}") from None
             rows = []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 try:
@@ -92,13 +93,18 @@ def read_csv(path: str | Path, what: str, read_header, build):
                         raise ValueError(f"expected {len(header)} fields")
                     rows.append(convert(row))
                 except ValueError as exc:
-                    raise InputError(f"{path}:{lineno}: {exc}") from None
+                    raise InputError(f"{path}:{reader.line_num}: {exc}") from None
     except OSError as exc:
         raise InputError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        # Decoding runs ahead of the rows, so no line can be named.
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: empty {what}")
     try:
-        return build(header, rows)
+        return build(rows)
     except ValidationError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -115,7 +121,7 @@ def _series_header(header: list[str]):
     return lambda row: (int(row[-2]), float(row[-1]))
 
 
-def _build_series(header: list[str], rows: list[tuple]) -> LabeledSeries:
+def _build_series(rows: list[tuple]) -> LabeledSeries:
     labels, preds = zip(*rows)
     return LabeledSeries(np.array(preds), np.array(labels))
 
@@ -150,7 +156,7 @@ def _dataset_header(header: list[str]):
     return _dataset_row
 
 
-def _build_dataset(header, rows) -> tuple[np.ndarray, np.ndarray]:
+def _build_dataset(rows) -> tuple[np.ndarray, np.ndarray]:
     features, labels = zip(*rows)
     y = np.array(labels)
     if not np.all(np.isin(y, (0, 1))):
@@ -162,12 +168,3 @@ def read_dataset_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a training CSV: finite feature columns f1..fm then a final label column."""
     return read_csv(path, "dataset", _dataset_header, _build_dataset)
 
-
-def write_dataset_csv(
-    path: str | Path, features: np.ndarray, labels: np.ndarray
-) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{j + 1}" for j in range(features.shape[1])] + ["label"])
-        for row, label in zip(features, labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])

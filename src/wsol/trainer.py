@@ -31,12 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .confusion import (
-    ConfusionCounts,
-    WeightedCounts,
-    _check_tau,
-    classical_entries,
-)
+from .confusion import hard_entries
 from .errors import (
     DegenerateDenominatorError,
     TrainingDivergedError,
@@ -315,7 +310,7 @@ def train(
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     head = cfg.loss.components[0][0]
-    tau_report = np.array([head.dist.mean()])
+    tau_report = (head.dist.mean(),)
     result = TrainResult(model=model)
     n = labels.size
     if cfg.chunk is None:
@@ -348,8 +343,7 @@ def train(
                 if not np.all(np.isfinite(arr)):
                     raise TrainingDivergedError(epoch)
         fwd, ev = _evaluate(model, features, labels, cfg.loss, epoch)
-        wc = batch_weighted_entries(ev.series, tau_report, head.weights)
-        entries = np.stack([classical_entries(ev.series, wc[0], wc[3]), wc], axis=1)
+        entries = hard_entries(ev.series, tau_report, head.weights)
         (classical,), (weighted,) = score_array(head.score, *entries)[0]
         result.history.append(
             EpochRecord(
@@ -389,39 +383,39 @@ def sweep_report(
 ) -> dict:
     """Hard and weighted matrices with every score at each threshold, and the best taus.
 
-    One batch_weighted_entries call over all thresholds gives the weighted
-    matrices, and their tn and tp give the classical ones; counts are
-    reported as ints.  Each score is one score_array call over both.
+    One hard_entries call gives both matrices at every threshold, and one
+    score_table call scores them; the rows are read off those arrays
+    column by column, with counts as ints.  The best tau of a score is its
+    first maximum.
     """
-    taus = np.array([_check_tau(tau) for tau in thresholds])
-    wc = batch_weighted_entries(series, taus, weight_spec)
-    cm = classical_entries(series, wc[0], wc[3])
-    both = score_table(*np.stack([cm, wc], axis=1))
-    scores = {name: v[0] for name, v in both.items()}
-    weighted = {name: v[1] for name, v in both.items()}
+    entries = hard_entries(series, thresholds, weight_spec)
+    taus = np.asarray(thresholds, dtype=np.float64).tolist()
+    tn, fp, fn, tp = entries[:, 0].astype(np.int64).tolist()
+    _, wfp, wfn, _ = entries[:, 1].tolist()
+    table = score_table(*entries)
+    # Each threshold's scores by name, of the classical and the weighted matrix.
+    scores, weighted = (
+        [dict(zip(table, vals)) for vals in zip(*(v[k] for v in table.values()))]
+        for k in (0, 1)
+    )
     rows = [
         {
-            "tau": float(tau),
-            "cm": asdict(ConfusionCounts(*(int(v[b]) for v in cm))),
-            "wcm": asdict(
-                WeightedCounts(
-                    int(wc[0][b]), float(wc[1][b]), float(wc[2][b]), int(wc[3][b])
-                )
-            ),
-            "scores": {name: float(v[b]) for name, v in scores.items()},
-            "weighted_scores": {name: float(v[b]) for name, v in weighted.items()},
+            "tau": taus[b],
+            "cm": {"tn": tn[b], "fp": fp[b], "fn": fn[b], "tp": tp[b]},
+            "wcm": {"tn": tn[b], "wfp": wfp[b], "wfn": wfn[b], "tp": tp[b]},
+            "scores": scores[b],
+            "weighted_scores": weighted[b],
         }
-        for b, tau in enumerate(taus)
+        for b in range(len(taus))
     ]
     best = {}
-    for kind in ScoreKind:
-        idx = int(np.argmax([r["scores"][kind.value] for r in rows]))
-        widx = int(np.argmax([r["weighted_scores"][kind.value] for r in rows]))
-        best[kind.value] = {
-            "tau": rows[idx]["tau"],
-            "value": rows[idx]["scores"][kind.value],
-            "weighted_tau": rows[widx]["tau"],
-            "weighted_value": rows[widx]["weighted_scores"][kind.value],
+    for name, (values, wvalues) in table.items():
+        idx, widx = int(np.argmax(values)), int(np.argmax(wvalues))
+        best[name] = {
+            "tau": taus[idx],
+            "value": values[idx],
+            "weighted_tau": taus[widx],
+            "weighted_value": wvalues[widx],
         }
     return {"sweep": rows, "best": best}
 

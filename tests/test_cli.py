@@ -6,7 +6,7 @@ import pytest
 
 from wsol import cli
 from wsol.cli import main
-from wsol.series import read_dataset_csv, write_dataset_csv
+from wsol.series import read_dataset_csv
 
 
 def run(argv):
@@ -363,7 +363,9 @@ class TestTrain:
         y = (rng.random(40) < 0.4).astype(int)
         y[:2] = [0, 1]
         data = tmp_path / "data.csv"
-        write_dataset_csv(data, x, y)
+        header = "f1,f2,f3,label"
+        fmt = ["%.17g"] * 3 + ["%d"]
+        np.savetxt(data, np.column_stack([x, y]), fmt, ",", header=header, comments="")
         back_x, back_y = read_dataset_csv(data)
         np.testing.assert_allclose(back_x, x)
         np.testing.assert_array_equal(back_y, y)
@@ -381,6 +383,31 @@ class TestTrain:
             ]
         )
         assert code == 0
+
+
+@pytest.mark.parametrize(
+    "command, header, row",
+    [("loss", b"label,prediction", b"1,0.5"), ("train", b"f1,f2,label", b"0.5,1.0,1")],
+    ids=["loss", "train"],
+)
+@pytest.mark.parametrize("defect", ["non_utf8", "oversized_field"])
+def test_unreadable_csv_exits_1_without_output(
+    command, header, row, defect, tmp_path, loss_file, monkeypatch, capsys
+):
+    data = tmp_path / "data.csv"
+    if defect == "non_utf8":
+        header = header.replace(b"l", b"\xff", 1)
+        message = f"input error: {data}: not UTF-8 text: invalid start byte"
+    else:
+        row = row.replace(b"0.5", b"0." + b"0" * 200_000 + b"5")
+        message = f"input error: {data}:2: field larger than field limit (131072)"
+    data.write_bytes(header + b"\n" + row + b"\n")
+    monkeypatch.chdir(tmp_path)  # train's default output directory lands here
+    assert run([command, "--data", data, "--loss", loss_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "loss.json"]
 
 
 def test_seed_env_override(tmp_path, monkeypatch, loss_file, synth_file):
@@ -410,6 +437,8 @@ def test_seed_env_override(tmp_path, monkeypatch, loss_file, synth_file):
         ["train", "--loss", "l.json", "--seed", "-1"],
         ["demo-figure1", "--tau", "nan"],
         ["demo-figure1", "--tau", "2"],
+        ["eval", "--data", "s.csv", "--config", "c.json", "--sweep-step", "abc"],
+        ["demo-figure1", "--tau", "abc"],
     ],
     ids=[
         "sweep-step-0",
@@ -425,12 +454,15 @@ def test_seed_env_override(tmp_path, monkeypatch, loss_file, synth_file):
         "train-seed-negative",
         "tau-nan",
         "tau-2",
+        "sweep-step-abc",
+        "tau-abc",
     ],
 )
 def test_bad_numeric_argument_exits_2(argv, tmp_path, monkeypatch, capsys):
     # Relative output paths land in the empty working directory.
     monkeypatch.chdir(tmp_path)
-    assert_usage_error(argv, capsys)
+    err = assert_usage_error(argv, capsys)
+    assert "_open_unit_interval" not in err and "_sweep_step" not in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -446,13 +478,14 @@ def test_bad_seed_env_exits_2(value, monkeypatch, capsys):
 
 
 def assert_usage_error(argv, capsys):
-    """The run exits 2 with one error line and no traceback."""
+    """The run exits 2 with one error line and no traceback; returns stderr."""
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    return err
 
 
 @pytest.mark.parametrize("command", ["eval", "train"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_series, random_omega, weight_menu
-from wsol.confusion import hard_confusion, weighted_hard_confusion
+from wsol.confusion import hard_confusion, hard_entries, weighted_hard_confusion
 from wsol.errors import ValidationError
 from wsol.series import LabeledSeries
 from wsol.weights import (
@@ -68,10 +68,28 @@ def test_step_function_between_breakpoints(rng):
 
 def test_threshold_domain():
     series = LabeledSeries(np.array([0.5]), np.array([1]))
-    with pytest.raises(ValidationError):
-        hard_confusion(series, 0.0)
-    with pytest.raises(ValidationError):
-        hard_confusion(series, 1.0)
+    for tau in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValidationError):
+            hard_confusion(series, tau)
+        with pytest.raises(ValidationError):
+            hard_entries(series, (0.5, tau), UnitWeight())
+
+
+class TestHardEntries:
+    def test_stacks_classical_and_weighted_per_threshold(self, rng):
+        series = make_series(rng, n=30)
+        spec = ValueMaxWeight((0.6, 0.3, 0.1))
+        taus = np.array([0.05, 0.3, 0.5, 0.77, 0.95])
+        entries = hard_entries(series, taus, spec)
+        assert entries.shape == (4, 2, taus.size)
+        for b, tau in enumerate(taus):
+            cm = hard_confusion(series, float(tau))
+            wc = weighted_hard_confusion(series, float(tau), spec)
+            assert tuple(entries[:, 0, b]) == (cm.tn, cm.fp, cm.fn, cm.tp)
+            assert (entries[0, 1, b], entries[3, 1, b]) == (wc.tn, wc.tp)
+            np.testing.assert_allclose(
+                entries[1:3, 1, b], (wc.wfp, wc.wfn), rtol=0, atol=1e-12
+            )
 
 
 class TestWeighted:

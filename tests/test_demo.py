@@ -41,13 +41,15 @@ def test_classical_matrices_agree_at_every_threshold():
 
 def test_classical_scores_identical_weighted_scores_strictly_larger():
     comp = compare_series()
+    assert comp["confusion"] == {"tn": 15, "fp": 4, "fn": 2, "tp": 5}
+    weighted, expected = comp["weighted_scores"], comp["expected_weighted_scores"]
     for kind in ScoreKind:
         name = kind.value
-        adj = comp.weighted_scores_adjacent[name]
-        iso = comp.weighted_scores_isolated[name]
-        assert iso == pytest.approx(comp.classical_scores[name], abs=1e-12)
+        adj = weighted["adjacent_errors"][name]
+        iso = weighted["isolated_errors"][name]
+        assert iso == pytest.approx(comp["classical_scores"][name], abs=1e-12)
         assert adj > iso
-        assert comp.expected_weighted_adjacent[name] > comp.expected_weighted_isolated[name]
+        assert expected["adjacent_errors"][name] > expected["isolated_errors"][name]
 
 
 def test_expected_correct_entries_identical_weighted_errors_smaller():

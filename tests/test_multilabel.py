@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_series
 from wsol import loss
-from wsol.errors import InputError, ValidationError
+from wsol.errors import ValidationError
 from wsol.expected import expected_confusion
 from wsol.loss import LossSpec, loss_gradient
 from wsol.multilabel import (
@@ -13,8 +13,6 @@ from wsol.multilabel import (
     multilabel_global_score,
     multilabel_wsol,
     per_class_scores,
-    read_multilabel_csv,
-    write_multilabel_csv,
 )
 from wsol.oracle import exact_expected_confusion
 from wsol.scores import ScoreKind, apply_score
@@ -188,24 +186,3 @@ class TestGradient:
         _, grad = multilabel_wsol(ml, unit_spec(2, aggregator=Aggregator("min")))
         assert grad.nonsmooth
 
-
-class TestCsv:
-    def test_round_trip(self, rng, tmp_path):
-        ml = random_multilabel(rng, n=8, d=3)
-        path = tmp_path / "ml.csv"
-        write_multilabel_csv(path, ml)
-        back = read_multilabel_csv(path)
-        np.testing.assert_array_equal(back.labels, ml.labels)
-        np.testing.assert_array_equal(back.predictions, ml.predictions)
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("label_1,pred_1\n1,0.5\n")
-        with pytest.raises(InputError):
-            read_multilabel_csv(path)
-
-    def test_empty(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("timestamp,label_1,label_2,pred_1,pred_2\n")
-        with pytest.raises(InputError, match="empty"):
-            read_multilabel_csv(path)

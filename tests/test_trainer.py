@@ -538,6 +538,9 @@ class TestEvaluate:
         for row in report["sweep"]:
             assert row["scores"]["tss"] == 1.0
             assert row["scores"]["accuracy"] == 1.0
+        # Every threshold ties, and the first maximum is the best one.
+        assert report["best"]["tss"]["tau"] == 0.01
+        assert report["best"]["tss"]["weighted_tau"] == 0.01
 
     def test_constant_model_degenerate_rows_score_zero(self):
         model = MLPModel(weights=[np.array([[0.0]])], biases=[np.array([0.1])])
