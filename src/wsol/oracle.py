@@ -155,19 +155,21 @@ def _mc_cells(
         )
     edges = np.unique(series.predictions)
     counts = np.zeros(edges.size + 1, dtype=np.int64)
-    reps = np.empty(edges.size + 1)
+    reps = np.full(edges.size + 1, np.inf)
     rng = np.random.default_rng(seed)
     done = 0
     while done < samples:
         b = min(_CHUNK, samples - done)
-        taus = np.asarray(dist.sample(rng, b))
-        # side="right": a draw equal to a prediction lies in the cell above
-        # it, where that prediction raises no alarm (alarms need p > tau).
-        cells = np.searchsorted(edges, taus, side="right")
-        counts += np.bincount(cells, minlength=counts.size)
-        # Any draw of a cell represents it, so it does not matter which one
-        # the scatter keeps.
-        reps[cells] = taus
+        taus = np.sort(dist.sample(rng, b))
+        # Cell k holds the draws in [edges[k - 1], edges[k]): side="left"
+        # puts a draw equal to a prediction in the cell above it, where that
+        # prediction raises no alarm (alarms need p > tau).
+        first = np.concatenate(([0], np.searchsorted(taus, edges, side="left")))
+        in_cell = np.diff(first, append=b)
+        counts += in_cell
+        # Any draw of a cell represents it; the smallest is taken.
+        hit = in_cell > 0
+        reps[hit] = np.minimum(reps[hit], taus[first[hit]])
         done += b
     occupied = counts > 0
     entries = np.stack(batch_weighted_entries(series, reps[occupied], spec))

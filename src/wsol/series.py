@@ -69,12 +69,13 @@ def read_csv(path: str | Path, what: str, read_header, build):
     Blank lines are skipped, and every other row needs the header's field
     count.  A ValueError from a conversion and a malformed record
     (``csv.Error``) name ``path:line``, the file line on which the record
-    ends.  An unreadable, non-UTF-8 or rowless file, a ValueError from the
-    header and a ValidationError from ``build`` are InputErrors too.
+    ends.  Files are UTF-8, with or without a byte-order mark.  An
+    unreadable, non-UTF-8 or rowless file, a ValueError from the header and
+    a ValidationError from ``build`` are InputErrors too.
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = [h.strip().lower() for h in next(reader)]

@@ -8,13 +8,15 @@ continued fraction so the cdf used by expectations and the cdf used by
 inverse-transform sampling are one and the same routine.
 
 Beta sampling inverts that cdf.  A 2049-point grid gives each draw a
-bracket and a starting point; safeguarded Newton steps then refine only
-the draws whose residual |F(x) - u| still exceeds 1e-12, so a draw leaves
-the loop, and costs no further cdf evaluations, once it has converged.
-Bisection on the float bit patterns finishes the rare draws Newton
-cannot settle (steep tails, steps below the float spacing) on
-neighbouring floats.  Most shapes need about two cdf evaluations per
-draw.
+bracket, and the chord of that grid cell a starting point.  One loop then
+refines only the draws whose residual |F(x) - u| still exceeds 1e-12: each
+round narrows a draw's bracket to the side of x its residual shows and
+takes a Newton step where it lands strictly inside the bracket, else the
+midpoint of the bracket's float bit patterns.  A draw leaves the loop,
+and costs no further cdf evaluations, once it has converged or its
+bracket is two neighbouring floats (steep tails, where the cdf jumps by
+more than the tolerance between floats).  Most shapes need about two cdf
+evaluations per draw.
 """
 
 from __future__ import annotations
@@ -30,10 +32,8 @@ from .errors import ValidationError, check_finite
 _CF_MAX_ITER = 400
 _CF_EPS = 1e-15
 _TINY = 1e-300
-# Beta inversion: a draw is settled once |cdf(x) - u| is within _INVERT_TOL;
-# draws still unsettled after _NEWTON_STEPS Newton steps are bisected.
+# Beta inversion: a draw is settled once |cdf(x) - u| is within _INVERT_TOL.
 _INVERT_TOL = 1e-12
-_NEWTON_STEPS = 10
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -43,41 +43,43 @@ def _log_beta(a: float, b: float) -> float:
 def _beta_cf(a, b, x):
     """Continued fraction for the incomplete beta, vectorized over x.
 
-    Modified Lentz evaluation of the standard even/odd-term expansion;
-    converges fast for x < (a + 1) / (a + b + 2), which the caller
-    guarantees via the symmetry transformation.
+    Modified Lentz evaluation of 1/(1 + d1/(1 + d2/(1 + ...))) with the
+    standard even/odd coefficients: round 0 applies d1, round m applies
+    d_2m and then d_2m+1.  C starts infinite, so the half-step on d1
+    leaves C = 1 and h = D = 1 / (1 + d1).  Converges fast for
+    x < (a + 1) / (a + b + 2), which the caller guarantees via the
+    symmetry transformation.
     """
     x = np.asarray(x, dtype=np.float64)
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    np.copyto(d, _TINY, where=np.abs(d) < _TINY)
-    d = 1.0 / d
-    h = d.copy()
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        num = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + num * d
-        np.copyto(d, _TINY, where=np.abs(d) < _TINY)
-        c = 1.0 + num / c
-        np.copyto(c, _TINY, where=np.abs(c) < _TINY)
-        d = 1.0 / d
-        h = h * d * c
-        num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + num * d
-        np.copyto(d, _TINY, where=np.abs(d) < _TINY)
-        c = 1.0 + num / c
-        np.copyto(c, _TINY, where=np.abs(c) < _TINY)
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
+    c = np.full_like(x, np.inf)
+    d = np.ones_like(x)
+    h = np.ones_like(x)
+    nums = (-(a + b) * x / (a + 1.0),)
+    for m in range(1, _CF_MAX_ITER + 2):
+        for num in nums:
+            d = 1.0 + num * d
+            np.copyto(d, _TINY, where=np.abs(d) < _TINY)
+            c = 1.0 + num / c
+            np.copyto(c, _TINY, where=np.abs(c) < _TINY)
+            d = 1.0 / d
+            delta = d * c
+            h = h * delta
         if np.all(np.abs(delta - 1.0) < _CF_EPS):
             return h
+        m2 = 2 * m
+        nums = (
+            m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
+            -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2)),
+        )
     raise ValidationError(
         f"incomplete beta continued fraction did not converge for a={a}, b={b}"
     )
+
+
+def _lower_tail(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """I_x(a, b) as front factor times continued fraction, for 0 < x < 1."""
+    front = np.exp(a * np.log(x) + b * np.log1p(-x) - _log_beta(a, b)) / a
+    return front * _beta_cf(a, b, x)
 
 
 def regularized_incomplete_beta(a: float, b: float, x):
@@ -87,37 +89,24 @@ def regularized_incomplete_beta(a: float, b: float, x):
     x_arr = np.asarray(x, dtype=np.float64)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
-    if np.any((x_arr < 0) | (x_arr > 1)):
+    # Written so that NaN, which fails every comparison, fails it too.
+    if not np.all((x_arr >= 0) & (x_arr <= 1)):
         raise ValidationError("incomplete beta argument must lie in [0, 1]")
-    out = np.empty_like(x_arr)
-    lo = x_arr <= 0.0
-    hi = x_arr >= 1.0
-    out[lo] = 0.0
-    out[hi] = 1.0
-    mid = ~(lo | hi)
-    if np.any(mid):
-        xm = x_arr[mid]
-        # Symmetry keeps the continued fraction in its fast-convergence region.
-        flip = xm > (a + 1.0) / (a + b + 2.0)
-        res = np.empty_like(xm)
-        for use_flip in (False, True):
-            sel = flip if use_flip else ~flip
-            if not np.any(sel):
-                continue
-            aa, bb = (b, a) if use_flip else (a, b)
-            xs = 1.0 - xm[sel] if use_flip else xm[sel]
-            front = np.exp(
-                aa * np.log(xs) + bb * np.log1p(-xs) - _log_beta(aa, bb)
-            ) / aa
-            val = front * _beta_cf(aa, bb, xs)
-            res[sel] = 1.0 - val if use_flip else val
-        out[mid] = np.clip(res, 0.0, 1.0)
+    out = np.where(x_arr >= 1.0, 1.0, 0.0)
+    mid = (x_arr > 0.0) & (x_arr < 1.0)
+    xm = x_arr[mid]
+    # Symmetry keeps the continued fraction in its fast-convergence region.
+    flip = xm > (a + 1.0) / (a + b + 2.0)
+    res = np.empty_like(xm)
+    res[~flip] = _lower_tail(a, b, xm[~flip])
+    res[flip] = 1.0 - _lower_tail(b, a, 1.0 - xm[flip])
+    out[mid] = np.clip(res, 0.0, 1.0)
     return float(out[0]) if scalar else out
 
 
 @lru_cache(maxsize=32)
 def _beta_quantile_grid(alpha: float, beta: float):
-    # Coarse inverse-cdf table; refined by Newton/bisection in sample().
+    # Coarse inverse-cdf table: each draw's bracket and start in sample().
     x = np.linspace(0.0, 1.0, 2049)
     return x, regularized_incomplete_beta(alpha, beta, x)
 
@@ -199,9 +188,11 @@ class ThresholdDistribution:
         """Draw i.i.d. thresholds by inverse-transform on cdf().
 
         One ``rng.random(size)`` call supplies the uniforms.  Beta draws
-        invert the implemented cdf to a residual of 1e-12 (grid bracket,
-        Newton steps on the unconverged draws only, bisection fallback),
-        so sampler and cdf cannot drift apart.
+        invert the implemented cdf to a residual of 1e-12, or to
+        neighbouring floats where the cdf steps over that band: each draw
+        starts at the chord of its grid cell, and one loop refines the
+        unconverged draws with Newton steps, bisecting where a step would
+        leave the bracket, so sampler and cdf cannot drift apart.
         """
         u = rng.random(size)
         if self.kind == "uniform":
@@ -212,64 +203,41 @@ class ThresholdDistribution:
 
     def _invert_beta_cdf(self, u: np.ndarray) -> np.ndarray:
         grid_x, grid_f = _beta_quantile_grid(self.alpha, self.beta)
-        idx = np.clip(np.searchsorted(grid_f, u, side="right"), 1, len(grid_x) - 1)
+        # grid_f runs from 0 to 1 and u < 1, so grid_f[idx - 1] <= u < grid_f[idx].
+        idx = np.searchsorted(grid_f, u, side="right")
         lo = grid_x[idx - 1]
         hi = grid_x[idx]
+        f_lo = grid_f[idx - 1]
+        x = lo + (hi - lo) * ((u - f_lo) / (grid_f[idx] - f_lo))
         # Each full-size temporary alive during a cdf call adds to the
-        # sampler's peak memory, so idx and f_err are dropped early.
-        del idx
-        x = np.interp(u, grid_f, grid_x)
+        # sampler's peak memory, so each is dropped before the next call.
+        del idx, f_lo
         out = np.empty_like(u)
         # Positions in u of the draws still unsettled; x, lo, hi and target
         # hold only those draws, so each round evaluates the cdf on them alone.
         todo = np.arange(u.size)
         target = u
-        for step in range(_NEWTON_STEPS + 1):
+        while True:
             f_err = regularized_incomplete_beta(self.alpha, self.beta, x) - target
-            settled = np.abs(f_err) <= _INVERT_TOL
-            if settled.any():
-                out[todo[settled]] = x[settled]
-                keep = ~settled
-                todo, x, f_err, lo, hi, target = (
-                    v[keep] for v in (todo, x, f_err, lo, hi, target)
-                )
-            if todo.size == 0:
-                return out
             # An unsettled x is a strict bound on its root.
             np.copyto(lo, x, where=f_err < 0)
             np.copyto(hi, x, where=f_err > 0)
-            if step == _NEWTON_STEPS:
-                break
-            x = self._newton_step(x, f_err, lo, hi)
-            del f_err
-        # Newton could not settle these (slow next to a pole, or the cdf
-        # jumps by more than the tolerance between neighbouring floats):
-        # bisect their brackets on the int64 bit patterns, which order
-        # non-negative floats, so that in at most 64 rounds lo and hi are
-        # neighbouring floats however small the quantile.  hi is then the
-        # least float whose cdf reaches u.
-        lo_bits = lo.view(np.int64)
-        hi_bits = hi.view(np.int64)
-        for _ in range(64):
-            gap = hi_bits - lo_bits
-            if np.all(gap <= 1):
-                break
-            mid_bits = lo_bits + gap // 2
-            below = (
-                regularized_incomplete_beta(
-                    self.alpha, self.beta, mid_bits.view(np.float64)
-                )
-                < target
+            # The int64 bit patterns order non-negative floats, so a gap of
+            # one is two neighbouring floats; hi is then the least float
+            # whose cdf exceeds u.
+            settled = np.abs(f_err) <= _INVERT_TOL
+            done = settled | (hi.view(np.int64) - lo.view(np.int64) <= 1)
+            out[todo[done]] = np.where(settled, x, hi)[done]
+            keep = ~done
+            todo, x, f_err, lo, hi, target = (
+                v[keep] for v in (todo, x, f_err, lo, hi, target)
             )
-            np.copyto(lo_bits, mid_bits, where=below)
-            np.copyto(hi_bits, mid_bits, where=~below)
-        out[todo] = hi
-        return out
-
-    def _newton_step(self, x, f_err, lo, hi):
-        """Newton step on cdf(x) - u; the bracket midpoint where it leaves (lo, hi)."""
-        dens = self.pdf(x)
-        x_new = x - f_err / np.maximum(dens, 1e-12)
-        # A Newton step must land strictly inside the bracket to be trusted.
-        bad = (x_new <= lo) | (x_new >= hi) | (dens <= 1e-12)
-        return np.where(bad, 0.5 * (lo + hi), x_new)
+            del settled, done, keep
+            if todo.size == 0:
+                return out
+            with np.errstate(divide="ignore", over="ignore"):
+                newton = x - f_err / self.pdf(x)
+            lo_bits = lo.view(np.int64)
+            mid = (lo_bits + (hi.view(np.int64) - lo_bits) // 2).view(np.float64)
+            x = np.where((newton > lo) & (newton < hi), newton, mid)
+            del f_err, newton, mid

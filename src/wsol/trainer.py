@@ -206,18 +206,22 @@ def generate_temporal_dataset(
     """Deterministic bursty event sequence with leading-indicator features.
 
     The positive count is drawn binomially, then split into short bursts
-    placed at random, so events arrive in clusters.  Feature 0 carries a
-    decaying precursor signal ahead of each event, feature 1 a concurrent
-    signal; the rest are pure noise.  With precursor_strength 0 every
-    feature is independent of the labels.
+    placed at random, so events arrive in clusters.  Placement stops after
+    10,000 + 20 n attempts.  Placing every drawn positive takes about
+    0.13 n attempts at event rate 0.2, 3 n at 0.9 and 11-24 n at 1 (more
+    for longer series), so only rates near 1 on long series can end short
+    of the drawn count.  Feature 0 carries a decaying precursor signal
+    ahead of each event, feature 1 a concurrent signal; the rest are pure
+    noise.  With precursor_strength 0 every feature is independent of the
+    labels.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n
     labels = np.zeros(n, dtype=np.int64)
     budget = int(rng.binomial(n, cfg.event_rate))
-    guard = 0
-    while budget > 0 and guard < 10000:
-        guard += 1
+    for _ in range(10000 + 20 * n):
+        if budget == 0:
+            break
         length = min(int(rng.geometric(0.5)), budget, 4)
         start = int(rng.integers(0, n))
         if start + length > n or labels[start : start + length].any():

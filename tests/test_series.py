@@ -82,6 +82,27 @@ def test_csv_row_error_names_the_file_line(tmp_path):
         read_series_csv(path)
 
 
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_series_csv, "timestamp,label,prediction\n0,1,0.8\n1,0,0.3\n"),
+        (read_dataset_csv, "f1,label\n0.5,1\n-2.0,0\n"),
+    ],
+    ids=["series", "dataset"],
+)
+def test_csv_readers_accept_a_byte_order_mark(reader, text, tmp_path):
+    # Spreadsheet exports often start UTF-8 files with a byte-order mark.
+    plain = tmp_path / "plain.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / "marked.csv"
+    marked.write_text(text, encoding="utf-8-sig")
+    want, got = reader(plain), reader(marked)
+    if isinstance(want, LabeledSeries):
+        want, got = (want.predictions, want.labels), (got.predictions, got.labels)
+    for w, g in zip(want, got):
+        np.testing.assert_array_equal(g, w)
+
+
 def test_csv_out_of_domain_prediction(tmp_path):
     path = tmp_path / "dom.csv"
     path.write_text("label,prediction\n0,1.5\n")

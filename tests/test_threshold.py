@@ -67,6 +67,12 @@ class TestCdf:
         ref = scipy_betainc(alpha, beta, x)
         np.testing.assert_allclose(ours, ref, atol=1e-12)
 
+    def test_rejects_nan_argument(self):
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+            regularized_incomplete_beta(2.0, 2.0, [0.3, np.nan])
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+            ThresholdDistribution.beta_prior(2.0, 2.0).cdf(np.nan)
+
     def test_monotone_nondecreasing(self, rng):
         for d in (
             ThresholdDistribution.uniform(0.1, 0.9),
@@ -176,6 +182,29 @@ class TestSampling:
         d = ThresholdDistribution.beta_prior(alpha, beta)
         d.sample(np.random.default_rng(9), 20000)
         assert sum(evaluated) <= 3 * 20000
+
+    @pytest.mark.parametrize(
+        "alpha,beta,per_draw",
+        [(0.1, 0.1, 18.0), (0.2, 0.2, 7.5)],
+        ids=["beta01_01", "beta02_02"],
+    )
+    def test_pole_shape_cdf_evaluations_per_draw(
+        self, alpha, beta, per_draw, monkeypatch
+    ):
+        # Draws next to a pole start far from their quantile; Newton steps
+        # that stay inside the bracket and bit-pattern bisection where they
+        # do not keep their cost bounded (grid build included).
+        evaluated = []
+
+        def counting(a, b, x):
+            evaluated.append(np.size(x))
+            return regularized_incomplete_beta(a, b, x)
+
+        threshold._beta_quantile_grid.cache_clear()
+        monkeypatch.setattr(threshold, "regularized_incomplete_beta", counting)
+        d = ThresholdDistribution.beta_prior(alpha, beta)
+        d.sample(np.random.default_rng(9), 20000)
+        assert sum(evaluated) <= per_draw * 20000
 
     @pytest.mark.parametrize(
         "alpha,beta",

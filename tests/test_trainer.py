@@ -129,6 +129,15 @@ class TestSyntheticData:
         for g, w in zip(got, looped_temporal_dataset(cfg)):
             np.testing.assert_array_equal(g, w)
 
+    @pytest.mark.parametrize("n, event_rate", [(200_000, 0.2), (2000, 1.0)])
+    def test_labels_hold_the_drawn_positive_count(self, n, event_rate):
+        # Burst placement may not give up before every drawn positive is
+        # placed, on long series and on full ones.
+        cfg = SyntheticSeriesConfig(n=n, event_rate=event_rate, seed=1)
+        _, labels = generate_temporal_dataset(cfg)
+        drawn = np.random.default_rng(1).binomial(n, event_rate)
+        assert labels.sum() == drawn
+
     def test_window_wider_than_series_is_the_series_length(self):
         wide = generate_temporal_dataset(SyntheticSeriesConfig(n=50, window=10**30))
         snug = generate_temporal_dataset(SyntheticSeriesConfig(n=50, window=49))
