@@ -103,24 +103,28 @@ def batch_weighted_entries(
     alarm when it exceeds the threshold strictly.  The weighted entries
     sum the spec's hard-path factors over the false alarms and misses;
     the counts are exact integers held as floats.  Thresholds are taken
-    in blocks of at most _BATCH_ELEMENTS matrix elements.
+    in blocks of at most _BATCH_ELEMENTS matrix elements, each alarm
+    matrix cast to floats once.  Every entry is a vector-matrix product
+    with a float label mask: the negatives (tn), the FP factors zeroed on
+    positives (wfp), and the positives, with the alarms (tp) and with the
+    FN factors zeroed where an alarm is raised (wfn).
     """
     p = series.predictions
-    pos = series.labels == 1
+    pos = series.labels.astype(np.float64)
+    neg = 1.0 - pos
+    fp_neg = spec.fp_factors(series) * neg
     taus = np.asarray(taus, dtype=np.float64)
-    fp_w = spec.fp_factors(series)[~pos]
     out = np.empty((4, taus.size))
     step = max(1, _BATCH_ELEMENTS // series.n)
     for lo in range(0, taus.size, step):
         cols = slice(lo, lo + step)
         alarm = p[:, None] > taus[None, cols]
-        false_alarm = alarm[~pos]
-        miss = ~alarm[pos]
-        fn_w = np.broadcast_to(spec.fn_factors(series, alarm)[pos], miss.shape)
-        out[0, cols] = false_alarm.shape[0] - false_alarm.sum(axis=0)
-        out[1, cols] = np.einsum("i,ib->b", fp_w, false_alarm)
-        out[2, cols] = np.einsum("ib,ib->b", fn_w, miss)
-        out[3, cols] = miss.shape[0] - miss.sum(axis=0)
+        raised = alarm.astype(np.float64)
+        missed = spec.fn_factors(series, alarm) * (1.0 - raised)
+        out[0, cols] = neg.sum() - neg @ raised
+        out[1, cols] = fp_neg @ raised
+        out[2, cols] = pos @ missed
+        out[3, cols] = pos @ raised
     return out[0], out[1], out[2], out[3]
 
 

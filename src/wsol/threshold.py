@@ -48,12 +48,14 @@ def _beta_cf(a, b, x):
     d_2m and then d_2m+1.  C starts infinite, so the half-step on d1
     leaves C = 1 and h = D = 1 / (1 + d1).  Converges fast for
     x < (a + 1) / (a + b + 2), which the caller guarantees via the
-    symmetry transformation.
+    symmetry transformation.  An element stays converged from the first
+    round its |delta - 1| is below _CF_EPS; the call returns once all are.
     """
     x = np.asarray(x, dtype=np.float64)
     c = np.full_like(x, np.inf)
     d = np.ones_like(x)
     h = np.ones_like(x)
+    done = np.zeros(x.shape, dtype=bool)
     nums = (-(a + b) * x / (a + 1.0),)
     for m in range(1, _CF_MAX_ITER + 2):
         for num in nums:
@@ -64,7 +66,8 @@ def _beta_cf(a, b, x):
             d = 1.0 / d
             delta = d * c
             h = h * delta
-        if np.all(np.abs(delta - 1.0) < _CF_EPS):
+        done |= np.abs(delta - 1.0) < _CF_EPS
+        if done.all():
             return h
         m2 = 2 * m
         nums = (

@@ -49,11 +49,10 @@ from .weights import UnitWeight, WeightSpec
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) never overflows, and each branch divides as the stable form
-    # for its sign of z does.
+    # exp(-|z|) never overflows, and the one division takes each sign's
+    # stable numerator: 1 for z >= 0, exp(z) below.
     e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 _PRED_EPS = 1e-9
@@ -138,7 +137,8 @@ class MLPModel:
             if layer:
                 slope = a * a
                 np.subtract(1.0, slope, out=slope)
-                delta = self.weights[layer] @ delta
+                w = self.weights[layer]  # a one-row delta: an outer product
+                delta = w * delta if delta.shape[0] == 1 else w @ delta
                 delta *= slope
         return grad_w, grad_b
 

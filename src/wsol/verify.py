@@ -191,7 +191,7 @@ def criterion_max_window(
         # The window's chain, read off the closed form's own marking; each
         # member's interval runs up from its precursor's prediction.
         preds = np.concatenate([window[::-1], [0.45]])
-        member = _chain_members(preds, 0.0, len(window))[0][-1]
+        member = _chain_members(preds, 0.0, len(window))[0][:, -1]
         got, lower, precursor = [], 0.0, 0
         for lag in (np.flatnonzero(member) + 1).tolist():
             got.append((lag, lower, window[lag - 1], precursor))

@@ -12,7 +12,8 @@ Each variant's class owns the decisions that depend on it:
 * ``fn_factors`` -- the weight of each sample as a false negative, given
   the (n, B) alarm matrix of B thresholds;
 * ``closed_form_terms`` -- what both closed forms derive from the series
-  and the prior's support alone, built once per loss evaluation;
+  and the prior's support alone, built once per loss evaluation: for the
+  value variants, (T, n) lag rows and FP factors, each masked to its class;
 * ``expected_errors`` -- the closed-form (E[wFP], E[wFN]) under a
   threshold prior;
 * ``error_derivatives`` -- their derivatives in each prediction, with the
@@ -82,6 +83,12 @@ class WeightSpec:
         raise NotImplementedError
 
 
+def _label_masks(series: LabeledSeries) -> tuple[np.ndarray, np.ndarray]:
+    """(negatives, positives) as float 0/1 masks, so class sums are dot products."""
+    pos = series.labels.astype(np.float64)
+    return 1.0 - pos, pos
+
+
 class _ErrorTypeWeight(WeightSpec):
     # c01 on every false positive, c10 on every false negative.  The
     # expected entries scale the unit sums after summing, so a cost weight
@@ -94,6 +101,7 @@ class _ErrorTypeWeight(WeightSpec):
         return np.full((series.n, 1), float(self.c10))
 
     def expected_errors(self, series, dist, cdf, terms):
+        # Class-wise sums: a dot product would move unit-weight runs' last bits.
         pos = series.labels == 1
         return (
             self.c01 * float(np.sum(cdf[~pos])),
@@ -101,9 +109,7 @@ class _ErrorTypeWeight(WeightSpec):
         )
 
     def error_derivatives(self, series, dist, dens, terms):
-        y = series.labels
-        neg = (y == 0).astype(np.float64)
-        pos = y.astype(np.float64)
+        neg, pos = _label_masks(series)
         return self.c01 * neg * dens, -self.c10 * pos * dens, set()
 
 
@@ -161,17 +167,15 @@ class CrossEntropyWeight(WeightSpec):
     def expected_errors(self, series, dist, cdf, terms):
         self.check_prior(dist)
         p = series.predictions
-        pos = series.labels == 1
+        neg, pos = _label_masks(series)
         return (
-            float(-self.omega0 * np.sum(np.log1p(-p[~pos]))),
-            float(-self.omega1 * np.sum(np.log(p[pos]))),
+            float(-self.omega0 * (neg @ np.log1p(-p))),
+            float(-self.omega1 * (pos @ np.log(p))),
         )
 
     def error_derivatives(self, series, dist, dens, terms):
         p = series.predictions
-        y = series.labels
-        neg = (y == 0).astype(np.float64)
-        pos = y.astype(np.float64)
+        neg, pos = _label_masks(series)
         return self.omega0 * neg / (1.0 - p), -self.omega1 * pos / p, set()
 
 
@@ -209,7 +213,7 @@ def _chain_members(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chain marking of the past ``window`` lags of every sample, window < p.size.
 
-    ``member[i, j - 1]`` is set when the prediction at lag j of sample i
+    ``member[j - 1, i]`` is set when the prediction at lag j of sample i
     exceeds the lower support bound ``a`` and every nearer lag's prediction
     strictly: the strict running maxima, which are exactly the lags whose
     power interval is non-empty (of equal predictions the nearer lag keeps
@@ -218,12 +222,12 @@ def _chain_members(
     rather than padded, so they can neither join the chain nor tie.
     """
     n = p.size
-    member = np.zeros((n, window), dtype=bool)
+    member = np.zeros((window, n), dtype=bool)
     tied = np.zeros(n, dtype=bool)
     top = np.full(n, float(a))
     for j in range(1, window + 1):
         past = p[: n - j]
-        member[j:, j - 1] = past > top[j:]
+        np.greater(past, top[j:], out=member[j - 1, j:])
         tied[j:] |= past == top[j:]
         np.maximum(top[j:], past, out=top[j:])
     return member, tied
@@ -247,7 +251,7 @@ class _ValueWeight(WeightSpec):
 
     def fp_factors(self, series):
         n = series.n
-        event = series.labels == 1
+        event = series.labels.astype(np.float64)
         g = np.zeros(n)
         for j, w in enumerate(self._record_omega(n), start=1):
             self._merge(g[: n - j], w * event[j:], out=g[: n - j])
@@ -261,61 +265,59 @@ class _ValueWeight(WeightSpec):
         return 1.0 - g
 
     def _lag_terms(
-        self, p: np.ndarray, a: float
+        self, p: np.ndarray, a: float, pos: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(coef, enters, tied), each row a sample and each column a lag.
+        """(coef, enters, tied) of the positives ``pos``, zero elsewhere;
+        coef and enters are (T, n), a row per lag.
 
         The expected false-negative weight of positive i is
-        1 - F(p_i) - sum_j coef[i, j - 1] * max(F(p_{i-j}) - F(p_i), 0);
-        ``enters`` marks the lags that take part, and ``tied`` the samples
-        at a kink of the lag structure itself.
+        1 - F(p_i) - sum_j coef[j - 1, i] * max(F(p_{i-j}) - F(p_i), 0);
+        ``enters`` marks the lags that take part (coef is zero elsewhere),
+        and ``tied`` the samples at a kink of the lag structure itself.
         """
         raise NotImplementedError
 
     def closed_form_terms(self, series, dist):
-        """(fp_factors, coef, enters, tied), the last three from ``_lag_terms``
-        with one column per lag of ``_record_omega``."""
+        """(fp_neg, coef, enters, tied): ``fp_factors`` zeroed on positives,
+        then ``_lag_terms`` of the positives, a C-contiguous (n,) row for each
+        lag of ``_record_omega``, so every class sum is a dot product."""
         _require_support(series, dist)
-        return (
-            self.fp_factors(series),
-            *self._lag_terms(series.predictions, dist.support[0]),
-        )
+        pos = series.labels == 1
+        lags = self._lag_terms(series.predictions, dist.support[0], pos)
+        return (self.fp_factors(series) * ~pos, *lags)
 
     def expected_errors(self, series, dist, cdf, terms):
         n = series.n
-        pos = series.labels == 1
-        fp, coef, _, _ = terms
-        e_wfp = float(np.sum(fp[~pos] * cdf[~pos]))
-        reduction = np.zeros(n)
-        for j in range(1, coef.shape[1] + 1):
-            reduction[j:] += coef[j:, j - 1] * np.maximum(cdf[: n - j] - cdf[j:], 0.0)
-        return e_wfp, float(np.sum((1.0 - cdf[pos]) - reduction[pos]))
+        fp_neg, coef, _, _ = terms
+        e_wfn = series.labels @ (1.0 - cdf)
+        for j in range(1, coef.shape[0] + 1):
+            gap = cdf[: n - j] - cdf[j:]
+            e_wfn -= coef[j - 1, j:] @ np.maximum(gap, 0.0, out=gap)
+        return float(fp_neg @ cdf), float(e_wfn)
 
     def error_derivatives(self, series, dist, dens, terms):
         p = series.predictions
-        y = series.labels
         n = series.n
-        pos = y == 1
-        fp, coef, enters, tied = terms
-        d_wfp = fp * (y == 0).astype(np.float64) * dens
-        kinks = set(np.flatnonzero(tied & pos).tolist())
+        fp_neg, coef, enters, tied = terms
+        kinks = set(np.flatnonzero(tied).tolist())
         # A positive's own coefficient gains every entering lag predicted
         # above it; that lag's prediction gets the opposite cross term.  A
         # lag predicted exactly at the positive's value is a kink.
-        own = np.full(n, -1.0)
+        own = series.labels * -1.0  # the slope of 1 - F(p_i), on positives
         cross = []
-        for j in range(1, coef.shape[1] + 1):
-            live = enters[j:, j - 1] & pos[j:]
-            above = live & (p[: n - j] > p[j:])
-            own[j:] += np.where(above, coef[j:, j - 1], 0.0)
-            cross.append(np.where(above, coef[j:, j - 1] * dens[: n - j], 0.0))
-            k = np.flatnonzero(live & (p[: n - j] == p[j:]))
-            kinks.update(k.tolist())
-            kinks.update((k + j).tolist())
-        d_wfn = np.where(pos, own * dens, 0.0)
+        for j in range(1, coef.shape[0] + 1):
+            gain = coef[j - 1, j:] * (p[: n - j] > p[j:])
+            own[j:] += gain
+            cross.append(gain * dens[: n - j])
+            tie = enters[j - 1, j:] & (p[: n - j] == p[j:])
+            if tie.any():
+                k = np.flatnonzero(tie)
+                kinks.update(k.tolist())
+                kinks.update((k + j).tolist())
+        d_wfn = own * dens
         for j, term in enumerate(cross, start=1):
             d_wfn[: n - j] -= term
-        return d_wfp, d_wfn, kinks
+        return fp_neg * dens, d_wfn, kinks
 
 
 @dataclass(frozen=True)
@@ -335,11 +337,12 @@ class ValueProdWeight(_ValueWeight):
     def g(self, z: np.ndarray) -> float:
         return float(np.dot(self.omega, z))
 
-    def _lag_terms(self, p, a):
+    def _lag_terms(self, p, a, pos):
         # Every lag inside the record enters with its own omega.
-        omega = self._record_omega(p.size)
-        enters = np.arange(p.size)[:, None] >= np.arange(1, len(omega) + 1)
-        return np.where(enters, omega, 0.0), enters, np.zeros(p.size, dtype=bool)
+        omega = np.array(self._record_omega(p.size))[:, None]
+        enters = np.arange(1, omega.size + 1)[:, None] <= np.arange(p.size)
+        enters &= pos
+        return omega * enters, enters, np.zeros(p.size, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -359,18 +362,22 @@ class ValueMaxWeight(_ValueWeight):
     def g(self, z: np.ndarray) -> float:
         return float(np.max(np.asarray(self.omega) * z)) if len(self.omega) else 0.0
 
-    def _lag_terms(self, p, a):
+    def _lag_terms(self, p, a, pos):
         omega = self._record_omega(p.size)
         # Chain form: telescoping the per-interval integrals leaves one term
         # per chain member, weighted by the drop from its omega to the next
         # member's (0 after the last), found by scanning the lags backwards.
         member, tied = _chain_members(p, a, len(omega))
-        coef = np.zeros(member.shape)
+        member &= pos
+        tied &= pos
+        # omega does not increase, so a nearer member's omega is never below
+        # ``following``, and the products give the selected values exactly.
+        coef = np.empty(member.shape)
         following = np.zeros(p.size)
         for j in range(len(omega), 0, -1):
-            here = member[:, j - 1]
-            coef[:, j - 1] = np.where(here, omega[j - 1] - following, 0.0)
-            following = np.where(here, omega[j - 1], following)
+            here = member[j - 1]
+            np.multiply(omega[j - 1] - following, here, out=coef[j - 1])
+            following = np.maximum(following, omega[j - 1] * here)
         return coef, member, tied
 
 

@@ -138,7 +138,7 @@ def chain_intervals(past, a=0.0):
     from the previous member's prediction (``a`` for the first) to its own.
     """
     past = np.asarray(past, dtype=np.float64)
-    member = _chain_members(np.append(past[::-1], 1.0), a, past.size)[0][-1]
+    member = _chain_members(np.append(past[::-1], 1.0), a, past.size)[0][:, -1]
     uppers = past[member]
     lowers = np.concatenate([[a], uppers[:-1]])
     return list(zip(np.flatnonzero(member) + 1, lowers, uppers))

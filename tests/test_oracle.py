@@ -6,6 +6,7 @@ from wsol.errors import ValidationError
 from wsol.expected import expected_confusion
 from wsol.loss import LossSpec
 from wsol.oracle import (
+    _BATCH_ELEMENTS,
     _CHUNK,
     batch_weighted_entries,
     exact_expected_confusion,
@@ -16,6 +17,7 @@ from wsol.oracle import (
 )
 from wsol.scores import ScoreKind, score_array
 from wsol.series import LabeledSeries
+from wsol.trainer import sweep_thresholds
 from wsol.weights import (
     CostWeight,
     CrossEntropyWeight,
@@ -60,20 +62,35 @@ class TestExactOracle:
             assert a == pytest.approx(b, abs=1e-12)
 
 
+def assert_columns_match_scalar_path(series, taus, spec, rel=None):
+    """Counts equal, weighted entries within 1e-12 (and ``rel`` of their size)."""
+    tn, wfp, wfn, tp = batch_weighted_entries(series, taus, spec)
+    for k, tau in enumerate(taus):
+        ref_tn, ref_wfp, ref_wfn, ref_tp = per_sample_entries(series, float(tau), spec)
+        assert tn[k] == ref_tn and tp[k] == ref_tp
+        assert wfp[k] == pytest.approx(ref_wfp, rel=rel, abs=1e-12)
+        assert wfn[k] == pytest.approx(ref_wfn, rel=rel, abs=1e-12)
+
+
 class TestBatchEntries:
     def test_columns_match_scalar_path(self, rng, both_priors):
         for dist in both_priors:
             series = make_series(rng, n=15)
             taus = dist.sample(np.random.default_rng(4), 25)
             for spec in weight_menu(rng):
-                tn, wfp, wfn, tp = batch_weighted_entries(series, taus, spec)
-                for k, tau in enumerate(taus):
-                    ref_tn, ref_wfp, ref_wfn, ref_tp = per_sample_entries(
-                        series, float(tau), spec
-                    )
-                    assert tn[k] == ref_tn and tp[k] == ref_tp
-                    assert wfp[k] == pytest.approx(ref_wfp, abs=1e-12)
-                    assert wfn[k] == pytest.approx(ref_wfn, abs=1e-12)
+                assert_columns_match_scalar_path(series, taus, spec)
+
+    def test_blocked_sweep_matches_scalar_path(self, rng):
+        # At n = 700 a block holds 93 thresholds, so the 99-threshold sweep
+        # grid spans two blocks.  The weighted sums reach about 1400 here,
+        # where the sample-by-sample reference is itself a few 1e-12 off the
+        # exactly rounded sum, so 1e-12 also applies relative to their size.
+        series = make_series(rng, n=700)
+        grid = sweep_thresholds()
+        assert _BATCH_ELEMENTS // series.n < grid.size == 99
+        for spec in weight_menu(rng):
+            for taus in (np.array([0.37]), grid):
+                assert_columns_match_scalar_path(series, taus, spec, rel=1e-12)
 
 
 class TestMonteCarlo:

@@ -224,6 +224,23 @@ class TestSampling:
         assert np.all(d.cdf(np.nextafter(draws, 0.0)) - u <= 1e-12)
         assert np.all(u - d.cdf(np.nextafter(draws, 1.0)) <= 1e-12)
 
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(1000.0, 0.05), (0.05, 1000.0)],
+        ids=["beta1000_005", "beta005_1000"],
+    )
+    def test_extreme_shapes_invert_every_draw(self, alpha, beta):
+        # Elements of one continued-fraction call converge in different
+        # rounds; each stops counting once it has converged, so no call
+        # waits for a round in which all of them meet the bound at once.
+        d = ThresholdDistribution.beta_prior(alpha, beta)
+        draws = d.sample(np.random.default_rng(7), 20000)
+        u = np.random.default_rng(7).random(20000)
+        f = d.cdf(draws)
+        settled = np.abs(f - u) <= 1e-12
+        stepped = (d.cdf(np.nextafter(draws, 0.0)) < u) & (u <= f)
+        assert np.all(settled | stepped)
+
     def test_scalar_draw(self):
         d = ThresholdDistribution.beta_prior(2.0, 2.0)
         x = d.sample(np.random.default_rng(1))

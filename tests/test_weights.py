@@ -13,6 +13,7 @@ from wsol.weights import (
     UnitWeight,
     ValueMaxWeight,
     ValueProdWeight,
+    _chain_members,
     eval_weight,
     future_labels,
     past_alarm_indicators,
@@ -169,12 +170,58 @@ def long_omega(cls, length: int, rng) -> tuple[float, ...]:
 @pytest.mark.parametrize("cls", [ValueProdWeight, ValueMaxWeight])
 @pytest.mark.parametrize("n", [1, 2, 5, 50])
 def test_closed_form_terms_have_one_column_per_lag(cls, n, rng):
+    # The lag terms are lag-major: one C-contiguous (n,) row per lag.
     series = grid_series(rng, n)
     for length in (1, n, 3 * n, 20000):
         spec = cls(long_omega(cls, length, rng))
         for dist in PRIORS:
             _, coef, enters, _ = spec.closed_form_terms(series, dist)
-            assert coef.shape == enters.shape == (n, min(length, n - 1))
+            assert coef.shape == enters.shape == (min(length, n - 1), n)
+            assert coef.flags.c_contiguous and enters.flags.c_contiguous
+
+
+def sample_major_chain(p, a, window):
+    """The chain marking as (n, window) arrays, a row per sample: the loop
+    the lag-major ``_chain_members`` is checked against."""
+    n = p.size
+    member = np.zeros((n, window), dtype=bool)
+    tied = np.zeros(n, dtype=bool)
+    top = np.full(n, float(a))
+    for j in range(1, window + 1):
+        past = p[: n - j]
+        member[j:, j - 1] = past > top[j:]
+        tied[j:] |= past == top[j:]
+        np.maximum(top[j:], past, out=top[j:])
+    return member, tied
+
+
+@pytest.mark.parametrize("n", [2, 5, 50, 700])
+def test_lag_major_terms_transpose_the_sample_major_loop(n, rng):
+    # Grid predictions tie often, and a window of n - 1 lags reaches before
+    # the record start from every sample but the last.  The value_max
+    # coefficients (under the uniform prior, so a = 0, the last marking
+    # checked) are the backward scan's selected values, bit for bit, zeroed
+    # on negatives.
+    series = grid_series(rng, n)
+    p = series.predictions
+    pos = series.labels == 1
+    for window in sorted({1, min(3, n - 1), n - 1}):
+        for a in (0.3, 0.0):
+            member, tied = _chain_members(p, a, window)
+            ref_member, ref_tied = sample_major_chain(p, a, window)
+            np.testing.assert_array_equal(member, ref_member.T)
+            np.testing.assert_array_equal(tied, ref_tied)
+        omega = long_omega(ValueMaxWeight, window, rng)
+        ref_coef = np.zeros(ref_member.shape)
+        following = np.zeros(n)
+        for j in range(window, 0, -1):
+            here = ref_member[:, j - 1]
+            ref_coef[:, j - 1] = np.where(here, omega[j - 1] - following, 0.0)
+            following = np.where(here, omega[j - 1], following)
+        terms = ValueMaxWeight(omega).closed_form_terms(series, PRIORS[0])
+        np.testing.assert_array_equal(terms[1], (ref_coef * pos[:, None]).T)
+        np.testing.assert_array_equal(terms[2], (ref_member & pos[:, None]).T)
+        np.testing.assert_array_equal(terms[3], ref_tied & pos)
 
 
 @pytest.mark.parametrize("cls", [ValueProdWeight, ValueMaxWeight])
