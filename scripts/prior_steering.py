@@ -12,8 +12,8 @@ import argparse
 
 import numpy as np
 
+from wsol.confusion import hard_entries
 from wsol.loss import LossSpec
-from wsol.oracle import batch_weighted_entries
 from wsol.scores import ScoreKind, score_array
 from wsol.series import LabeledSeries
 from wsol.threshold import ThresholdDistribution
@@ -30,7 +30,7 @@ from wsol.weights import UnitWeight
 
 def skill_curve(model, features, labels, taus):
     series = LabeledSeries(model.forward(features), labels)
-    entries = batch_weighted_entries(series, taus, UnitWeight())
+    entries = hard_entries(series, taus, UnitWeight())[:, 0]
     return score_array(ScoreKind.TSS, *entries)[0]
 
 

@@ -30,6 +30,7 @@ from .loss import (
     ScoreGap,
     combined_loss,
     expected_score_gap,
+    finite_diff_gradient,
     loss_gradient,
     loss_value,
 )
@@ -43,7 +44,6 @@ from .multilabel import (
 from .oracle import (
     exact_expected_confusion,
     exact_expected_score,
-    finite_diff_gradient,
     mc_expected_confusion,
     mc_expected_score,
 )

@@ -75,6 +75,10 @@ def _sweep_step(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be at least {MIN_SWEEP_STEP:g}, got {text!r}"
         )
+    if sweep_thresholds(value).size == 0:
+        raise argparse.ArgumentTypeError(
+            f"leaves no threshold below 1 at 10 decimals, got {text!r}"
+        )
     return value
 
 

@@ -1,4 +1,9 @@
-"""Hard confusion matrices at a fixed threshold.
+"""Hard confusion matrices at fixed thresholds.
+
+``hard_entries`` is the one reader of the hard matrix: it evaluates the
+classical and the weighted matrix at every threshold from one
+``batch_weighted_entries`` call, and the single-threshold records below
+are its columns.
 
 A prediction counts as an alarm only when it exceeds the threshold
 strictly; a prediction exactly at the threshold is classified negative.
@@ -16,7 +21,7 @@ import numpy as np
 from .errors import ValidationError
 from .oracle import batch_weighted_entries
 from .series import LabeledSeries
-from .weights import WeightSpec
+from .weights import UnitWeight, WeightSpec
 
 
 @dataclass(frozen=True)
@@ -45,22 +50,21 @@ class WeightedCounts:
     tp: int
 
 
-def _check_tau(tau: float) -> float:
-    if not (0.0 < tau < 1.0):
-        raise ValidationError(f"threshold must lie in (0, 1), got {tau}")
-    return float(tau)
-
-
 def hard_entries(series: LabeledSeries, taus, spec: WeightSpec) -> np.ndarray:
     """The classical and the weighted hard matrix at each threshold, as (4, 2, B).
 
     Axis 0 is (tn, fp or wfp, fn or wfn, tp), axis 1 is (classical,
-    weighted), axis 2 follows ``taus``.  A weight touches only the error
-    entries, so one batch_weighted_entries call gives both: every variant
-    counts tn and tp alike, and the classical errors are the remaining
-    negatives and positives.
+    weighted), axis 2 follows ``taus``, each of which must lie in (0, 1).
+    A weight touches only the error entries, so one batch_weighted_entries
+    call gives both: every variant counts tn and tp alike, and the
+    classical errors are the remaining negatives and positives.
     """
-    taus = np.array([_check_tau(tau) for tau in taus])
+    taus = np.asarray(taus, dtype=np.float64)
+    # Written so that NaN, which fails every comparison, fails it too.
+    outside = ~((taus > 0.0) & (taus < 1.0))
+    if outside.any():
+        bad = taus[outside][0]
+        raise ValidationError(f"threshold must lie in (0, 1), got {bad}")
     wc = batch_weighted_entries(series, taus, spec)
     tn, tp = wc[0], wc[3]
     positives = int(np.sum(series.labels))
@@ -69,27 +73,15 @@ def hard_entries(series: LabeledSeries, taus, spec: WeightSpec) -> np.ndarray:
 
 
 def hard_confusion(series: LabeledSeries, tau: float) -> ConfusionCounts:
-    """Classical counts at a fixed threshold (alarm iff prediction > tau)."""
-    tau = _check_tau(tau)
-    alarm = series.predictions > tau
-    pos = series.labels == 1
-    return ConfusionCounts(
-        tn=int(np.sum(~pos & ~alarm)),
-        fp=int(np.sum(~pos & alarm)),
-        fn=int(np.sum(pos & ~alarm)),
-        tp=int(np.sum(pos & alarm)),
-    )
+    """Classical counts at a fixed threshold: the classical column of hard_entries."""
+    tn, fp, fn, tp = hard_entries(series, (tau,), UnitWeight())[:, 0, 0]
+    return ConfusionCounts(tn=int(tn), fp=int(fp), fn=int(fn), tp=int(tp))
 
 
 def weighted_hard_confusion(
     series: LabeledSeries, tau: float, spec: WeightSpec
 ) -> WeightedCounts:
-    """Counts with the weight function applied per sample to FP and FN sums.
-
-    This is batch_weighted_entries at the single threshold ``tau``.
-    """
-    tau = _check_tau(tau)
-    tn, wfp, wfn, tp = batch_weighted_entries(series, np.array([tau]), spec)
-    return WeightedCounts(
-        tn=int(tn[0]), wfp=float(wfp[0]), wfn=float(wfn[0]), tp=int(tp[0])
-    )
+    """Counts with the weight function applied per sample to FP and FN sums:
+    the weighted column of hard_entries at the single threshold ``tau``."""
+    tn, wfp, wfn, tp = hard_entries(series, (tau,), spec)[:, 1, 0]
+    return WeightedCounts(tn=int(tn), wfp=float(wfp), wfn=float(wfn), tp=int(tp))

@@ -12,6 +12,9 @@ At value-weight kinks (a window prediction exactly equal to the current
 one, or a tie inside the window's chain) a one-sided derivative is
 returned and the result is flagged non-smooth rather than silently
 picking a subgradient.
+
+``finite_diff_gradient`` takes central differences of ``loss_value``,
+the check the analytic gradient is held to.
 """
 
 from __future__ import annotations
@@ -165,6 +168,43 @@ def loss_gradient(
 ) -> GradientVector:
     """Analytic gradient of the loss with respect to each prediction."""
     return combined_loss(series, spec)[1]
+
+
+@dataclass(frozen=True)
+class FiniteDiffGradient:
+    """Central-difference loss gradient; flagged entries hit the (0,1) clamp."""
+
+    values: np.ndarray
+    clamped_indices: tuple[int, ...] = ()
+
+
+def finite_diff_gradient(series: LabeledSeries, spec, step: float = 1e-6):
+    """Central differences of the loss value with respect to each prediction.
+
+    Entries whose two-sided stencil would leave (0, 1) are evaluated with
+    the stencil shifted inward and flagged.
+    """
+    if not (1e-8 <= step <= 1e-3):
+        raise ValidationError("finite-difference step must lie in [1e-8, 1e-3]")
+    p0 = series.predictions
+    values = np.empty(series.n)
+    clamped = []
+    for i in range(series.n):
+        lo = p0[i] - step
+        hi = p0[i] + step
+        if lo <= 0.0 or hi >= 1.0:
+            clamped.append(i)
+            lo = max(lo, p0[i] / 2)
+            hi = min(hi, (1.0 + p0[i]) / 2)
+        p_hi = p0.copy()
+        p_hi[i] = hi
+        p_lo = p0.copy()
+        p_lo[i] = lo
+        values[i] = (
+            loss_value(series.with_predictions(p_hi), spec)
+            - loss_value(series.with_predictions(p_lo), spec)
+        ) / (hi - lo)
+    return FiniteDiffGradient(values=values, clamped_indices=tuple(clamped))
 
 
 @dataclass(frozen=True)

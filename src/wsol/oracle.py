@@ -19,7 +19,10 @@ Two independent routes to the same expectations:
 Both evaluate the hard matrix through ``batch_weighted_entries``, and the
 only weight methods it calls are the hard-path factors, ``fp_factors``
 and ``fn_factors``.  Neither route touches a closed form, a derivative,
-or the chain algebra behind them, which is the point.
+or the chain algebra behind them, which is the point: this module takes
+nothing from ``wsol.loss`` and only the ``ExpectedConfusion`` record from
+``wsol.expected``.  The gradient's own check, central differences of the
+loss value, lives beside that value in ``wsol.loss``.
 """
 
 from __future__ import annotations
@@ -222,42 +225,3 @@ def mc_expected_score(
         draws=samples,
         degenerate_draws=int(counts[bad].sum()),
     )
-
-
-@dataclass(frozen=True)
-class FiniteDiffGradient:
-    """Central-difference loss gradient; flagged entries hit the (0,1) clamp."""
-
-    values: np.ndarray
-    clamped_indices: tuple[int, ...] = ()
-
-
-def finite_diff_gradient(series: LabeledSeries, spec, step: float = 1e-6):
-    """Central differences of the loss value with respect to each prediction.
-
-    Entries whose two-sided stencil would leave (0, 1) are evaluated with
-    the stencil shifted inward and flagged.
-    """
-    from .loss import loss_value  # deferred: loss builds on this module
-
-    if not (1e-8 <= step <= 1e-3):
-        raise ValidationError("finite-difference step must lie in [1e-8, 1e-3]")
-    p0 = series.predictions
-    values = np.empty(series.n)
-    clamped = []
-    for i in range(series.n):
-        lo = p0[i] - step
-        hi = p0[i] + step
-        if lo <= 0.0 or hi >= 1.0:
-            clamped.append(i)
-            lo = max(lo, p0[i] / 2)
-            hi = min(hi, (1.0 + p0[i]) / 2)
-        p_hi = p0.copy()
-        p_hi[i] = hi
-        p_lo = p0.copy()
-        p_lo[i] = lo
-        values[i] = (
-            loss_value(series.with_predictions(p_hi), spec)
-            - loss_value(series.with_predictions(p_lo), spec)
-        ) / (hi - lo)
-    return FiniteDiffGradient(values=values, clamped_indices=tuple(clamped))

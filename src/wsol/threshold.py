@@ -34,6 +34,10 @@ _CF_EPS = 1e-15
 _TINY = 1e-300
 # Beta inversion: a draw is settled once |cdf(x) - u| is within _INVERT_TOL.
 _INVERT_TOL = 1e-12
+# Largest Beta shape accepted.  Such a prior is all but a point mass, and
+# the continued fraction stops converging near the mean from about 1e6 and
+# overflows its coefficients from about 1e154.
+MAX_BETA_SHAPE = 1e5
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -139,6 +143,11 @@ class ThresholdDistribution:
         elif self.kind == "beta":
             if self.alpha <= 0 or self.beta <= 0:
                 raise ValidationError("beta shapes must be strictly positive")
+            if max(self.alpha, self.beta) > MAX_BETA_SHAPE:
+                raise ValidationError(
+                    f"beta shapes must be at most {MAX_BETA_SHAPE:g}, "
+                    f"got ({self.alpha}, {self.beta})"
+                )
             if (self.a, self.b) != (0.0, 1.0):
                 raise ValidationError("beta prior is supported on [0, 1] only")
         else:

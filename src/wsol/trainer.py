@@ -42,7 +42,6 @@ from .errors import (
 )
 from .expected import expected_confusion
 from .loss import CombinedLossSpec, LossEvaluation, LossSpec, evaluate_loss
-from .oracle import batch_weighted_entries
 from .scores import ScoreKind, score_array, score_table
 from .series import LabeledSeries
 from .weights import UnitWeight, WeightSpec
@@ -378,8 +377,13 @@ def write_history_csv(path: str | Path, history: list[EpochRecord]) -> None:
 
 
 def sweep_thresholds(step: float = 0.01) -> np.ndarray:
-    """The sweep grid step, 2 * step, ... below 1, rounded to 10 decimals."""
-    return np.round(np.arange(step, 1.0, step), 10)
+    """The sweep grid: step, 2 * step, ... rounded to 10 decimals, kept below 1.
+
+    Rounding can carry the last point of ``np.arange`` up to 1.0 (step 1/3
+    does), which is not a threshold, so it is dropped.
+    """
+    grid = np.round(np.arange(step, 1.0, step), 10)
+    return grid[grid < 1.0]
 
 
 def sweep_report(
@@ -448,7 +452,7 @@ def _weighted_metric(
     preds = model.forward(features)
     series = LabeledSeries(preds, labels)
     taus = np.append(sweep_thresholds(), tau_mean)
-    entries = batch_weighted_entries(series, taus, weights)
+    entries = hard_entries(series, taus, weights)[:, 1]
     values, _ = score_array(ScoreKind.TSS, *entries)
     return float(values[-1]), float(np.max(values[:-1]))
 

@@ -15,11 +15,17 @@ from typing import Callable
 
 import numpy as np
 
-from .confusion import hard_confusion, weighted_hard_confusion
+from .confusion import hard_entries
 from .errors import UnsupportedCombinationError
 from .expected import expected_confusion
-from .loss import LossSpec, expected_score_gap, loss_gradient, loss_value
-from .oracle import exact_expected_confusion, finite_diff_gradient, mc_expected_confusion
+from .loss import (
+    LossSpec,
+    expected_score_gap,
+    finite_diff_gradient,
+    loss_gradient,
+    loss_value,
+)
+from .oracle import exact_expected_confusion, mc_expected_confusion
 from .scores import ScoreKind, apply_score
 from .series import LabeledSeries
 from .threshold import ThresholdDistribution
@@ -338,18 +344,18 @@ def criterion_reward_only(rng: np.random.Generator, draws: int) -> dict[str, flo
             spec = ValueProdWeight(random_omega(rng, "prod"))
         else:
             spec = ValueMaxWeight(random_omega(rng, "max"))
-        cm = hard_confusion(series, tau)
-        wc = weighted_hard_confusion(series, tau, spec)
-        above_chance = cm.tp * cm.tn >= cm.fp * cm.fn
+        cm, wc = hard_entries(series, (tau,), spec)[..., 0].T
+        tn, fp, fn, tp = cm
+        _, wfp, wfn, _ = wc
+        above_chance = bool(tp * tn >= fp * fn)
         worst["hss_checked"] += above_chance
         drops = [
-            apply_score(kind, cm.tn, cm.fp, cm.fn, cm.tp).value
-            - apply_score(kind, wc.tn, wc.wfp, wc.wfn, wc.tp).value
+            apply_score(kind, *cm).value - apply_score(kind, *wc).value
             for kind in ScoreKind
             if kind is not ScoreKind.HSS or above_chance
         ]
         worst["reward_excess"] = _worst(
-            worst["reward_excess"], wc.wfn - cm.fn, wc.wfp - cm.fp, *drops
+            worst["reward_excess"], wfn - fn, wfp - fp, *drops
         )
     return worst
 

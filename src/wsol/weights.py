@@ -19,10 +19,10 @@ Each variant's class owns the decisions that depend on it:
 * ``error_derivatives`` -- their derivatives in each prediction, with the
   indices where only a one-sided derivative exists.
 
-The two factor methods are the hard path the oracles integrate; the
-other three are the closed forms those oracles check.  ``eval_weight``
-evaluates one sample from the definition and is the reference the tests
-compare both paths against.
+The two factor methods are the hard path the oracles integrate, and the
+only definition of each weight in the package; the other three are the
+closed forms those oracles check.  ``eval_weight`` reads one sample's
+weight off the factors.
 """
 
 from __future__ import annotations
@@ -334,9 +334,6 @@ class ValueProdWeight(_ValueWeight):
             raise ValidationError("value_prod needs sum(omega) < 1")
         object.__setattr__(self, "omega", omega)
 
-    def g(self, z: np.ndarray) -> float:
-        return float(np.dot(self.omega, z))
-
     def _lag_terms(self, p, a, pos):
         # Every lag inside the record enters with its own omega.
         omega = np.array(self._record_omega(p.size))[:, None]
@@ -359,9 +356,6 @@ class ValueMaxWeight(_ValueWeight):
             raise ValidationError("value_max needs max(omega) < 1")
         object.__setattr__(self, "omega", omega)
 
-    def g(self, z: np.ndarray) -> float:
-        return float(np.max(np.asarray(self.omega) * z)) if len(self.omega) else 0.0
-
     def _lag_terms(self, p, a, pos):
         omega = self._record_omega(p.size)
         # Chain form: telescoping the per-interval integrals leaves one term
@@ -381,48 +375,10 @@ class ValueMaxWeight(_ValueWeight):
         return coef, member, tied
 
 
-def future_labels(series: LabeledSeries, i: int, window: int) -> np.ndarray:
-    """Labels at i+1 .. i+window; indices past the end contribute 0."""
-    out = np.zeros(window, dtype=np.float64)
-    hi = min(window, series.n - 1 - i)
-    if hi > 0:
-        out[:hi] = series.labels[i + 1 : i + 1 + hi]
-    return out
-
-
-def past_alarm_indicators(
-    series: LabeledSeries, i: int, window: int, tau: float
-) -> np.ndarray:
-    """Alarm indicators 1{pred > tau} at i-1 .. i-window; pre-record lags are 0."""
-    out = np.zeros(window, dtype=np.float64)
-    lo = min(window, i)
-    if lo > 0:
-        past = series.predictions[i - lo : i][::-1]
-        out[:lo] = (past > tau).astype(np.float64)
-    return out
-
-
 def eval_weight(spec: WeightSpec, tau: float, i: int, series: LabeledSeries) -> float:
-    """Weight of sample i (0-based) at a fixed threshold.
-
-    For value variants, window positions falling outside the record
-    contribute nothing (no alarm before the record starts, no event after
-    it ends).
-    """
-    y = int(series.labels[i])
-    if isinstance(spec, UnitWeight):
-        return 1.0
-    if isinstance(spec, CostWeight):
-        return (1 - y) * spec.c01 + y * spec.c10
-    if isinstance(spec, CrossEntropyWeight):
-        p = float(series.predictions[i])
-        if y == 0:
-            return -spec.omega0 * np.log1p(-p) / p
-        return -spec.omega1 * np.log(p) / (1.0 - p)
-    if isinstance(spec, (ValueProdWeight, ValueMaxWeight)):
-        if y == 1:
-            z = past_alarm_indicators(series, i, spec.window, tau)
-        else:
-            z = future_labels(series, i, spec.window)
-        return 1.0 - spec.g(z)
-    raise ValidationError(f"unknown weight spec {spec!r}")
+    """Weight of sample i (0-based) at threshold ``tau``, read off the hard-path
+    factors: a negative's false-positive factor, a positive's false-negative one."""
+    if series.labels[i] == 0:
+        return float(spec.fp_factors(series)[i])
+    alarm = series.predictions[:, None] > tau
+    return float(spec.fn_factors(series, alarm)[i, 0])

@@ -1,22 +1,7 @@
 import numpy as np
 import pytest
 
-from wsol.series import LabeledSeries
 from wsol.threshold import ThresholdDistribution
-from wsol.verify import random_omega, random_series, weight_menu  # noqa: F401
-
-
-def make_series(
-    rng: np.random.Generator,
-    n: int | None = None,
-    lo: float = 0.02,
-    hi: float = 0.98,
-) -> LabeledSeries:
-    """``random_series`` of 8-39 samples (or ``n``), predictions moved onto (lo, hi)."""
-    series = random_series(rng, n or int(rng.integers(8, 40)))
-    if (lo, hi) == (0.02, 0.98):
-        return series
-    return series.with_predictions(lo + (hi - lo) * (series.predictions - 0.02) / 0.96)
 
 
 @pytest.fixture

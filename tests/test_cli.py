@@ -428,6 +428,7 @@ def test_seed_env_override(tmp_path, monkeypatch, loss_file, synth_file):
         ["eval", "--data", "s.csv", "--config", "c.json", "--sweep-step", "2"],
         ["eval", "--data", "s.csv", "--config", "c.json", "--sweep-step", "9e-5"],
         ["eval", "--data", "s.csv", "--config", "c.json", "--sweep-step", "1e-9"],
+        ["eval", "--data", "s.csv", "--config", "c.json", "--sweep-step", "0." + "9" * 11],
         ["demo-figure1", "--omega", ""],
         ["train", "--loss", "l.json", "--hidden", "x"],
         ["train", "--loss", "l.json", "--hidden", "0"],
@@ -445,6 +446,7 @@ def test_seed_env_override(tmp_path, monkeypatch, loss_file, synth_file):
         "sweep-step-2",
         "sweep-step-9e-5",
         "sweep-step-1e-9",
+        "sweep-step-no-grid",
         "omega-empty",
         "hidden-x",
         "hidden-0",
@@ -464,6 +466,47 @@ def test_bad_numeric_argument_exits_2(argv, tmp_path, monkeypatch, capsys):
     err = assert_usage_error(argv, capsys)
     assert "_open_unit_interval" not in err and "_sweep_step" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_step_whose_last_point_rounds_to_one_runs(demo_dir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"weights": {"variant": "unit"}}))
+    out = tmp_path / "report.json"
+    data = demo_dir / "series_adjacent_errors.csv"
+    argv = ["eval", "--data", data, "--config", cfg, "--out", out]
+    assert run(argv + ["--sweep-step", "0.3333333333333333"]) == 0
+    taus = [row["tau"] for row in json.loads(out.read_text())["sweep"]]
+    assert taus == [0.3333333333, 0.6666666667]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, distribution",
+    [("loss", (1e154, 1e154)), ("eval", (1e-300, 1e300))],
+    ids=["loss-beta-1e154", "eval-beta-1e300"],
+)
+def test_extreme_beta_shapes_exit_2_with_one_line(
+    demo_dir, tmp_path, capsys, command, distribution
+):
+    # Warnings are errors here, since pytest keeps them off stderr.
+    alpha, beta = distribution
+    document = {
+        "score": "tss",
+        "weights": {"variant": "value_max", "omega": [0.6, 0.3, 0.1]},
+        "distribution": {"kind": "beta", "alpha": alpha, "beta": beta},
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    data = demo_dir / "series_adjacent_errors.csv"
+    if command == "loss":
+        argv = ["loss", "--data", data, "--loss", path]
+    else:
+        argv = ["eval", "--data", data, "--config", path, "--out", tmp_path / "out"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("config error: ") and "at most" in line
 
 
 def test_sweep_step_bound_is_accepted():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import weight_menu
+from helpers import weight_menu
 
 from wsol.config import (
     load_config,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_series, random_omega, weight_menu
+from helpers import make_series, random_omega, weight_menu
 from wsol.confusion import hard_confusion, hard_entries, weighted_hard_confusion
 from wsol.errors import ValidationError
 from wsol.series import LabeledSeries
@@ -69,10 +69,11 @@ def test_step_function_between_breakpoints(rng):
 def test_threshold_domain():
     series = LabeledSeries(np.array([0.5]), np.array([1]))
     for tau in (0.0, 1.0, float("nan")):
-        with pytest.raises(ValidationError):
+        # The message names the first threshold outside (0, 1).
+        with pytest.raises(ValidationError, match=f"got {tau}$"):
             hard_confusion(series, tau)
-        with pytest.raises(ValidationError):
-            hard_entries(series, (0.5, tau), UnitWeight())
+        with pytest.raises(ValidationError, match=f"got {tau}$"):
+            hard_entries(series, (0.5, tau, 2.0), UnitWeight())
 
 
 class TestHardEntries:

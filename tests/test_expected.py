@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_series, random_omega, weight_menu
+from helpers import make_series, random_omega, weight_menu
 from wsol.errors import UnsupportedCombinationError, ValidationError
 from wsol.expected import (
     expected_confusion,

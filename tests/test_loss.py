@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_series, weight_menu
+from helpers import make_series, weight_menu
 from wsol.errors import (
     DegenerateDenominatorError,
     UnsupportedCombinationError,
@@ -14,10 +14,11 @@ from wsol.loss import (
     combined_loss,
     evaluate_loss,
     expected_score_gap,
+    finite_diff_gradient,
     loss_gradient,
     loss_value,
 )
-from wsol.oracle import exact_expected_confusion, finite_diff_gradient
+from wsol.oracle import exact_expected_confusion
 from wsol.scores import ScoreKind, apply_score
 from wsol.series import LabeledSeries
 from wsol.weights import (

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_series
+from helpers import make_series
 from wsol import loss
 from wsol.errors import ValidationError
 from wsol.expected import expected_confusion

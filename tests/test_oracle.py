@@ -1,17 +1,20 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import make_series, weight_menu
+from helpers import make_series, reference_weight, weight_menu
+from wsol import oracle
 from wsol.errors import ValidationError
 from wsol.expected import expected_confusion
-from wsol.loss import LossSpec
+from wsol.loss import LossSpec, finite_diff_gradient
 from wsol.oracle import (
     _BATCH_ELEMENTS,
     _CHUNK,
     batch_weighted_entries,
     exact_expected_confusion,
     exact_expected_score,
-    finite_diff_gradient,
     mc_expected_confusion,
     mc_expected_score,
 )
@@ -23,7 +26,6 @@ from wsol.weights import (
     CrossEntropyWeight,
     UnitWeight,
     ValueMaxWeight,
-    eval_weight,
 )
 
 
@@ -36,9 +38,9 @@ def per_sample_entries(series, tau, spec):
             if alarm:
                 tp += 1
             else:
-                wfn += eval_weight(spec, tau, i, series)
+                wfn += reference_weight(spec, tau, i, series)
         elif alarm:
-            wfp += eval_weight(spec, tau, i, series)
+            wfp += reference_weight(spec, tau, i, series)
         else:
             tn += 1
     return tn, wfp, wfn, tp
@@ -258,3 +260,37 @@ class TestFiniteDifferences:
         spec = LossSpec(ScoreKind.TSS, UnitWeight(), uniform01)
         with pytest.raises(ValidationError):
             finite_diff_gradient(series, spec, step=1e-2)
+
+
+CLOSED_FORM_NAMES = {
+    "closed_form_terms",
+    "expected_errors",
+    "error_derivatives",
+    "expected_confusion",
+    "evaluate_loss",
+    "loss_value",
+}
+
+
+def test_oracles_import_no_closed_form():
+    # The oracles check the closed forms, so they must not reach them: no
+    # import of wsol.loss at any depth, only the result record from
+    # wsol.expected, and no closed-form name anywhere in the module.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("wsol.")
+            imported.setdefault(module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.name.removeprefix("wsol."), set())
+    assert "loss" not in imported
+    assert imported.get("expected") == {"ExpectedConfusion"}
+    names = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert names.isdisjoint(CLOSED_FORM_NAMES)
+    assert set().union(*imported.values()).isdisjoint(CLOSED_FORM_NAMES)

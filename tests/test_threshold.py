@@ -33,6 +33,20 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             ThresholdDistribution.beta_prior(2.0, -1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_beta_shapes_up_to_the_bound_evaluate_without_warning(self):
+        # Past the bound the continued fraction fails to converge near the
+        # mean, and its coefficients overflow (a numpy warning) from 1e154.
+        too_large = ((2e5, 2.0), (2.0, 1e154), (1e154, 1e154), (1e-300, 1e300))
+        for alpha, beta in too_large:
+            with pytest.raises(ValidationError, match="at most"):
+                ThresholdDistribution.beta_prior(alpha, beta)
+        grid = np.linspace(0.0, 1.0, 2001)
+        for alpha, beta in ((1e5, 1e5), (1e5, 1e-300), (1000.0, 0.05)):
+            d = ThresholdDistribution.beta_prior(alpha, beta)
+            assert np.all(np.diff(d.cdf(np.append(grid, d.mean()))[:-1]) >= 0)
+            assert np.all(np.isfinite(d.pdf(grid)))
+
     def test_beta_is_full_support(self):
         d = ThresholdDistribution.beta_prior(2.0, 2.0)
         assert d.support == (0.0, 1.0)

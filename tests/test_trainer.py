@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import weight_menu
+from helpers import weight_menu
 from wsol.confusion import hard_confusion, weighted_hard_confusion
 from wsol.errors import (
     DegenerateDenominatorError,
@@ -602,6 +602,17 @@ class TestEvaluate:
                 assert row["weighted_scores"][kind.value] == pytest.approx(
                     weighted, rel=0, abs=1e-12
                 )
+
+    def test_sweep_grid_of_every_reciprocal_step_lies_inside_unit_interval(self):
+        # Rounded to 10 decimals, the last arange point of 916 of these steps,
+        # 1/3 among them, is 1.0; the default grid keeps its 99 points.
+        for k in range(2, 10_001):
+            grid = sweep_thresholds(1.0 / k)
+            assert grid.size and 0.0 < grid[0] and grid[-1] < 1.0
+        np.testing.assert_array_equal(
+            sweep_thresholds(), np.round(np.arange(0.01, 1.0, 0.01), 10)
+        )
+        assert sweep_thresholds().size == 99
 
     def test_sweep_rejects_threshold_outside_unit_interval(self, rng):
         series = LabeledSeries(rng.uniform(0.1, 0.9, 10), np.arange(10) % 2)

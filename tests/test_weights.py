@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import make_series, random_omega
+from helpers import (
+    future_labels,
+    make_series,
+    past_alarm_indicators,
+    random_omega,
+    reference_weight,
+)
 from wsol.errors import ValidationError
 from wsol.loss import LossSpec, combined_loss
 from wsol.scores import ScoreKind
@@ -15,8 +21,6 @@ from wsol.weights import (
     ValueProdWeight,
     _chain_members,
     eval_weight,
-    future_labels,
-    past_alarm_indicators,
 )
 
 
@@ -135,8 +139,10 @@ FACTOR_SPECS = [
 
 @pytest.mark.parametrize("spec", FACTOR_SPECS, ids=lambda s: s.name)
 def test_factor_methods_match_eval_weight(spec, rng):
-    # Predictions on a coarse grid tie with each other and with the
-    # thresholds; short series put most windows across the record start.
+    # The factors over a whole alarm matrix, and eval_weight's read of one
+    # sample, equal the per-sample definition.  Predictions on a coarse grid
+    # tie with each other and with the thresholds; short series put most
+    # windows across the record start.
     grid = np.array([0.2, 0.35, 0.5, 0.65, 0.8])
     taus = np.append(grid, [0.1, 0.9])
     for _ in range(30):
@@ -148,9 +154,9 @@ def test_factor_methods_match_eval_weight(spec, rng):
         for i in range(n):
             for b, tau in enumerate(taus):
                 got = fn[i, b] if series.labels[i] == 1 else fp[i]
-                assert got == pytest.approx(
-                    eval_weight(spec, float(tau), i, series), abs=1e-15
-                )
+                ref = reference_weight(spec, float(tau), i, series)
+                assert got == pytest.approx(ref, abs=1e-15)
+                assert eval_weight(spec, float(tau), i, series) == got
 
 
 def grid_series(rng, n: int) -> LabeledSeries:
