@@ -67,8 +67,7 @@ def hard_entries(series: LabeledSeries, taus, spec: WeightSpec) -> np.ndarray:
         raise ValidationError(f"threshold must lie in (0, 1), got {bad}")
     wc = batch_weighted_entries(series, taus, spec)
     tn, tp = wc[0], wc[3]
-    positives = int(np.sum(series.labels))
-    classical = (tn, (series.n - positives) - tn, positives - tp, tp)
+    classical = (tn, series.neg.sum() - tn, series.pos.sum() - tp, tp)
     return np.stack([classical, wc], axis=1)
 
 

@@ -75,13 +75,12 @@ def expected_confusion(
     """
     if terms is None:
         terms = spec.closed_form_terms(series, dist)
-    # Float label masks; np.sum keeps the bits the unit loss has always had.
-    pos = series.labels.astype(np.float64)
+    # Mask products; np.sum keeps the bits the unit loss has always had.
     cdf = dist.cdf(series.predictions)
     e_wfp, e_wfn = spec.expected_errors(series, dist, cdf, terms)
     return ExpectedConfusion(
-        e_tn=float(np.sum((1.0 - pos) * (1.0 - cdf))),
+        e_tn=float(np.sum(series.neg * (1.0 - cdf))),
         e_wfp=e_wfp,
         e_wfn=e_wfn,
-        e_tp=float(np.sum(pos * cdf)),
+        e_tp=float(np.sum(series.pos * cdf)),
     )

@@ -1,10 +1,11 @@
 """Score-oriented losses: negated scores of expected weighted matrices.
 
 The loss of a batch is -s(expected weighted confusion matrix).  Because
-the expectation replaces indicators with the prior cdf, the loss is
-differentiable in the predictions; the gradient here is assembled by the
-chain rule through the score partials and the closed-form entry
-derivatives.  Composing with a model's own Jacobian is the trainer's job.
+the expectation replaces indicators with the prior cdf F, each entry's
+derivative in p_i is the prior density f(p_i) times a slope: -1 on
+negatives for tn, 1 on positives for tp, ``error_slopes`` for wFP and wFN.
+The gradient chains the score partials with the slopes, then multiplies by
+the density once per component; the model's Jacobian is the trainer's job.
 ``evaluate_loss`` computes each component's expected matrix once; the
 value and, if asked for, the gradient are both read off that evaluation.
 
@@ -113,22 +114,15 @@ class LossEvaluation:
         Raises DegenerateDenominatorError where a score partial is undefined.
         """
         series = self.series
-        neg = (series.labels == 0).astype(np.float64)
-        pos = series.labels.astype(np.float64)
         grad = np.zeros(series.n)
         kinks: set[int] = set()
         for (spec, beta), r in zip(self.spec.components, self.results):
             # The score partials at the result's expected matrix chained with
-            # the entry derivatives; a value weight contributes cross terms,
-            # since a prediction enters the windows of up to T later positives.
+            # the entry slopes, then the prior density every slope shares.
             s_tn, s_wfp, s_wfn, s_tp = score_partials(spec.score, *r.expected.entries())
-            dens = np.asarray(spec.dist.pdf(series.predictions), dtype=np.float64)
-            d_wfp, d_wfn, k = spec.weights.error_derivatives(
-                series, spec.dist, dens, r.terms
-            )
-            d_tn = -neg * dens
-            d_tp = pos * dens
-            grad += beta * -(s_tn * d_tn + s_wfp * d_wfp + s_wfn * d_wfn + s_tp * d_tp)
+            fp, fn, k = spec.weights.error_slopes(series, r.terms)
+            slope = s_tn * -series.neg + s_wfp * fp + s_wfn * fn + s_tp * series.pos
+            grad += beta * -(slope * spec.dist.pdf(series.predictions))
             kinks |= k
         return GradientVector(values=grad, kink_indices=tuple(sorted(kinks)))
 
@@ -157,7 +151,7 @@ def combined_loss(
     """Value and analytic gradient (per prediction) of a loss.
 
     One expected matrix per component yields both: the score and its
-    partials at that matrix, chained with the entry derivatives.
+    partials at that matrix, chained with the entry slopes.
     """
     ev = evaluate_loss(series, spec)
     return ev.value, ev.gradient()
@@ -196,14 +190,12 @@ def finite_diff_gradient(series: LabeledSeries, spec, step: float = 1e-6):
             clamped.append(i)
             lo = max(lo, p0[i] / 2)
             hi = min(hi, (1.0 + p0[i]) / 2)
-        p_hi = p0.copy()
-        p_hi[i] = hi
-        p_lo = p0.copy()
-        p_lo[i] = lo
-        values[i] = (
-            loss_value(series.with_predictions(p_hi), spec)
-            - loss_value(series.with_predictions(p_lo), spec)
-        ) / (hi - lo)
+        sides = []
+        for x in (hi, lo):
+            p = p0.copy()
+            p[i] = x
+            sides.append(loss_value(series.with_predictions(p), spec))
+        values[i] = (sides[0] - sides[1]) / (hi - lo)
     return FiniteDiffGradient(values=values, clamped_indices=tuple(clamped))
 
 

@@ -8,7 +8,7 @@ positive in several columns at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .weights import WeightSpec
 class MultilabelSeries:
     labels: np.ndarray
     predictions: np.ndarray
+    columns: tuple[LabeledSeries, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         labels = np.asarray(self.labels)
@@ -32,10 +33,10 @@ class MultilabelSeries:
             raise ValidationError("labels and predictions must be (n, d) and congruent")
         if labels.shape[1] < 2:
             raise ValidationError("multilabel series needs at least 2 classes")
-        for j in range(labels.shape[1]):  # each column is a series, checked as one
-            LabeledSeries(preds[:, j], labels[:, j])
+        columns = tuple(LabeledSeries(p, y) for p, y in zip(preds.T, labels.T))
         object.__setattr__(self, "labels", labels.astype(np.int64))
         object.__setattr__(self, "predictions", preds)
+        object.__setattr__(self, "columns", columns)
 
     @property
     def n(self) -> int:
@@ -46,7 +47,7 @@ class MultilabelSeries:
         return self.labels.shape[1]
 
     def column(self, j: int) -> LabeledSeries:
-        return LabeledSeries(self.predictions[:, j], self.labels[:, j])
+        return self.columns[j]
 
 
 @dataclass(frozen=True)

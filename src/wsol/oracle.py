@@ -113,8 +113,7 @@ def batch_weighted_entries(
     FN factors zeroed where an alarm is raised (wfn).
     """
     p = series.predictions
-    pos = series.labels.astype(np.float64)
-    neg = 1.0 - pos
+    neg, pos = series.neg, series.pos
     fp_neg = spec.fp_factors(series) * neg
     taus = np.asarray(taus, dtype=np.float64)
     out = np.empty((4, taus.size))

@@ -13,9 +13,10 @@ its header rule and its row conversion.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -24,29 +25,41 @@ import numpy as np
 from .errors import InputError, ValidationError
 
 
+def _checked_predictions(predictions, shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only float copy of ``predictions``, 1-d of ``shape``, in (0, 1)."""
+    preds = np.array(predictions, dtype=np.float64)
+    if preds.ndim != 1 or preds.shape != shape:
+        raise ValidationError("predictions and labels must be 1-d and equal length")
+    if preds.size == 0:
+        raise ValidationError("empty series")
+    # Written so that NaN, which fails every comparison, fails it too.
+    if not ((preds > 0.0) & (preds < 1.0)).all():
+        raise ValidationError("predictions must lie strictly inside (0, 1)")
+    preds.flags.writeable = False
+    return preds
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledSeries:
+    """Predictions and 0/1 labels; ``pos`` and ``neg`` are the classes as
+    read-only float masks, built once, which every class sum reads."""
+
     predictions: np.ndarray
     labels: np.ndarray
+    pos: np.ndarray = field(init=False, repr=False)
+    neg: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        preds = np.asarray(self.predictions, dtype=np.float64)
         labels = np.asarray(self.labels)
-        if preds.ndim != 1 or labels.ndim != 1 or preds.shape != labels.shape:
-            raise ValidationError("predictions and labels must be 1-d and equal length")
-        if preds.size == 0:
-            raise ValidationError("empty series")
-        # Written so that NaN, which fails every comparison, fails it too.
-        if not np.all((preds > 0.0) & (preds < 1.0)):
-            raise ValidationError("predictions must lie strictly inside (0, 1)")
+        preds = _checked_predictions(self.predictions, labels.shape)
         if not np.all((labels == 0) | (labels == 1)):
             raise ValidationError("labels must be exactly 0 or 1")
         labels = labels.astype(np.int64)
-        preds = preds.copy()
-        preds.flags.writeable = False
-        labels.flags.writeable = False
+        pos = labels.astype(np.float64)
         object.__setattr__(self, "predictions", preds)
-        object.__setattr__(self, "labels", labels)
+        for name, arr in (("labels", labels), ("pos", pos), ("neg", 1.0 - pos)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -58,7 +71,11 @@ class LabeledSeries:
         return cls(np.array(preds, dtype=np.float64), np.array(labels))
 
     def with_predictions(self, predictions: np.ndarray) -> "LabeledSeries":
-        return LabeledSeries(predictions, self.labels)
+        """The same labels and masks with new predictions; only those are checked."""
+        preds = _checked_predictions(predictions, self.labels.shape)
+        series = copy.copy(self)
+        object.__setattr__(series, "predictions", preds)
+        return series
 
 
 def read_csv(path: str | Path, what: str, read_header, build):

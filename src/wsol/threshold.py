@@ -189,11 +189,12 @@ class ThresholdDistribution:
 
     def cdf(self, x):
         """Cumulative probability F(x); clamps to 0 below a and 1 above b."""
+        # np.clip's bits without its wrapper: NaN and, bound first, -0.0 pass.
         x_arr = np.asarray(x, dtype=np.float64)
         if self.kind == "uniform":
-            out = np.clip((x_arr - self.a) / (self.b - self.a), 0.0, 1.0)
+            out = np.minimum(1.0, np.maximum(0.0, (x_arr - self.a) / (self.b - self.a)))
             return float(out) if np.ndim(x) == 0 else out
-        clipped = np.clip(x_arr, 0.0, 1.0)
+        clipped = np.minimum(1.0, np.maximum(0.0, x_arr))
         return regularized_incomplete_beta(self.alpha, self.beta, clipped)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):

@@ -278,7 +278,7 @@ class TrainResult:
 def _evaluate(
     model: MLPModel,
     x: np.ndarray,
-    y: np.ndarray,
+    series: LabeledSeries,
     loss: LossSpec | CombinedLossSpec,
     epoch: int,
 ) -> tuple[ForwardPass, LossEvaluation]:
@@ -287,7 +287,7 @@ def _evaluate(
     preds = fwd.predictions
     if not np.all(np.isfinite(preds)):
         raise TrainingDivergedError(epoch)
-    return fwd, evaluate_loss(LabeledSeries(preds, y), loss)
+    return fwd, evaluate_loss(series.with_predictions(preds), loss)
 
 
 def train(
@@ -321,12 +321,16 @@ def train(
     else:
         bounds = [(s, min(s + cfg.chunk, n)) for s in range(0, n, cfg.chunk)]
     full_batch = bounds == [(0, n)]
+    # Labels are checked once: each step swaps predictions into these series.
+    whole = features, LabeledSeries(np.full(n, 0.5), labels)
+    chunks = [whole] if full_batch else [
+        (features[lo:hi], LabeledSeries(np.full(hi - lo, 0.5), labels[lo:hi]))
+        for lo, hi in bounds
+    ]
     carried = None
     for epoch in range(cfg.epochs):
-        for lo, hi in bounds:
-            fwd, ev = carried or _evaluate(
-                model, features[lo:hi], labels[lo:hi], cfg.loss, epoch
-            )
+        for x, series in chunks:
+            fwd, ev = carried or _evaluate(model, x, series, cfg.loss, epoch)
             carried = None
             try:
                 grad = ev.gradient()
@@ -345,7 +349,7 @@ def train(
             for arr in (*model.weights, *model.biases):
                 if not np.all(np.isfinite(arr)):
                     raise TrainingDivergedError(epoch)
-        fwd, ev = _evaluate(model, features, labels, cfg.loss, epoch)
+        fwd, ev = _evaluate(model, *whole, cfg.loss, epoch)
         entries = hard_entries(ev.series, tau_report, head.weights)
         (classical,), (weighted,) = score_array(head.score, *entries)[0]
         result.history.append(

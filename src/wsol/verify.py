@@ -217,7 +217,7 @@ def criterion_max_window(
             t = int(rng.integers(1, 7))
             cdf = dist.cdf(series.predictions)
             manual = 0.0
-            for i in np.flatnonzero(series.labels == 1):
+            for i in np.flatnonzero(series.pos):
                 depth = min(t, int(i))
                 contrib = 1.0 - cdf[i]
                 if depth:
@@ -337,8 +337,8 @@ def criterion_reward_only(rng: np.random.Generator, draws: int) -> dict[str, flo
         series = random_series(rng)
         tau = float(rng.uniform(0.1, 0.9))
         preds = series.predictions.copy()
-        preds[np.flatnonzero(series.labels == 1)[0]] = min(tau + 0.05, 0.99)
-        preds[np.flatnonzero(series.labels == 0)[0]] = max(tau - 0.05, 0.01)
+        preds[np.flatnonzero(series.pos)[0]] = min(tau + 0.05, 0.99)
+        preds[np.flatnonzero(series.neg)[0]] = max(tau - 0.05, 0.01)
         series = series.with_predictions(preds)
         if rng.random() < 0.5:
             spec = ValueProdWeight(random_omega(rng, "prod"))

@@ -16,8 +16,8 @@ Each variant's class owns the decisions that depend on it:
   value variants, (T, n) lag rows and FP factors, each masked to its class;
 * ``expected_errors`` -- the closed-form (E[wFP], E[wFN]) under a
   threshold prior;
-* ``error_derivatives`` -- their derivatives in each prediction, with the
-  indices where only a one-sided derivative exists.
+* ``error_slopes`` -- their derivatives over the prior density at each
+  prediction, with the indices where only one-sided ones exist.
 
 The two factor methods are the hard path the oracles integrate, and the
 only definition of each weight in the package; the other three are the
@@ -36,7 +36,9 @@ from .series import LabeledSeries
 
 
 class WeightSpec:
-    """Base for the weight-function variants."""
+    """Base for the weight-function variants: one weight, defined by its
+    hard-path factors, and closed forms whose derivatives all share the
+    prior density as a factor, which the loss gradient applies."""
 
     name = "abstract"
 
@@ -71,22 +73,18 @@ class WeightSpec:
         """
         raise NotImplementedError
 
-    def error_derivatives(
-        self, series: LabeledSeries, dist, dens: np.ndarray, terms
+    def error_slopes(
+        self, series: LabeledSeries, terms
     ) -> tuple[np.ndarray, np.ndarray, set[int]]:
-        """(dE[wFP]/dp, dE[wFN]/dp, kink indices) in each prediction.
+        """(fp_slope, fn_slope, kink indices), one slope per prediction.
 
-        ``dens`` is the prior pdf at each prediction and ``terms`` is
-        ``closed_form_terms(series, dist)``.  At a kink index only a
-        one-sided derivative exists.
+        dE[wFP]/dp_i = fp_slope_i * f(p_i) for the prior density f, and
+        likewise for wFN.  Where the weight does not depend on the
+        predictions, a slope is the drop of the hard entry as the threshold
+        rises through p_i.  ``terms`` is ``closed_form_terms(series, dist)``.
+        At a kink index only a one-sided derivative exists.
         """
         raise NotImplementedError
-
-
-def _label_masks(series: LabeledSeries) -> tuple[np.ndarray, np.ndarray]:
-    """(negatives, positives) as float 0/1 masks, so class sums are dot products."""
-    pos = series.labels.astype(np.float64)
-    return 1.0 - pos, pos
 
 
 class _ErrorTypeWeight(WeightSpec):
@@ -102,15 +100,13 @@ class _ErrorTypeWeight(WeightSpec):
 
     def expected_errors(self, series, dist, cdf, terms):
         # Class-wise sums: a dot product would move unit-weight runs' last bits.
-        pos = series.labels == 1
         return (
-            self.c01 * float(np.sum(cdf[~pos])),
-            self.c10 * float(np.sum(1.0 - cdf[pos])),
+            self.c01 * float(np.sum(np.extract(series.neg, cdf))),
+            self.c10 * float(np.sum(1.0 - np.extract(series.pos, cdf))),
         )
 
-    def error_derivatives(self, series, dist, dens, terms):
-        neg, pos = _label_masks(series)
-        return self.c01 * neg * dens, -self.c10 * pos * dens, set()
+    def error_slopes(self, series, terms):
+        return self.c01 * series.neg, -self.c10 * series.pos, set()
 
 
 @dataclass(frozen=True)
@@ -167,15 +163,14 @@ class CrossEntropyWeight(WeightSpec):
     def expected_errors(self, series, dist, cdf, terms):
         self.check_prior(dist)
         p = series.predictions
-        neg, pos = _label_masks(series)
         return (
-            float(-self.omega0 * (neg @ np.log1p(-p))),
-            float(-self.omega1 * (pos @ np.log(p))),
+            float(-self.omega0 * (series.neg @ np.log1p(-p))),
+            float(-self.omega1 * (series.pos @ np.log(p))),
         )
 
-    def error_derivatives(self, series, dist, dens, terms):
-        p = series.predictions
-        neg, pos = _label_masks(series)
+    def error_slopes(self, series, terms):
+        # The derivatives themselves: the one prior allowed has f = 1.
+        p, neg, pos = series.predictions, series.neg, series.pos
         return self.omega0 * neg / (1.0 - p), -self.omega1 * pos / p, set()
 
 
@@ -251,10 +246,9 @@ class _ValueWeight(WeightSpec):
 
     def fp_factors(self, series):
         n = series.n
-        event = series.labels.astype(np.float64)
         g = np.zeros(n)
         for j, w in enumerate(self._record_omega(n), start=1):
-            self._merge(g[: n - j], w * event[j:], out=g[: n - j])
+            self._merge(g[: n - j], w * series.pos[j:], out=g[: n - j])
         return 1.0 - g
 
     def fn_factors(self, series, alarm):
@@ -267,8 +261,8 @@ class _ValueWeight(WeightSpec):
     def _lag_terms(
         self, p: np.ndarray, a: float, pos: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(coef, enters, tied) of the positives ``pos``, zero elsewhere;
-        coef and enters are (T, n), a row per lag.
+        """(coef, enters, tied) of the positives (the float mask ``pos``),
+        zero elsewhere; coef and enters are (T, n), a row per lag.
 
         The expected false-negative weight of positive i is
         1 - F(p_i) - sum_j coef[j - 1, i] * max(F(p_{i-j}) - F(p_i), 0);
@@ -282,42 +276,34 @@ class _ValueWeight(WeightSpec):
         then ``_lag_terms`` of the positives, a C-contiguous (n,) row for each
         lag of ``_record_omega``, so every class sum is a dot product."""
         _require_support(series, dist)
-        pos = series.labels == 1
-        lags = self._lag_terms(series.predictions, dist.support[0], pos)
-        return (self.fp_factors(series) * ~pos, *lags)
+        lags = self._lag_terms(series.predictions, dist.support[0], series.pos)
+        return (self.fp_factors(series) * series.neg, *lags)
 
     def expected_errors(self, series, dist, cdf, terms):
         n = series.n
         fp_neg, coef, _, _ = terms
-        e_wfn = series.labels @ (1.0 - cdf)
+        e_wfn = series.pos @ (1.0 - cdf)
         for j in range(1, coef.shape[0] + 1):
             gap = cdf[: n - j] - cdf[j:]
             e_wfn -= coef[j - 1, j:] @ np.maximum(gap, 0.0, out=gap)
         return float(fp_neg @ cdf), float(e_wfn)
 
-    def error_derivatives(self, series, dist, dens, terms):
+    def error_slopes(self, series, terms):
         p = series.predictions
         n = series.n
         fp_neg, coef, enters, tied = terms
         kinks = set(np.flatnonzero(tied).tolist())
-        # A positive's own coefficient gains every entering lag predicted
-        # above it; that lag's prediction gets the opposite cross term.  A
-        # lag predicted exactly at the positive's value is a kink.
-        own = series.labels * -1.0  # the slope of 1 - F(p_i), on positives
-        cross = []
+        # A positive's slope is that of 1 - F(p_i), plus every entering lag
+        # predicted above it; that lag's prediction loses the same amount.
+        # A lag predicted exactly at the positive's value is a kink.
+        slope = -series.pos
         for j in range(1, coef.shape[0] + 1):
             gain = coef[j - 1, j:] * (p[: n - j] > p[j:])
-            own[j:] += gain
-            cross.append(gain * dens[: n - j])
-            tie = enters[j - 1, j:] & (p[: n - j] == p[j:])
-            if tie.any():
-                k = np.flatnonzero(tie)
-                kinks.update(k.tolist())
-                kinks.update((k + j).tolist())
-        d_wfn = own * dens
-        for j, term in enumerate(cross, start=1):
-            d_wfn[: n - j] -= term
-        return fp_neg * dens, d_wfn, kinks
+            slope[j:] += gain
+            slope[: n - j] -= gain
+            k = np.flatnonzero(enters[j - 1, j:] & (p[: n - j] == p[j:]))
+            kinks.update(k.tolist(), (k + j).tolist())
+        return fp_neg, slope, kinks
 
 
 @dataclass(frozen=True)
@@ -338,7 +324,7 @@ class ValueProdWeight(_ValueWeight):
         # Every lag inside the record enters with its own omega.
         omega = np.array(self._record_omega(p.size))[:, None]
         enters = np.arange(1, omega.size + 1)[:, None] <= np.arange(p.size)
-        enters &= pos
+        np.logical_and(enters, pos, out=enters)
         return omega * enters, enters, np.zeros(p.size, dtype=bool)
 
 
@@ -362,8 +348,8 @@ class ValueMaxWeight(_ValueWeight):
         # per chain member, weighted by the drop from its omega to the next
         # member's (0 after the last), found by scanning the lags backwards.
         member, tied = _chain_members(p, a, len(omega))
-        member &= pos
-        tied &= pos
+        np.logical_and(member, pos, out=member)
+        np.logical_and(tied, pos, out=tied)
         # omega does not increase, so a nearer member's omega is never below
         # ``following``, and the products give the selected values exactly.
         coef = np.empty(member.shape)

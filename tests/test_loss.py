@@ -21,6 +21,7 @@ from wsol.loss import (
 from wsol.oracle import exact_expected_confusion
 from wsol.scores import ScoreKind, apply_score
 from wsol.series import LabeledSeries
+from wsol.threshold import ThresholdDistribution
 from wsol.weights import (
     CrossEntropyWeight,
     UnitWeight,
@@ -210,6 +211,32 @@ class TestCombined:
             CombinedLossSpec(components=((spec, -0.2), (spec, 1.2)))
         with pytest.raises(ValidationError):
             CombinedLossSpec(components=())
+
+
+    def test_density_applied_once_per_component(self, rng, monkeypatch):
+        series = make_series(rng)
+        menu = weight_menu(rng)
+        uniform = ThresholdDistribution.uniform()
+        beta = ThresholdDistribution.beta_prior(2.0, 2.0)
+        spec = CombinedLossSpec(
+            (
+                (LossSpec(ScoreKind.TSS, menu[0], beta), 0.3),
+                (LossSpec(ScoreKind.F1, menu[2], uniform), 0.3),
+                (LossSpec(ScoreKind.HSS, menu[4], beta), 0.4),
+            )
+        )
+        calls = []
+        pdf = ThresholdDistribution.pdf
+
+        def counted(dist, x):
+            calls.append(dist)
+            return pdf(dist, x)
+
+        monkeypatch.setattr(ThresholdDistribution, "pdf", counted)
+        ev = evaluate_loss(series, spec)
+        assert calls == []
+        ev.gradient()
+        assert calls == [beta, uniform, beta]
 
 
 class TestScoreGap:

@@ -65,6 +65,12 @@ class TestValidation:
         with pytest.raises(ValidationError):
             multilabel_global_score(ml, unit_spec(2))
 
+    def test_columns_are_built_once(self, rng):
+        ml = random_multilabel(rng)
+        assert all(ml.column(j) is ml.column(j) for j in range(ml.num_classes))
+        np.testing.assert_array_equal(ml.column(1).labels, ml.labels[:, 1])
+        np.testing.assert_array_equal(ml.column(1).predictions, ml.predictions[:, 1])
+
     def test_samples_may_be_positive_in_several_classes(self):
         labels = np.array([[1, 1], [0, 1], [1, 0]])
         preds = np.full((3, 2), 0.5)

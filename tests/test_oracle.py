@@ -265,7 +265,7 @@ class TestFiniteDifferences:
 CLOSED_FORM_NAMES = {
     "closed_form_terms",
     "expected_errors",
-    "error_derivatives",
+    "error_slopes",
     "expected_confusion",
     "evaluate_loss",
     "loss_value",

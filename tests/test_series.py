@@ -37,6 +37,37 @@ def test_arrays_are_frozen():
         s.predictions[0] = 0.1
 
 
+def test_class_masks_are_frozen_floats_of_the_labels():
+    s = LabeledSeries(np.array([0.5, 0.6, 0.7]), np.array([0, 1, 1]))
+    np.testing.assert_array_equal(s.pos, [0.0, 1.0, 1.0])
+    np.testing.assert_array_equal(s.neg, [1.0, 0.0, 0.0])
+    assert s.pos.dtype == s.neg.dtype == np.float64
+    for mask in (s.pos, s.neg):
+        with pytest.raises(ValueError):
+            mask[0] = 0.5
+
+
+def test_with_predictions_shares_labels_and_masks():
+    s = LabeledSeries(np.array([0.5, 0.6, 0.7]), np.array([0, 1, 1]))
+    moved = s.with_predictions(np.array([0.1, 0.2, 0.3]))
+    np.testing.assert_array_equal(moved.predictions, [0.1, 0.2, 0.3])
+    assert moved.labels is s.labels and moved.pos is s.pos and moved.neg is s.neg
+    np.testing.assert_array_equal(s.predictions, [0.5, 0.6, 0.7])
+    with pytest.raises(ValueError):
+        moved.predictions[0] = 0.5
+
+
+@pytest.mark.parametrize(
+    "preds",
+    [[0.5, np.nan, 0.5], [0.0, 0.5, 0.5], [0.5, 0.5, 1.0], [0.5, 0.5], [[0.5] * 3]],
+    ids=["nan", "zero", "one", "short", "2d"],
+)
+def test_with_predictions_checks_the_new_predictions(preds):
+    s = LabeledSeries(np.array([0.5, 0.6, 0.7]), np.array([0, 1, 1]))
+    with pytest.raises(ValidationError):
+        s.with_predictions(np.array(preds))
+
+
 def test_csv_round_trip(tmp_path):
     s = LabeledSeries(np.array([0.25, 0.5, 0.9]), np.array([0, 1, 1]))
     path = tmp_path / "series.csv"

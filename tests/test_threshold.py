@@ -72,6 +72,15 @@ class TestCdf:
         assert d.cdf(0.2) == 0.0
         assert d.cdf(0.8) == 1.0
 
+    def test_uniform_cdf_keeps_the_bits_of_clip(self):
+        # NaN propagates and -0.0 stays -0.0, as through np.clip.
+        x = np.array([np.nan, -0.0, 0.0, -0.5, 1.5, 0.3, 1.0, np.inf, -np.inf])
+        for a, b in ((0.0, 1.0), (0.2, 0.8)):
+            d = ThresholdDistribution.uniform(a, b)
+            ref = np.clip((x - d.a) / (d.b - d.a), 0.0, 1.0)
+            np.testing.assert_array_equal(d.cdf(x).view(np.int64), ref.view(np.int64))
+        assert np.isnan(ThresholdDistribution.uniform().cdf(np.nan))
+
     @pytest.mark.parametrize(
         "alpha,beta", [(2.0, 2.0), (0.7, 1.3), (5.0, 1.5), (0.5, 0.5), (3.0, 7.0)]
     )

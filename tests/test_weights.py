@@ -8,11 +8,13 @@ from helpers import (
     random_omega,
     reference_weight,
 )
+from wsol.confusion import hard_entries
 from wsol.errors import ValidationError
+from wsol.expected import expected_confusion
 from wsol.loss import LossSpec, combined_loss
 from wsol.scores import ScoreKind
 from wsol.series import LabeledSeries
-from wsol.verify import PRIORS
+from wsol.verify import PRIORS, weight_menu
 from wsol.weights import (
     CostWeight,
     CrossEntropyWeight,
@@ -247,3 +249,51 @@ def test_lags_past_the_record_change_nothing(cls, n, rng):
             assert value == cut_value
             np.testing.assert_array_equal(grad.values, cut_grad.values)
             assert grad.kink_indices == cut_grad.kink_indices
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 4], ids=["unit", "cost", "prod", "max"])
+def test_slopes_are_the_hard_matrix_jumps(k, rng):
+    # A weight that does not depend on the predictions: each slope is the
+    # drop of its hard entry as the threshold rises through that prediction.
+    for _ in range(10):
+        series = make_series(rng)
+        spec = weight_menu(rng)[k]
+        p = series.predictions
+        delta = np.min(np.diff(np.sort(p))) / 3
+        assert delta > 0.0
+        below = hard_entries(series, p - delta, spec)[:, 1]
+        above = hard_entries(series, p + delta, spec)[:, 1]
+        jump = below - above
+        terms = spec.closed_form_terms(series, PRIORS[0])
+        fp_slope, fn_slope, kinks = spec.error_slopes(series, terms)
+        assert kinks == set()
+        np.testing.assert_allclose(fp_slope, jump[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fn_slope, jump[2], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(jump[0], -series.neg)
+        np.testing.assert_array_equal(jump[3], series.pos)
+
+
+@pytest.mark.parametrize("k", range(5), ids=["unit", "cost", "ce", "prod", "max"])
+def test_slopes_times_density_are_entry_derivatives(k, rng):
+    # Central differences of every expected entry against its slope times
+    # the prior density: Beta(2, 2), or the uniform prior cross-entropy needs.
+    step = 1e-6
+    for _ in range(5):
+        series = make_series(rng)
+        spec = weight_menu(rng)[k]
+        dist = PRIORS[0] if k == 2 else PRIORS[1]
+        terms = spec.closed_form_terms(series, dist)
+        fp_slope, fn_slope, _ = spec.error_slopes(series, terms)
+        slopes = np.stack([-series.neg, fp_slope, fn_slope, series.pos])
+        analytic = slopes * dist.pdf(series.predictions)
+        fd = np.empty_like(analytic)
+        for i in range(series.n):
+            sides = []
+            for shift in (step, -step):
+                p = series.predictions.copy()
+                p[i] += shift
+                moved = series.with_predictions(p)
+                sides.append(expected_confusion(moved, dist, spec).entries())
+            fd[:, i] = (np.array(sides[0]) - np.array(sides[1])) / (2 * step)
+        rel = np.abs(fd - analytic) / np.maximum(np.abs(analytic), 1.0)
+        assert rel.max() < 1e-5
