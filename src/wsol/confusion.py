@@ -65,10 +65,10 @@ def hard_entries(series: LabeledSeries, taus, spec: WeightSpec) -> np.ndarray:
     if outside.any():
         bad = taus[outside][0]
         raise ValidationError(f"threshold must lie in (0, 1), got {bad}")
-    wc = batch_weighted_entries(series, taus, spec)
-    tn, tp = wc[0], wc[3]
-    classical = (tn, series.neg.sum() - tn, series.pos.sum() - tp, tp)
-    return np.stack([classical, wc], axis=1)
+    out = np.repeat(batch_weighted_entries(series, taus, spec)[:, None], 2, axis=1)
+    out[1, 0] = series.neg.sum() - out[0, 0]
+    out[2, 0] = series.pos.sum() - out[3, 0]
+    return out
 
 
 def hard_confusion(series: LabeledSeries, tau: float) -> ConfusionCounts:

@@ -1,21 +1,21 @@
 """Closed-form expected confusion entries under the threshold prior.
 
 Averaging the hard matrix over the threshold replaces every indicator
-with the prior cdf F.  The correct entries are the same for every weight
-variant and are assembled here; the weighted error entries come from the
-variant's own ``expected_errors``.  For the value weights the
-false-negative entry couples each positive sample to its window of past
-predictions: the dot-product form needs only pairwise cdf differences,
-while the max form needs the window's chain, the lags whose predictions
-strictly exceed every nearer one, each the nearest alarm on its power
-interval of thresholds (``weights._chain_members`` marks it).
+with the prior cdf F, so each class sum of the hard matrix becomes a dot
+product of the series' float class mask with F or 1 - F.  The correct
+entries are the same for every weight variant and are assembled here
+that way; the weighted error entries come from the variant's own
+``expected_errors``.  For the value weights the false-negative entry
+couples each positive sample to its window of past predictions: the
+dot-product form needs only pairwise cdf differences, while the max
+form needs the window's chain, the lags whose predictions strictly
+exceed every nearer one, each the nearest alarm on its power interval
+of thresholds (``weights._chain_members`` marks it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .errors import ValidationError
 from .series import LabeledSeries
@@ -75,12 +75,11 @@ def expected_confusion(
     """
     if terms is None:
         terms = spec.closed_form_terms(series, dist)
-    # Mask products; np.sum keeps the bits the unit loss has always had.
     cdf = dist.cdf(series.predictions)
     e_wfp, e_wfn = spec.expected_errors(series, dist, cdf, terms)
     return ExpectedConfusion(
-        e_tn=float(np.sum(series.neg * (1.0 - cdf))),
+        e_tn=float(series.neg @ (1.0 - cdf)),
         e_wfp=e_wfp,
         e_wfn=e_wfn,
-        e_tp=float(np.sum(series.pos * cdf)),
+        e_tp=float(series.pos @ cdf),
     )

@@ -10,15 +10,17 @@ Two independent routes to the same expectations:
   draws, with unbiased standard errors for the acceptance bands (4
   standard errors keeps the false-failure rate of a whole suite of such
   checks around 1e-4).  The matrix changes only where the threshold
-  crosses a prediction value, so the draws are counted per cell between
-  consecutive distinct predictions and the matrix is evaluated once per
-  occupied cell, at one of the cell's own draws.  That is the per-draw
-  average exactly, up to summation order; it never evaluates at a point
-  chosen from the predictions, as the exact route's midpoints are.
+  crosses a prediction value, so the draws are sorted once (the oracle
+  holds them, 8 bytes each), counted per cell between consecutive
+  distinct predictions, and the matrix is evaluated once per occupied
+  cell, at the cell's smallest draw.  That is the per-draw average
+  exactly, up to summation order; it never evaluates at a point chosen
+  from the predictions, as the exact route's midpoints are.
 
-Both evaluate the hard matrix through ``batch_weighted_entries``, and the
-only weight methods it calls are the hard-path factors, ``fp_factors``
-and ``fn_factors``.  Neither route touches a closed form, a derivative,
+Both evaluate the hard matrix through ``batch_weighted_entries``, which
+returns it as one (4, B) array over B thresholds; the only weight
+methods it calls are the hard-path factors, ``fp_factors`` and
+``fn_factors``.  Neither route touches a closed form, a derivative,
 or the chain algebra behind them, which is the point: this module takes
 nothing from ``wsol.loss`` and only the ``ExpectedConfusion`` record from
 ``wsol.expected``.  The gradient's own check, central differences of the
@@ -67,7 +69,7 @@ def _midpoint_entries(
     mass = np.diff(dist.cdf(bps))
     keep = mass > 0.0
     mids = (0.5 * (bps[:-1] + bps[1:]))[keep]
-    return np.stack(batch_weighted_entries(series, mids, spec)), mass[keep]
+    return batch_weighted_entries(series, mids, spec), mass[keep]
 
 
 def exact_expected_confusion(
@@ -99,8 +101,8 @@ def exact_expected_score(
 
 def batch_weighted_entries(
     series: LabeledSeries, taus: np.ndarray, spec: WeightSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(tn, wfp, wfn, tp) of the hard weighted matrix, vectorized over taus.
+) -> np.ndarray:
+    """The hard weighted matrix at each threshold, as (4, B) rows (tn, wfp, wfn, tp).
 
     Column b is the matrix at threshold taus[b]: a prediction raises an
     alarm when it exceeds the threshold strictly.  The weighted entries
@@ -114,6 +116,7 @@ def batch_weighted_entries(
     """
     p = series.predictions
     neg, pos = series.neg, series.pos
+    n_neg = neg.sum()
     fp_neg = spec.fp_factors(series) * neg
     taus = np.asarray(taus, dtype=np.float64)
     out = np.empty((4, taus.size))
@@ -123,11 +126,11 @@ def batch_weighted_entries(
         alarm = p[:, None] > taus[None, cols]
         raised = alarm.astype(np.float64)
         missed = spec.fn_factors(series, alarm) * (1.0 - raised)
-        out[0, cols] = neg.sum() - neg @ raised
+        out[0, cols] = n_neg - neg @ raised
         out[1, cols] = fp_neg @ raised
         out[2, cols] = pos @ missed
         out[3, cols] = pos @ raised
-    return out[0], out[1], out[2], out[3]
+    return out
 
 
 @dataclass(frozen=True)
@@ -151,34 +154,28 @@ def _mc_cells(
     and every threshold in one cell raises the same alarms.  The hard
     matrix depends on the threshold only through those alarms (the FP
     factors do not see it, the FN factors see only the alarm matrix), so
-    every draw has exactly the matrix of any other draw in its cell.  Each
-    draw is counted in its cell and the matrix is evaluated once per
-    occupied cell, at one of that cell's own draws.
+    every draw has exactly the matrix of any other draw in its cell.  The
+    draws are sorted once, each cell's count and smallest draw are read
+    off one searchsorted, and the matrix is evaluated once per occupied
+    cell, at that draw.
     """
     if samples < MC_MIN_SAMPLES:
         raise ValidationError(
             f"Monte Carlo oracle needs at least {MC_MIN_SAMPLES} samples"
         )
-    edges = np.unique(series.predictions)
-    counts = np.zeros(edges.size + 1, dtype=np.int64)
-    reps = np.full(edges.size + 1, np.inf)
     rng = np.random.default_rng(seed)
-    done = 0
-    while done < samples:
-        b = min(_CHUNK, samples - done)
-        taus = np.sort(dist.sample(rng, b))
-        # Cell k holds the draws in [edges[k - 1], edges[k]): side="left"
-        # puts a draw equal to a prediction in the cell above it, where that
-        # prediction raises no alarm (alarms need p > tau).
-        first = np.concatenate(([0], np.searchsorted(taus, edges, side="left")))
-        in_cell = np.diff(first, append=b)
-        counts += in_cell
-        # Any draw of a cell represents it; the smallest is taken.
-        hit = in_cell > 0
-        reps[hit] = np.minimum(reps[hit], taus[first[hit]])
-        done += b
+    taus = np.empty(samples)
+    for lo in range(0, samples, _CHUNK):
+        taus[lo : lo + _CHUNK] = dist.sample(rng, min(_CHUNK, samples - lo))
+    taus.sort()
+    # Cell k holds the draws in [edges[k - 1], edges[k]): side="left" puts
+    # a draw equal to a prediction in the cell above it, where that
+    # prediction raises no alarm (alarms need p > tau).
+    edges = np.unique(series.predictions)
+    first = np.concatenate(([0], np.searchsorted(taus, edges, side="left")))
+    counts = np.diff(first, append=samples)
     occupied = counts > 0
-    entries = np.stack(batch_weighted_entries(series, reps[occupied], spec))
+    entries = batch_weighted_entries(series, taus[first[occupied]], spec)
     return entries, counts[occupied].astype(np.float64)
 
 

@@ -63,7 +63,8 @@ class ForwardPass:
 
     ``output`` is the unclipped logistic output, shape (n,).  ``acts``
     holds each layer's input as a (units, n) array, samples innermost: the
-    network input as the view ``x.T``, then each hidden layer's activation.
+    network input as the view ``x.T``, then each hidden layer's activation,
+    which ``backward`` consumes.
     """
 
     output: np.ndarray
@@ -122,7 +123,10 @@ class MLPModel:
 
         ``fwd`` is this model's ``propagate`` on the inputs, at the current
         parameters; nothing is recomputed.  Each delta is (units, n), like
-        the activations, and each gradient has its parameter's shape.
+        the activations, and each gradient has its parameter's shape.  The
+        pass is consumed: each hidden activation is overwritten with its
+        tanh slope once its weight gradient is taken, so a ``ForwardPass``
+        is backpropagated at most once.  Its input and output are kept.
         """
         pred = fwd.output
         delta = (dloss_dpred * pred * (1.0 - pred))[None, :]
@@ -134,11 +138,10 @@ class MLPModel:
             grad_w[layer] = (delta @ a.T).T
             grad_b[layer] = delta.sum(axis=1)
             if layer:
-                slope = a * a
-                np.subtract(1.0, slope, out=slope)
                 w = self.weights[layer]  # a one-row delta: an outer product
                 delta = w * delta if delta.shape[0] == 1 else w @ delta
-                delta *= slope
+                np.multiply(a, a, out=a)
+                delta *= np.subtract(1.0, a, out=a)
         return grad_w, grad_b
 
     def save(self, path: str | Path) -> None:

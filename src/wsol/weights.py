@@ -99,10 +99,9 @@ class _ErrorTypeWeight(WeightSpec):
         return np.full((series.n, 1), float(self.c10))
 
     def expected_errors(self, series, dist, cdf, terms):
-        # Class-wise sums: a dot product would move unit-weight runs' last bits.
         return (
-            self.c01 * float(np.sum(np.extract(series.neg, cdf))),
-            self.c10 * float(np.sum(1.0 - np.extract(series.pos, cdf))),
+            self.c01 * float(series.neg @ cdf),
+            self.c10 * float(series.pos @ (1.0 - cdf)),
         )
 
     def error_slopes(self, series, terms):

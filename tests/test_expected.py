@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,3 +285,31 @@ def test_expected_confusion_assembles_entries(rng, uniform01):
     assert exp.e_tp == e_tp and exp.e_tn == e_tn
     assert exp.e_wfp == expected_wfp(series, uniform01, spec)
     assert exp.e_wfn == expected_wfn(series, uniform01, spec)
+
+
+# Relative bound on every class sum against its exactly rounded value.  The
+# terms are non-negative, so any summation order stays within (n - 1) u of
+# the exact sum (1.1e-11 at n = 1e5, u = 2^-53), and blocked or pairwise
+# sums land near sqrt(n) u (3.5e-14); 1e-12 lies between the two.
+CLASS_SUM_RTOL = 1e-12
+
+
+def test_class_sums_match_exactly_rounded_sums(both_priors):
+    rng = np.random.default_rng(41)
+    n = 100_000
+    labels = (rng.random(n) < 0.3).astype(np.int64)
+    series = LabeledSeries(rng.uniform(0.005, 0.995, n), labels)
+    neg, pos = labels == 0, labels == 1
+    for dist in both_priors:
+        cdf = dist.cdf(series.predictions)
+        tn, fp = math.fsum((1.0 - cdf)[neg]), math.fsum(cdf[neg])
+        fn, tp = math.fsum((1.0 - cdf)[pos]), math.fsum(cdf[pos])
+        for spec in weight_menu(rng):
+            if spec.name == "cross_entropy" and dist.kind != "uniform":
+                continue
+            exp = expected_confusion(series, dist, spec)
+            assert exp.e_tn == pytest.approx(tn, rel=CLASS_SUM_RTOL)
+            assert exp.e_tp == pytest.approx(tp, rel=CLASS_SUM_RTOL)
+            if spec.name in ("unit", "cost"):
+                assert exp.e_wfp == pytest.approx(spec.c01 * fp, rel=CLASS_SUM_RTOL)
+                assert exp.e_wfn == pytest.approx(spec.c10 * fn, rel=CLASS_SUM_RTOL)

@@ -130,43 +130,52 @@ class TestMonteCarlo:
         # Grouping draws by threshold cell must reproduce the plain per-draw
         # mean and standard error, also for draws equal to a prediction:
         # those raise no alarm there, so they belong to the cell above it.
-        samples, seed = 3000, 17
-        assert samples <= _CHUNK  # one sample() call draws the oracle's stream
-        for dist in both_priors:
-            taus = dist.sample(np.random.default_rng(seed), samples)
-            series = make_series(rng, n=40)
-            p = series.predictions.copy()
-            p[::3] = taus[: p[::3].size]
-            series = series.with_predictions(p)
-            for spec in weight_menu(rng):
-                per_draw = np.stack(batch_weighted_entries(series, taus, spec))
-                mean, se = mc_expected_confusion(series, dist, spec, samples, seed)
-                np.testing.assert_allclose(
-                    mean.entries(), per_draw.mean(axis=1), rtol=1e-12
-                )
-                np.testing.assert_allclose(
-                    se.entries(),
-                    per_draw.std(axis=1, ddof=1) / np.sqrt(samples),
-                    rtol=1e-12,
-                )
+        # The larger size spans three sampling chunks, the last one short,
+        # so its cells hold draws of several chunks; one sample() call
+        # gives the oracle's stream, which does not depend on the chunks.
+        # The score estimate's mean and degenerate count are per-draw too.
+        for samples, seed in ((3000, 17), (2 * _CHUNK + 500, 31)):
+            for dist in both_priors:
+                taus = dist.sample(np.random.default_rng(seed), samples)
+                series = make_series(rng, n=40)
+                p = series.predictions.copy()
+                p[::3] = taus[:: samples // 14][: p[::3].size]
+                series = series.with_predictions(p)
+                for spec in weight_menu(rng):
+                    per_draw = batch_weighted_entries(series, taus, spec)
+                    mean, se = mc_expected_confusion(series, dist, spec, samples, seed)
+                    np.testing.assert_allclose(
+                        mean.entries(), per_draw.mean(axis=1), rtol=1e-12
+                    )
+                    np.testing.assert_allclose(
+                        se.entries(),
+                        per_draw.std(axis=1, ddof=1) / np.sqrt(samples),
+                        rtol=1e-12,
+                    )
+                    vals, bad = score_array(ScoreKind.TSS, *per_draw)
+                    est = mc_expected_score(
+                        series, dist, spec, ScoreKind.TSS, samples, seed
+                    )
+                    assert est.degenerate_draws == int(bad.sum())
+                    assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
 
     def test_degenerate_draws_match_per_draw_count(self, rng, both_priors):
         # With c10 = 0 a missed positive costs nothing, so TSS is degenerate
         # at every draw above the highest positive prediction and F1 at
         # every draw above the highest prediction.
-        samples, seed = 4000, 23
         spec = CostWeight(c01=1.0, c10=0.0)
-        for dist in both_priors:
-            taus = dist.sample(np.random.default_rng(seed), samples)
-            series = make_series(rng, n=30)
-            for kind in (ScoreKind.TSS, ScoreKind.F1):
-                vals, bad = score_array(
-                    kind, *batch_weighted_entries(series, taus, spec)
-                )
-                est = mc_expected_score(series, dist, spec, kind, samples, seed)
-                assert 0 < est.degenerate_draws < samples
-                assert est.degenerate_draws == int(bad.sum())
-                assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
+        for samples, seed in ((4000, 23), (2 * _CHUNK + 500, 37)):
+            for dist in both_priors:
+                taus = dist.sample(np.random.default_rng(seed), samples)
+                series = make_series(rng, n=30)
+                for kind in (ScoreKind.TSS, ScoreKind.F1):
+                    vals, bad = score_array(
+                        kind, *batch_weighted_entries(series, taus, spec)
+                    )
+                    est = mc_expected_score(series, dist, spec, kind, samples, seed)
+                    assert 0 < est.degenerate_draws < samples
+                    assert est.degenerate_draws == int(bad.sum())
+                    assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
 
     def test_evaluates_once_per_estimate_at_drawn_thresholds(
         self, rng, uniform01, monkeypatch

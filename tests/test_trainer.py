@@ -197,6 +197,19 @@ class TestModel:
         with pytest.raises(ValidationError, match="activation 'relu'"):
             MLPModel.load(path)
 
+    def test_backward_consumes_only_the_hidden_activations(self, rng):
+        model = MLPModel.init((3, 5, 4, 1), seed=3)
+        x = rng.normal(size=(40, 3))
+        x_before = x.copy()
+        fwd = model.propagate(x)
+        hidden = [a.copy() for a in fwd.acts[1:]]
+        output = fwd.output.copy()
+        model.backward(fwd, rng.normal(size=40))
+        np.testing.assert_array_equal(x, x_before)
+        np.testing.assert_array_equal(fwd.output, output)
+        for a, h in zip(fwd.acts[1:], hidden):
+            np.testing.assert_array_equal(a, 1.0 - h * h)
+
     def test_init_shapes_validated(self):
         with pytest.raises(ValidationError):
             MLPModel.init((3, 4, 2), seed=0)
@@ -337,6 +350,31 @@ class TestTraining:
             x, y, model, TrainConfig(loss=spec, epochs=5, learning_rate=0.1, seed=7, chunk=32)
         )
         assert len(result.history) == 5
+
+    @pytest.mark.parametrize("chunk", [None, 32], ids=["full", "chunked"])
+    def test_backpropagates_each_forward_pass_at_most_once(self, monkeypatch, chunk):
+        # backward overwrites the hidden activations it reads, so a pass
+        # taken twice would give a wrong gradient the second time.
+        x, y = generate_temporal_dataset(SyntheticSeriesConfig(n=100, seed=13))
+        spec = LossSpec(
+            ScoreKind.TSS, ValueMaxWeight((0.4,)), ThresholdDistribution.uniform()
+        )
+        passes = []
+        backward = MLPModel.backward
+
+        def recording(model, fwd, dloss_dpred):
+            assert not any(fwd is seen for seen in passes)
+            passes.append(fwd)
+            return backward(model, fwd, dloss_dpred)
+
+        monkeypatch.setattr(MLPModel, "backward", recording)
+        model = MLPModel.init((x.shape[1], 4, 3, 1), seed=7)
+        cfg = TrainConfig(loss=spec, epochs=5, learning_rate=0.1, chunk=chunk)
+        train(x, y, model, cfg)
+        if chunk is None:
+            assert len(passes) == 5
+        else:
+            assert 0 < len(passes) <= 5 * 4
 
 
 def reference_train(features, labels, model, cfg):
