@@ -6,11 +6,12 @@ product of the series' float class mask with F or 1 - F.  The correct
 entries are the same for every weight variant and are assembled here
 that way; the weighted error entries come from the variant's own
 ``expected_errors``.  For the value weights the false-negative entry
-couples each positive sample to its window of past predictions: the
-dot-product form needs only pairwise cdf differences, while the max
-form needs the window's chain, the lags whose predictions strictly
-exceed every nearer one, each the nearest alarm on its power interval
-of thresholds (``weights._chain_members`` marks it).
+couples each positive sample to its window of past predictions through
+the cdf alone: the dot-product form needs pairwise cdf differences, and
+the max form, where only the nearest alarm counts, the running maxima of
+F over the window.  The window's chain (``weights._chain_members``) and
+its telescoped coefficients serve only the slopes and ``wsol verify``'s
+worked windows.
 """
 
 from __future__ import annotations

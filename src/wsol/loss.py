@@ -122,7 +122,9 @@ class LossEvaluation:
             s_tn, s_wfp, s_wfn, s_tp = score_partials(spec.score, *r.expected.entries())
             fp, fn, k = spec.weights.error_slopes(series, r.terms)
             slope = s_tn * -series.neg + s_wfp * fp + s_wfn * fn + s_tp * series.pos
-            grad += beta * -(slope * spec.dist.pdf(series.predictions))
+            slope *= spec.dist.pdf(series.predictions)
+            slope *= -beta
+            grad += slope
             kinks |= k
         return GradientVector(values=grad, kink_indices=tuple(sorted(kinks)))
 

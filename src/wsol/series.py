@@ -13,7 +13,6 @@ its header rule and its row conversion.
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
 from dataclasses import dataclass, field
@@ -42,17 +41,19 @@ def _checked_predictions(predictions, shape: tuple[int, ...]) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class LabeledSeries:
     """Predictions and 0/1 labels; ``pos`` and ``neg`` are the classes as
-    read-only float masks, built once, which every class sum reads."""
+    read-only float masks, built once, which every class sum reads.
+    ``label_derived`` keeps other arrays of the labels alone."""
 
     predictions: np.ndarray
     labels: np.ndarray
     pos: np.ndarray = field(init=False, repr=False)
     neg: np.ndarray = field(init=False, repr=False)
+    _derived: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         labels = np.asarray(self.labels)
         preds = _checked_predictions(self.predictions, labels.shape)
-        if not np.all((labels == 0) | (labels == 1)):
+        if not ((labels == 0) | (labels == 1)).all():
             raise ValidationError("labels must be exactly 0 or 1")
         labels = labels.astype(np.int64)
         pos = labels.astype(np.float64)
@@ -71,11 +72,25 @@ class LabeledSeries:
         return cls(np.array(preds, dtype=np.float64), np.array(labels))
 
     def with_predictions(self, predictions: np.ndarray) -> "LabeledSeries":
-        """The same labels and masks with new predictions; only those are checked."""
+        """The same labels, masks and label-derived arrays with new
+        predictions; only those are checked."""
         preds = _checked_predictions(predictions, self.labels.shape)
-        series = copy.copy(self)
-        object.__setattr__(series, "predictions", preds)
+        series = object.__new__(type(self))
+        series.__dict__.update(self.__dict__, predictions=preds)
         return series
+
+    def label_derived(self, key, build) -> np.ndarray:
+        """``build(self)`` made read-only, built once per ``key``.
+
+        ``build`` must read the labels alone, since every series that
+        ``with_predictions`` makes from this one shares the result.
+        """
+        arr = self._derived.get(key)
+        if arr is None:
+            arr = build(self)
+            arr.flags.writeable = False
+            self._derived[key] = arr
+        return arr
 
 
 def read_csv(path: str | Path, what: str, read_header, build):

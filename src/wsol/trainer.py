@@ -50,8 +50,12 @@ from .weights import UnitWeight, WeightSpec
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) never overflows, and the one division takes each sign's
     # stable numerator: 1 for z >= 0, exp(z) below.
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(z)
+    np.exp(np.negative(e, out=e), out=e)
+    num = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    num /= e
+    return num
 
 
 _PRED_EPS = 1e-9
@@ -73,7 +77,7 @@ class ForwardPass:
     @property
     def predictions(self) -> np.ndarray:
         """The output clipped a hair inside (0, 1), so logs stay finite."""
-        return np.clip(self.output, _PRED_EPS, 1.0 - _PRED_EPS)
+        return np.minimum(np.maximum(self.output, _PRED_EPS), 1.0 - _PRED_EPS)
 
 
 @dataclass
@@ -155,13 +159,38 @@ class MLPModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "MLPModel":
+        """Read a ``save`` checkpoint; ValidationError for what ``save`` would
+        not have written: non-finite parameters, or layers that do not chain
+        from the input to one output."""
         doc = json.loads(Path(path).read_text())
         if doc.get("activation") != "tanh":
             raise ValidationError(f"unsupported activation {doc.get('activation')!r}")
-        return cls(
-            weights=[np.array(w) for w in doc["weights"]],
-            biases=[np.array(b) for b in doc["biases"]],
-        )
+        try:
+            weights = [np.array(w, dtype=np.float64) for w in doc["weights"]]
+            biases = [np.array(b, dtype=np.float64) for b in doc["biases"]]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"checkpoint parameters: {exc}") from None
+        if len(biases) != len(weights):
+            raise ValidationError("checkpoint needs one bias per weight matrix")
+        fan_out = None
+        for layer, (w, b) in enumerate(zip(weights, biases)):
+            if w.ndim != 2:
+                raise ValidationError(f"layer {layer} weight is {w.ndim}-d, must be 2-d")
+            if fan_out is not None and w.shape[0] != fan_out:
+                raise ValidationError(
+                    f"layer {layer} takes {w.shape[0]} inputs, "
+                    f"but the layer before gives {fan_out}"
+                )
+            fan_out = w.shape[1]
+            if b.shape != (fan_out,):
+                raise ValidationError(
+                    f"layer {layer} bias must have shape ({fan_out},), got {b.shape}"
+                )
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValidationError(f"layer {layer} has a non-finite parameter")
+        if fan_out != 1:
+            raise ValidationError(f"last layer must have width 1, got {fan_out}")
+        return cls(weights=weights, biases=biases)
 
 
 # Upper bounds on a synthetic dataset, so that its (n, features) matrix
@@ -288,7 +317,7 @@ def _evaluate(
     """One forward pass and the loss's expected matrices at its predictions."""
     fwd = model.propagate(x)
     preds = fwd.predictions
-    if not np.all(np.isfinite(preds)):
+    if not np.isfinite(preds).all():
         raise TrainingDivergedError(epoch)
     return fwd, evaluate_loss(series.with_predictions(preds), loss)
 
@@ -330,6 +359,7 @@ def train(
         (features[lo:hi], LabeledSeries(np.full(hi - lo, 0.5), labels[lo:hi]))
         for lo, hi in bounds
     ]
+    params = (*model.weights, *model.biases)  # updated in place
     carried = None
     for epoch in range(cfg.epochs):
         for x, series in chunks:
@@ -340,17 +370,16 @@ def train(
             except DegenerateDenominatorError:
                 continue
             dloss_dpred = grad.values
-            if not np.isfinite(ev.value) or not np.all(np.isfinite(dloss_dpred)):
+            if not np.isfinite(ev.value) or not np.isfinite(dloss_dpred).all():
                 raise TrainingDivergedError(epoch)
             grad_w, grad_b = model.backward(fwd, dloss_dpred)
             # An overflow here is divergence, which the check below reports.
             with np.errstate(over="ignore", invalid="ignore"):
-                for w, gw in zip(model.weights, grad_w):
-                    w -= cfg.learning_rate * gw
-                for b, gb in zip(model.biases, grad_b):
-                    b -= cfg.learning_rate * gb
-            for arr in (*model.weights, *model.biases):
-                if not np.all(np.isfinite(arr)):
+                for param, g in zip(params, (*grad_w, *grad_b)):
+                    g *= cfg.learning_rate
+                    param -= g
+            for arr in params:
+                if not np.isfinite(arr).all():
                     raise TrainingDivergedError(epoch)
         fwd, ev = _evaluate(model, *whole, cfg.loss, epoch)
         entries = hard_entries(ev.series, tau_report, head.weights)

@@ -13,7 +13,7 @@ Each variant's class owns the decisions that depend on it:
   the (n, B) alarm matrix of B thresholds;
 * ``closed_form_terms`` -- what both closed forms derive from the series
   and the prior's support alone, built once per loss evaluation: for the
-  value variants, (T, n) lag rows and FP factors, each masked to its class;
+  value variants, the FP factors zeroed on positives;
 * ``expected_errors`` -- the closed-form (E[wFP], E[wFN]) under a
   threshold prior;
 * ``error_slopes`` -- their derivatives over the prior density at each
@@ -23,6 +23,14 @@ The two factor methods are the hard path the oracles integrate, and the
 only definition of each weight in the package; the other three are the
 closed forms those oracles check.  ``eval_weight`` reads one sample's
 weight off the factors.
+
+A value weight's expected miss needs the cdf alone: lag j of positive i
+alarms on the thresholds between p_i and p_{i-j}, a prior mass of
+(F(p_{i-j}) - F(p_i))+, and under the max form only the nearest alarm
+counts, which the running maxima of F over the window settle.  The lag
+terms of the slopes -- for the max form the window's chain, the lags whose
+predictions strictly exceed every nearer one, and its telescoped
+coefficients -- are built only when a gradient is taken.
 """
 
 from __future__ import annotations
@@ -231,9 +239,10 @@ class _ValueWeight(WeightSpec):
     # Both value variants weight an error by 1 - g(omega, z) over a window of
     # T indicators: the next T labels for a false positive, the previous T
     # alarms for a false negative.  A variant fixes how the window entries
-    # merge into g (``_merge``) and which past lags enter the closed form
-    # with which coefficient (``_lag_terms``).  Window positions outside
-    # the record contribute nothing.
+    # merge into g (``_merge``), what that merge takes off the expected
+    # misses (``_window_credit``), and which past lags enter its slope with
+    # which coefficient (``_lag_terms``).  Window positions outside the record
+    # contribute nothing.
 
     @property
     def window(self) -> int:
@@ -244,6 +253,11 @@ class _ValueWeight(WeightSpec):
         return self.omega[: n - 1]
 
     def fp_factors(self, series):
+        # The labels alone decide them, so every series with these labels
+        # shares one read-only copy.
+        return series.label_derived(self, self._window_fp_factors)
+
+    def _window_fp_factors(self, series):
         n = series.n
         g = np.zeros(n)
         for j, w in enumerate(self._record_omega(n), start=1):
@@ -267,31 +281,33 @@ class _ValueWeight(WeightSpec):
         1 - F(p_i) - sum_j coef[j - 1, i] * max(F(p_{i-j}) - F(p_i), 0);
         ``enters`` marks the lags that take part (coef is zero elsewhere),
         and ``tied`` the samples at a kink of the lag structure itself.
+        Only the slopes read these terms.
         """
         raise NotImplementedError
 
+    def _window_credit(self, pos: np.ndarray, cdf: np.ndarray) -> float:
+        """What the windows take off the expected misses of the positives
+        (the float mask ``pos``), from the cdf alone: E[FN] - E[wFN]."""
+        raise NotImplementedError
+
     def closed_form_terms(self, series, dist):
-        """(fp_neg, coef, enters, tied): ``fp_factors`` zeroed on positives,
-        then ``_lag_terms`` of the positives, a C-contiguous (n,) row for each
-        lag of ``_record_omega``, so every class sum is a dot product."""
+        """(fp_neg, a): ``fp_factors`` zeroed on positives, so the FP entry
+        is one dot product, and the prior's lower support bound, from which
+        ``error_slopes`` marks the lag terms."""
         _require_support(series, dist)
-        lags = self._lag_terms(series.predictions, dist.support[0], series.pos)
-        return (self.fp_factors(series) * series.neg, *lags)
+        return self.fp_factors(series) * series.neg, dist.support[0]
 
     def expected_errors(self, series, dist, cdf, terms):
-        n = series.n
-        fp_neg, coef, _, _ = terms
-        e_wfn = series.pos @ (1.0 - cdf)
-        for j in range(1, coef.shape[0] + 1):
-            gap = cdf[: n - j] - cdf[j:]
-            e_wfn -= coef[j - 1, j:] @ np.maximum(gap, 0.0, out=gap)
+        fp_neg, _ = terms
+        e_wfn = series.pos @ (1.0 - cdf) - self._window_credit(series.pos, cdf)
         return float(fp_neg @ cdf), float(e_wfn)
 
     def error_slopes(self, series, terms):
         p = series.predictions
         n = series.n
-        fp_neg, coef, enters, tied = terms
-        kinks = set(np.flatnonzero(tied).tolist())
+        fp_neg, a = terms
+        coef, enters, tied = self._lag_terms(p, a, series.pos)
+        kinks = set(np.flatnonzero(tied).tolist()) if tied.any() else set()
         # A positive's slope is that of 1 - F(p_i), plus every entering lag
         # predicted above it; that lag's prediction loses the same amount.
         # A lag predicted exactly at the positive's value is a kink.
@@ -300,8 +316,10 @@ class _ValueWeight(WeightSpec):
             gain = coef[j - 1, j:] * (p[: n - j] > p[j:])
             slope[j:] += gain
             slope[: n - j] -= gain
-            k = np.flatnonzero(enters[j - 1, j:] & (p[: n - j] == p[j:]))
-            kinks.update(k.tolist(), (k + j).tolist())
+            tie = enters[j - 1, j:] & (p[: n - j] == p[j:])
+            if tie.any():
+                k = np.flatnonzero(tie)
+                kinks.update(k.tolist(), (k + j).tolist())
         return fp_neg, slope, kinks
 
 
@@ -318,6 +336,16 @@ class ValueProdWeight(_ValueWeight):
         if sum(omega) >= 1.0:
             raise ValidationError("value_prod needs sum(omega) < 1")
         object.__setattr__(self, "omega", omega)
+
+    def _window_credit(self, pos, cdf):
+        # Lag j alarms above p_i on a prior mass of (F_{i-j} - F_i)+, and
+        # each such alarm takes its omega_j off the miss.
+        n = cdf.size
+        credit = 0.0
+        for j, w in enumerate(self._record_omega(n), start=1):
+            gap = cdf[: n - j] - cdf[j:]
+            credit += w * (pos[j:] @ np.maximum(gap, 0.0, out=gap))
+        return credit
 
     def _lag_terms(self, p, a, pos):
         # Every lag inside the record enters with its own omega.
@@ -341,22 +369,43 @@ class ValueMaxWeight(_ValueWeight):
             raise ValidationError("value_max needs max(omega) < 1")
         object.__setattr__(self, "omega", omega)
 
+    def _window_credit(self, pos, cdf):
+        # Above p_i the miss weighs 1 - omega_m, m the nearest lag alarmed.
+        # omega does not increase, so omega_m is the sum over j >= m of
+        # omega_j - omega_{j+1} (omega_{T+1} = 0), and j >= m exactly when
+        # some lag within j alarms: on the mass max(F_{i-1..i-j}) - F_i,
+        # since F does not decrease.  ``reach`` holds that running maximum
+        # less F_i, at least 0; lags before the record start are absent.
+        n = cdf.size
+        omega = self._record_omega(n) + (0.0,)
+        credit = 0.0
+        reach = np.zeros(n)
+        for j in range(1, len(omega)):
+            gap = cdf[: n - j] - cdf[j:]
+            np.maximum(reach[j:], gap, out=reach[j:])
+            credit += (omega[j - 1] - omega[j]) * (pos @ reach)
+        return credit
+
     def _lag_terms(self, p, a, pos):
         omega = self._record_omega(p.size)
         # Chain form: telescoping the per-interval integrals leaves one term
         # per chain member, weighted by the drop from its omega to the next
         # member's (0 after the last), found by scanning the lags backwards.
         member, tied = _chain_members(p, a, len(omega))
-        np.logical_and(member, pos, out=member)
-        np.logical_and(tied, pos, out=tied)
+        is_pos = pos.astype(bool)
+        np.logical_and(member, is_pos, out=member)
+        np.logical_and(tied, is_pos, out=tied)
         # omega does not increase, so a nearer member's omega is never below
         # ``following``, and the products give the selected values exactly.
+        # The marks are cast to floats once; float-by-bool products cast
+        # on every call.
+        here = member.astype(np.float64)
         coef = np.empty(member.shape)
         following = np.zeros(p.size)
         for j in range(len(omega), 0, -1):
-            here = member[j - 1]
-            np.multiply(omega[j - 1] - following, here, out=coef[j - 1])
-            following = np.maximum(following, omega[j - 1] * here)
+            np.subtract(omega[j - 1], following, out=coef[j - 1])
+            coef[j - 1] *= here[j - 1]
+            np.maximum(following, omega[j - 1] * here[j - 1], out=following)
         return coef, member, tied
 
 

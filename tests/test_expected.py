@@ -294,6 +294,22 @@ def test_expected_confusion_assembles_entries(rng, uniform01):
 CLASS_SUM_RTOL = 1e-12
 
 
+def value_miss_terms(spec, cdf: np.ndarray) -> np.ndarray:
+    """Each sample's expected miss weight as a positive, 1 - F(p_i) less
+    each lag's omega times the prior mass on which that lag alarms and no
+    nearer one does (value_max) or on which it alarms (value_prod)."""
+    n = cdf.size
+    terms = 1.0 - cdf
+    nearer = cdf.copy()  # the largest cdf of sample i and its nearer lags
+    for j, w in enumerate(spec.omega[: n - 1], start=1):
+        if spec.name == "value_max":
+            terms[j:] -= w * np.maximum(cdf[: n - j] - nearer[j:], 0.0)
+            np.maximum(nearer[j:], cdf[: n - j], out=nearer[j:])
+        else:
+            terms[j:] -= w * np.maximum(cdf[: n - j] - cdf[j:], 0.0)
+    return terms
+
+
 def test_class_sums_match_exactly_rounded_sums(both_priors):
     rng = np.random.default_rng(41)
     n = 100_000
@@ -313,3 +329,6 @@ def test_class_sums_match_exactly_rounded_sums(both_priors):
             if spec.name in ("unit", "cost"):
                 assert exp.e_wfp == pytest.approx(spec.c01 * fp, rel=CLASS_SUM_RTOL)
                 assert exp.e_wfn == pytest.approx(spec.c10 * fn, rel=CLASS_SUM_RTOL)
+            if spec.name in ("value_prod", "value_max"):
+                wfn = math.fsum(value_miss_terms(spec, cdf)[pos])
+                assert exp.e_wfn == pytest.approx(wfn, rel=CLASS_SUM_RTOL)

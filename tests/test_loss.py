@@ -238,6 +238,35 @@ class TestCombined:
         ev.gradient()
         assert calls == [beta, uniform, beta]
 
+    def test_lag_terms_built_only_for_the_gradient(self, rng, monkeypatch):
+        # The value and the expected matrices need the cdf alone; the lag
+        # terms are built once per component, when a gradient is taken.
+        series = make_series(rng)
+        uniform = ThresholdDistribution.uniform()
+        prod, maxw = ValueProdWeight((0.4, 0.2)), ValueMaxWeight((0.6, 0.3, 0.1))
+        spec = CombinedLossSpec(
+            (
+                (LossSpec(ScoreKind.TSS, prod, uniform), 0.5),
+                (LossSpec(ScoreKind.HSS, maxw, uniform), 0.5),
+            )
+        )
+        built = []
+        for cls in (ValueProdWeight, ValueMaxWeight):
+            lag_terms = cls._lag_terms
+
+            def counted(weight, p, a, pos, lag_terms=lag_terms):
+                built.append(weight)
+                return lag_terms(weight, p, a, pos)
+
+            monkeypatch.setattr(cls, "_lag_terms", counted)
+        ev = evaluate_loss(series, spec)
+        loss_value(series, spec)
+        expected_confusion(series, uniform, prod)
+        expected_confusion(series, uniform, maxw)
+        assert built == []
+        ev.gradient()
+        assert built == [prod, maxw]
+
 
 class TestScoreGap:
     def test_linear_gap_vanishes_exactly(self, rng, both_priors):

@@ -274,7 +274,9 @@ class TestFiniteDifferences:
 CLOSED_FORM_NAMES = {
     "closed_form_terms",
     "expected_errors",
+    "_window_credit",
     "error_slopes",
+    "_lag_terms",
     "expected_confusion",
     "evaluate_loss",
     "loss_value",

@@ -33,6 +33,7 @@ from wsol.weights import (
     UnitWeight,
     ValueMaxWeight,
     ValueProdWeight,
+    _ValueWeight,
 )
 
 
@@ -195,6 +196,32 @@ class TestModel:
         assert doc["activation"] == "tanh"
         path.write_text(json.dumps(dict(doc, activation="relu")))
         with pytest.raises(ValidationError, match="activation 'relu'"):
+            MLPModel.load(path)
+
+    @pytest.mark.parametrize(
+        "edits,message",
+        [
+            ([("biases", 0, [0.0, float("nan"), 0.0, 0.0])], "non-finite"),
+            ([("weights", 0, [0.1, 0.2, 0.3])], "must be 2-d"),
+            ([("weights", 1, [[0.1]] * 3)], "takes 3 inputs"),
+            ([("biases", 0, [0.0] * 3)], "bias must have shape"),
+            (
+                [("weights", 1, [[0.1, 0.2]] * 4), ("biases", 1, [0.0, 0.0])],
+                "width 1",
+            ),
+        ],
+        ids=["nan", "weight-not-2d", "fan-in", "bias-length", "last-width"],
+    )
+    def test_load_rejects_what_save_would_not_write(self, tmp_path, edits, message):
+        # A saved (3, 4, 1) network with parameters replaced.  Python's JSON writer
+        # and reader both take a bare NaN token, which ``save`` refuses.
+        path = tmp_path / "ckpt.json"
+        MLPModel.init((3, 4, 1), seed=1).save(path)
+        doc = json.loads(path.read_text())
+        for key, layer, value in edits:
+            doc[key][layer] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=message):
             MLPModel.load(path)
 
     def test_backward_consumes_only_the_hidden_activations(self, rng):
@@ -375,6 +402,27 @@ class TestTraining:
             assert len(passes) == 5
         else:
             assert 0 < len(passes) <= 5 * 4
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_value_fp_factors_built_once_per_run(monkeypatch, epochs):
+    # The labels alone decide them: the step's loss, the report's loss and
+    # the report's hard matrix share one build.
+    x, y = generate_temporal_dataset(SyntheticSeriesConfig(n=100, seed=13))
+    spec = LossSpec(
+        ScoreKind.TSS, ValueMaxWeight((0.6, 0.3)), ThresholdDistribution.uniform()
+    )
+    built = []
+    fp_build = _ValueWeight._window_fp_factors
+
+    def counted(weight, series):
+        built.append(series.n)
+        return fp_build(weight, series)
+
+    monkeypatch.setattr(_ValueWeight, "_window_fp_factors", counted)
+    model = MLPModel.init((x.shape[1], 4, 1), seed=7)
+    train(x, y, model, TrainConfig(loss=spec, epochs=epochs, learning_rate=0.1))
+    assert built == [100]
 
 
 def reference_train(features, labels, model, cfg):

@@ -14,6 +14,7 @@ from wsol.expected import expected_confusion
 from wsol.loss import LossSpec, combined_loss
 from wsol.scores import ScoreKind
 from wsol.series import LabeledSeries
+from wsol.threshold import ThresholdDistribution
 from wsol.verify import PRIORS, weight_menu
 from wsol.weights import (
     CostWeight,
@@ -183,7 +184,8 @@ def test_closed_form_terms_have_one_column_per_lag(cls, n, rng):
     for length in (1, n, 3 * n, 20000):
         spec = cls(long_omega(cls, length, rng))
         for dist in PRIORS:
-            _, coef, enters, _ = spec.closed_form_terms(series, dist)
+            p, a = series.predictions, dist.support[0]
+            coef, enters, _ = spec._lag_terms(p, a, series.pos)
             assert coef.shape == enters.shape == (min(length, n - 1), n)
             assert coef.flags.c_contiguous and enters.flags.c_contiguous
 
@@ -226,10 +228,56 @@ def test_lag_major_terms_transpose_the_sample_major_loop(n, rng):
             here = ref_member[:, j - 1]
             ref_coef[:, j - 1] = np.where(here, omega[j - 1] - following, 0.0)
             following = np.where(here, omega[j - 1], following)
-        terms = ValueMaxWeight(omega).closed_form_terms(series, PRIORS[0])
-        np.testing.assert_array_equal(terms[1], (ref_coef * pos[:, None]).T)
-        np.testing.assert_array_equal(terms[2], (ref_member & pos[:, None]).T)
-        np.testing.assert_array_equal(terms[3], ref_tied & pos)
+        coef, enters, tied = ValueMaxWeight(omega)._lag_terms(p, 0.0, series.pos)
+        np.testing.assert_array_equal(coef, (ref_coef * pos[:, None]).T)
+        np.testing.assert_array_equal(enters, (ref_member & pos[:, None]).T)
+        np.testing.assert_array_equal(tied, ref_tied & pos)
+
+
+def per_sample_chain_misses(spec, p, labels, a, cdf):
+    """E[wFN] as the per-sample chain form: for each positive, 1 - F(p_i)
+    less each chain member's telescoped coefficient times its cdf gap
+    above F(p_i); under value_prod every lag in the record is a member
+    with its own omega."""
+    omega = spec.omega
+    total = 0.0
+    for i in np.flatnonzero(labels):
+        members, top = [], a
+        for j in range(1, min(len(omega), i) + 1):
+            if isinstance(spec, ValueProdWeight) or p[i - j] > top:
+                members.append(j)
+                top = max(top, p[i - j])
+        term = 1.0 - cdf[i]
+        following = [omega[j - 1] for j in members[1:]] + [0.0]
+        for j, after in zip(members, following):
+            coef = omega[j - 1] - (0.0 if isinstance(spec, ValueProdWeight) else after)
+            term -= coef * max(cdf[i - j] - cdf[i], 0.0)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("cls", [ValueProdWeight, ValueMaxWeight])
+@pytest.mark.parametrize("n", [2, 5, 40, 150])
+def test_cdf_only_misses_match_the_chain_form(cls, n, rng):
+    # Grid predictions tie often, within the window and with the support
+    # bound's neighbours; windows reach up to and past the record start.
+    priors = (
+        ThresholdDistribution.uniform(),
+        ThresholdDistribution.uniform(0.3, 1.0),
+        ThresholdDistribution.beta_prior(2.0, 2.0),
+    )
+    for dist in priors:
+        a = dist.support[0]
+        for length in sorted({1, 3, n - 1, n, 3 * n}):
+            spec = cls(long_omega(cls, length, rng))
+            labels = rng.integers(0, 2, size=n)
+            p = rng.integers(int(10 * a) + 1, 10, size=n) / 10
+            series = LabeledSeries(p, labels)
+            cdf = dist.cdf(p)
+            terms = spec.closed_form_terms(series, dist)
+            _, e_wfn = spec.expected_errors(series, dist, cdf, terms)
+            ref = per_sample_chain_misses(spec, p, labels, a, cdf)
+            assert e_wfn == pytest.approx(ref, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("cls", [ValueProdWeight, ValueMaxWeight])
