@@ -340,6 +340,11 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        # An argument sized past memory, such as --samples, a long omega or
+        # a wide --hidden; numpy names the array it could not allocate.
+        print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

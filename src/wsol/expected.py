@@ -10,8 +10,8 @@ couples each positive sample to its window of past predictions through
 the cdf alone: the dot-product form needs pairwise cdf differences, and
 the max form, where only the nearest alarm counts, the running maxima of
 F over the window.  The window's chain (``weights._chain_members``) and
-its telescoped coefficients serve only the slopes and ``wsol verify``'s
-worked windows.
+its telescoped coefficients serve only the slopes, one lag at a time, and
+``wsol verify``'s worked windows.
 """
 
 from __future__ import annotations
@@ -67,17 +67,11 @@ def expected_wfn(
 
 
 def expected_confusion(
-    series: LabeledSeries, dist: ThresholdDistribution, spec: WeightSpec, terms=None
+    series: LabeledSeries, dist: ThresholdDistribution, spec: WeightSpec
 ) -> ExpectedConfusion:
-    """Assemble all four expected entries from one evaluation of the cdf.
-
-    ``terms`` is ``spec.closed_form_terms(series, dist)``, built here when
-    the caller has not built it already.
-    """
-    if terms is None:
-        terms = spec.closed_form_terms(series, dist)
+    """Assemble all four expected entries from one evaluation of the cdf."""
     cdf = dist.cdf(series.predictions)
-    e_wfp, e_wfn = spec.expected_errors(series, dist, cdf, terms)
+    e_wfp, e_wfn = spec.expected_errors(series, dist, cdf)
     return ExpectedConfusion(
         e_tn=float(series.neg @ (1.0 - cdf)),
         e_wfp=e_wfp,

@@ -80,13 +80,12 @@ class GradientVector:
 
 @dataclass(frozen=True)
 class LossResult:
-    """One loss on one series: its value, the expected matrix it scores,
-    and the closed-form terms a gradient at that matrix reuses."""
+    """One loss on one series: its value and the expected matrix it scores,
+    at which a gradient takes the score partials."""
 
     value: float
     degenerate: bool
     expected: ExpectedConfusion = field(repr=False)
-    terms: object = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ class LossEvaluation:
     """A loss evaluated on one series: one result per component.
 
     The value needs only the expected matrices; the gradient, taken
-    later or not at all, reuses them and their closed-form terms.
+    later or not at all, reuses them, and only it builds the slopes.
     """
 
     series: LabeledSeries
@@ -120,7 +119,7 @@ class LossEvaluation:
             # The score partials at the result's expected matrix chained with
             # the entry slopes, then the prior density every slope shares.
             s_tn, s_wfp, s_wfn, s_tp = score_partials(spec.score, *r.expected.entries())
-            fp, fn, k = spec.weights.error_slopes(series, r.terms)
+            fp, fn, k = spec.weights.error_slopes(series, spec.dist)
             slope = s_tn * -series.neg + s_wfp * fp + s_wfn * fn + s_tp * series.pos
             slope *= spec.dist.pdf(series.predictions)
             slope *= -beta
@@ -132,13 +131,12 @@ class LossEvaluation:
 def evaluate_loss(
     series: LabeledSeries, spec: LossSpec | CombinedLossSpec
 ) -> LossEvaluation:
-    """One expected matrix per component, with the terms its gradient reuses."""
+    """One expected matrix per component, which its gradient reuses."""
     results = []
     for component, _ in spec.components:
-        terms = component.weights.closed_form_terms(series, component.dist)
-        exp = expected_confusion(series, component.dist, component.weights, terms)
+        exp = expected_confusion(series, component.dist, component.weights)
         score = apply_score(component.score, *exp.entries())
-        results.append(LossResult(-score.value, score.degenerate, exp, terms))
+        results.append(LossResult(-score.value, score.degenerate, exp))
     return LossEvaluation(series, spec, tuple(results))
 
 

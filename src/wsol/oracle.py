@@ -110,14 +110,14 @@ def batch_weighted_entries(
     the counts are exact integers held as floats.  Thresholds are taken
     in blocks of at most _BATCH_ELEMENTS matrix elements, each alarm
     matrix cast to floats once.  Every entry is a vector-matrix product
-    with a float label mask: the negatives (tn), the FP factors zeroed on
-    positives (wfp), and the positives, with the alarms (tp) and with the
-    FN factors zeroed where an alarm is raised (wfn).
+    with a float label mask: the negatives (tn), the FP factors, which are
+    zero on positives (wfp), and the positives, with the alarms (tp) and
+    with the FN factors zeroed where an alarm is raised (wfn).
     """
     p = series.predictions
     neg, pos = series.neg, series.pos
     n_neg = neg.sum()
-    fp_neg = spec.fp_factors(series) * neg
+    fp = spec.fp_factors(series)
     taus = np.asarray(taus, dtype=np.float64)
     out = np.empty((4, taus.size))
     step = max(1, _BATCH_ELEMENTS // series.n)
@@ -127,7 +127,7 @@ def batch_weighted_entries(
         raised = alarm.astype(np.float64)
         missed = spec.fn_factors(series, alarm) * (1.0 - raised)
         out[0, cols] = n_neg - neg @ raised
-        out[1, cols] = fp_neg @ raised
+        out[1, cols] = fp @ raised
         out[2, cols] = pos @ missed
         out[3, cols] = pos @ raised
     return out

@@ -5,32 +5,32 @@ cross-entropy (prediction-dependent), and two value variants that reward
 errors adjacent in time to events or alarms through a window of length T.
 The value variants read a series' index order as its time order.
 
-Each variant's class owns the decisions that depend on it:
+Each variant's class owns the decisions that depend on it, in four methods:
 
 * ``fp_factors`` -- the weight of each sample as a false positive, which
-  never depends on the threshold;
+  never depends on the threshold, and is 0 on positives: a positive is
+  never a false positive;
 * ``fn_factors`` -- the weight of each sample as a false negative, given
   the (n, B) alarm matrix of B thresholds;
-* ``closed_form_terms`` -- what both closed forms derive from the series
-  and the prior's support alone, built once per loss evaluation: for the
-  value variants, the FP factors zeroed on positives;
 * ``expected_errors`` -- the closed-form (E[wFP], E[wFN]) under a
-  threshold prior;
+  threshold prior, from the series and the prior's cdf;
 * ``error_slopes`` -- their derivatives over the prior density at each
   prediction, with the indices where only one-sided ones exist.
 
 The two factor methods are the hard path the oracles integrate, and the
-only definition of each weight in the package; the other three are the
+only definition of each weight in the package; the other two are the
 closed forms those oracles check.  ``eval_weight`` reads one sample's
 weight off the factors.
 
 A value weight's expected miss needs the cdf alone: lag j of positive i
 alarms on the thresholds between p_i and p_{i-j}, a prior mass of
 (F(p_{i-j}) - F(p_i))+, and under the max form only the nearest alarm
-counts, which the running maxima of F over the window settle.  The lag
-terms of the slopes -- for the max form the window's chain, the lags whose
-predictions strictly exceed every nearer one, and its telescoped
-coefficients -- are built only when a gradient is taken.
+counts, which the running maxima of F over the window settle.  The slopes
+take the lags one row at a time: every lag with its own omega for the
+dot-product form; for the max form the window's chain, the lags whose
+predictions strictly exceed every nearer one, whose telescoped
+coefficients are scanned from the farthest lag.  Only a gradient builds
+them.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class WeightSpec:
         """Raise when the closed forms do not cover this threshold prior."""
 
     def fp_factors(self, series: LabeledSeries) -> np.ndarray:
-        """Weight of each sample as a false positive, shape (n,)."""
+        """Weight of each sample as a false positive, shape (n,); 0 on positives."""
         raise NotImplementedError
 
     def fn_factors(self, series: LabeledSeries, alarm: np.ndarray) -> np.ndarray:
@@ -65,32 +65,22 @@ class WeightSpec:
         """
         raise NotImplementedError
 
-    def closed_form_terms(self, series: LabeledSeries, dist):
-        """The terms both closed forms take, from the series and the prior's support.
-
-        None for the variants whose closed forms need only the series.
-        """
-        return None
-
     def expected_errors(
-        self, series: LabeledSeries, dist, cdf: np.ndarray, terms
+        self, series: LabeledSeries, dist, cdf: np.ndarray
     ) -> tuple[float, float]:
-        """(E[wFP], E[wFN]) under ``dist``; ``cdf`` is its cdf at each prediction.
-
-        ``terms`` is ``closed_form_terms(series, dist)``.
-        """
+        """(E[wFP], E[wFN]) under ``dist``; ``cdf`` is its cdf at each prediction."""
         raise NotImplementedError
 
     def error_slopes(
-        self, series: LabeledSeries, terms
+        self, series: LabeledSeries, dist
     ) -> tuple[np.ndarray, np.ndarray, set[int]]:
         """(fp_slope, fn_slope, kink indices), one slope per prediction.
 
-        dE[wFP]/dp_i = fp_slope_i * f(p_i) for the prior density f, and
-        likewise for wFN.  Where the weight does not depend on the
+        dE[wFP]/dp_i = fp_slope_i * f(p_i) for the density f of ``dist``,
+        and likewise for wFN.  Where the weight does not depend on the
         predictions, a slope is the drop of the hard entry as the threshold
-        rises through p_i.  ``terms`` is ``closed_form_terms(series, dist)``.
-        At a kink index only a one-sided derivative exists.
+        rises through p_i.  At a kink index only a one-sided derivative
+        exists.
         """
         raise NotImplementedError
 
@@ -101,19 +91,19 @@ class _ErrorTypeWeight(WeightSpec):
     # gives exactly c01 * E[FP] and c10 * E[FN].
 
     def fp_factors(self, series):
-        return np.full(series.n, float(self.c01))
+        return self.c01 * series.neg
 
     def fn_factors(self, series, alarm):
         return np.full((series.n, 1), float(self.c10))
 
-    def expected_errors(self, series, dist, cdf, terms):
+    def expected_errors(self, series, dist, cdf):
         return (
             self.c01 * float(series.neg @ cdf),
             self.c10 * float(series.pos @ (1.0 - cdf)),
         )
 
-    def error_slopes(self, series, terms):
-        return self.c01 * series.neg, -self.c10 * series.pos, set()
+    def error_slopes(self, series, dist):
+        return self.fp_factors(series), -self.c10 * series.pos, set()
 
 
 @dataclass(frozen=True)
@@ -161,13 +151,13 @@ class CrossEntropyWeight(WeightSpec):
 
     def fp_factors(self, series):
         p = series.predictions
-        return -self.omega0 * np.log1p(-p) / p
+        return (-self.omega0 * np.log1p(-p) / p) * series.neg
 
     def fn_factors(self, series, alarm):
         p = series.predictions
         return (-self.omega1 * np.log(p) / (1.0 - p))[:, None]
 
-    def expected_errors(self, series, dist, cdf, terms):
+    def expected_errors(self, series, dist, cdf):
         self.check_prior(dist)
         p = series.predictions
         return (
@@ -175,7 +165,7 @@ class CrossEntropyWeight(WeightSpec):
             float(-self.omega1 * (series.pos @ np.log(p))),
         )
 
-    def error_slopes(self, series, terms):
+    def error_slopes(self, series, dist):
         # The derivatives themselves: the one prior allowed has f = 1.
         p, neg, pos = series.predictions, series.neg, series.pos
         return self.omega0 * neg / (1.0 - p), -self.omega1 * pos / p, set()
@@ -241,7 +231,7 @@ class _ValueWeight(WeightSpec):
     # alarms for a false negative.  A variant fixes how the window entries
     # merge into g (``_merge``), what that merge takes off the expected
     # misses (``_window_credit``), and which past lags enter its slope with
-    # which coefficient (``_lag_terms``).  Window positions outside the record
+    # which coefficient (``_lag_rows``).  Window positions outside the record
     # contribute nothing.
 
     @property
@@ -262,7 +252,7 @@ class _ValueWeight(WeightSpec):
         g = np.zeros(n)
         for j, w in enumerate(self._record_omega(n), start=1):
             self._merge(g[: n - j], w * series.pos[j:], out=g[: n - j])
-        return 1.0 - g
+        return (1.0 - g) * series.neg
 
     def fn_factors(self, series, alarm):
         n = series.n
@@ -271,17 +261,18 @@ class _ValueWeight(WeightSpec):
             self._merge(g[j:], w * alarm[: n - j], out=g[j:])
         return 1.0 - g
 
-    def _lag_terms(
-        self, p: np.ndarray, a: float, pos: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(coef, enters, tied) of the positives (the float mask ``pos``),
-        zero elsewhere; coef and enters are (T, n), a row per lag.
+    def _lag_rows(self, p: np.ndarray, a: float, pos: np.ndarray):
+        """(tied, rows) of the positives (the float mask ``pos``), for the
+        prior's lower support bound ``a``.
 
-        The expected false-negative weight of positive i is
-        1 - F(p_i) - sum_j coef[j - 1, i] * max(F(p_{i-j}) - F(p_i), 0);
+        ``rows`` yields, one lag j at a time, (j, coef, enters): (n - j,)
+        rows over samples j..n-1, zero on negatives.  With c_ij the entry of
+        ``coef`` for sample i, the expected false-negative weight of positive
+        i is 1 - F(p_i) - sum_j c_ij * max(F(p_{i-j}) - F(p_i), 0);
         ``enters`` marks the lags that take part (coef is zero elsewhere),
         and ``tied`` the samples at a kink of the lag structure itself.
-        Only the slopes read these terms.
+        The rows share buffers: each holds until the next is taken, and its
+        ``coef`` is the taker's to overwrite.  Only the slopes read them.
         """
         raise NotImplementedError
 
@@ -290,37 +281,29 @@ class _ValueWeight(WeightSpec):
         (the float mask ``pos``), from the cdf alone: E[FN] - E[wFN]."""
         raise NotImplementedError
 
-    def closed_form_terms(self, series, dist):
-        """(fp_neg, a): ``fp_factors`` zeroed on positives, so the FP entry
-        is one dot product, and the prior's lower support bound, from which
-        ``error_slopes`` marks the lag terms."""
+    def expected_errors(self, series, dist, cdf):
         _require_support(series, dist)
-        return self.fp_factors(series) * series.neg, dist.support[0]
-
-    def expected_errors(self, series, dist, cdf, terms):
-        fp_neg, _ = terms
         e_wfn = series.pos @ (1.0 - cdf) - self._window_credit(series.pos, cdf)
-        return float(fp_neg @ cdf), float(e_wfn)
+        return float(self.fp_factors(series) @ cdf), float(e_wfn)
 
-    def error_slopes(self, series, terms):
+    def error_slopes(self, series, dist):
         p = series.predictions
         n = series.n
-        fp_neg, a = terms
-        coef, enters, tied = self._lag_terms(p, a, series.pos)
-        kinks = set(np.flatnonzero(tied).tolist()) if tied.any() else set()
+        tied, rows = self._lag_rows(p, dist.support[0], series.pos)
+        kinks = set(np.flatnonzero(tied).tolist())
         # A positive's slope is that of 1 - F(p_i), plus every entering lag
         # predicted above it; that lag's prediction loses the same amount.
         # A lag predicted exactly at the positive's value is a kink.
         slope = -series.pos
-        for j in range(1, coef.shape[0] + 1):
-            gain = coef[j - 1, j:] * (p[: n - j] > p[j:])
+        for j, gain, enters in rows:
+            gain *= p[: n - j] > p[j:]
             slope[j:] += gain
             slope[: n - j] -= gain
-            tie = enters[j - 1, j:] & (p[: n - j] == p[j:])
+            tie = enters & (p[: n - j] == p[j:])
             if tie.any():
                 k = np.flatnonzero(tie)
                 kinks.update(k.tolist(), (k + j).tolist())
-        return fp_neg, slope, kinks
+        return self.fp_factors(series), slope, kinks
 
 
 @dataclass(frozen=True)
@@ -347,12 +330,15 @@ class ValueProdWeight(_ValueWeight):
             credit += w * (pos[j:] @ np.maximum(gap, 0.0, out=gap))
         return credit
 
-    def _lag_terms(self, p, a, pos):
+    def _lag_rows(self, p, a, pos):
         # Every lag inside the record enters with its own omega.
-        omega = np.array(self._record_omega(p.size))[:, None]
-        enters = np.arange(1, omega.size + 1)[:, None] <= np.arange(p.size)
-        np.logical_and(enters, pos, out=enters)
-        return omega * enters, enters, np.zeros(p.size, dtype=bool)
+        is_pos = pos.astype(bool)
+        coef = np.empty(p.size)
+        rows = (
+            (j, np.multiply(pos[j:], w, out=coef[j:]), is_pos[j:])
+            for j, w in enumerate(self._record_omega(p.size), start=1)
+        )
+        return np.zeros(p.size, dtype=bool), rows
 
 
 @dataclass(frozen=True)
@@ -386,27 +372,32 @@ class ValueMaxWeight(_ValueWeight):
             credit += (omega[j - 1] - omega[j]) * (pos @ reach)
         return credit
 
-    def _lag_terms(self, p, a, pos):
+    def _lag_rows(self, p, a, pos):
         omega = self._record_omega(p.size)
-        # Chain form: telescoping the per-interval integrals leaves one term
-        # per chain member, weighted by the drop from its omega to the next
-        # member's (0 after the last), found by scanning the lags backwards.
         member, tied = _chain_members(p, a, len(omega))
         is_pos = pos.astype(bool)
         np.logical_and(member, is_pos, out=member)
         np.logical_and(tied, is_pos, out=tied)
-        # omega does not increase, so a nearer member's omega is never below
-        # ``following``, and the products give the selected values exactly.
-        # The marks are cast to floats once; float-by-bool products cast
-        # on every call.
-        here = member.astype(np.float64)
-        coef = np.empty(member.shape)
-        following = np.zeros(p.size)
+        return tied, self._chain_rows(member, omega)
+
+    @staticmethod
+    def _chain_rows(member: np.ndarray, omega: tuple[float, ...]):
+        # Chain form: telescoping the per-interval integrals leaves one term
+        # per chain member, weighted by the drop from its omega to the next
+        # member's (0 after the last), so the lags are scanned backwards with
+        # that next omega, ``following``, running.  omega does not increase,
+        # so a member's omega is never below ``following`` and replaces it,
+        # and the drop is exactly the change of ``following``.  Two buffers
+        # alternate: the new ``following`` goes into the last row's, and the
+        # row over the old ``following``.
+        following, spare = np.zeros(member.shape[1]), np.zeros(member.shape[1])
         for j in range(len(omega), 0, -1):
-            np.subtract(omega[j - 1], following, out=coef[j - 1])
-            coef[j - 1] *= here[j - 1]
-            np.maximum(following, omega[j - 1] * here[j - 1], out=following)
-        return coef, member, tied
+            here = member[j - 1, j:]
+            now = np.multiply(here, omega[j - 1], out=spare[j:])
+            np.maximum(now, following[j:], out=now)
+            coef = np.subtract(now, following[j:], out=following[j:])
+            following, spare = spare, following
+            yield j, coef, here
 
 
 def eval_weight(spec: WeightSpec, tau: float, i: int, series: LabeledSeries) -> float:

@@ -267,14 +267,24 @@ class TestVerify:
 
         closed_form = ValueMaxWeight.expected_errors
 
-        def off(self, series, dist, cdf, terms):
-            e_wfp, e_wfn = closed_form(self, series, dist, cdf, terms)
+        def off(self, series, dist, cdf):
+            e_wfp, e_wfn = closed_form(self, series, dist, cdf)
             return e_wfp, e_wfn + error
 
         monkeypatch.setattr(ValueMaxWeight, "expected_errors", off)
         assert run(["verify", "--only", "thm3"]) == 3
         err = capsys.readouterr().err
         assert f"failed: thm3_max_window_closed_form: exact {shown} out of bounds" in err
+
+    def test_sample_count_past_memory_exits_2_with_one_line(self, tmp_path, capsys):
+        # numpy refuses the 7.28 TiB array of draws without touching memory.
+        out = tmp_path / "table.json"
+        argv = ["verify", "--samples", 10**12, "--only", "closed_vs_mc", "--out", out]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: out of memory: ")
 
     def test_small_sample_count_widens_bands(self):
         # Bands scale with the Monte Carlo standard error, so the floor

@@ -27,6 +27,7 @@ from wsol.weights import (
     UnitWeight,
     ValueMaxWeight,
     ValueProdWeight,
+    _chain_members,
 )
 
 
@@ -240,7 +241,8 @@ class TestCombined:
 
     def test_lag_terms_built_only_for_the_gradient(self, rng, monkeypatch):
         # The value and the expected matrices need the cdf alone; the lag
-        # terms are built once per component, when a gradient is taken.
+        # rows are built once per component, and the value_max chain once,
+        # when a gradient is taken.
         series = make_series(rng)
         uniform = ThresholdDistribution.uniform()
         prod, maxw = ValueProdWeight((0.4, 0.2)), ValueMaxWeight((0.6, 0.3, 0.1))
@@ -252,20 +254,26 @@ class TestCombined:
         )
         built = []
         for cls in (ValueProdWeight, ValueMaxWeight):
-            lag_terms = cls._lag_terms
+            lag_rows = cls._lag_rows
 
-            def counted(weight, p, a, pos, lag_terms=lag_terms):
+            def counted(weight, p, a, pos, lag_rows=lag_rows):
                 built.append(weight)
-                return lag_terms(weight, p, a, pos)
+                return lag_rows(weight, p, a, pos)
 
-            monkeypatch.setattr(cls, "_lag_terms", counted)
+            monkeypatch.setattr(cls, "_lag_rows", counted)
+
+        def counted_chain(p, a, window):
+            built.append("chain")
+            return _chain_members(p, a, window)
+
+        monkeypatch.setattr("wsol.weights._chain_members", counted_chain)
         ev = evaluate_loss(series, spec)
         loss_value(series, spec)
         expected_confusion(series, uniform, prod)
         expected_confusion(series, uniform, maxw)
         assert built == []
         ev.gradient()
-        assert built == [prod, maxw]
+        assert built == [prod, maxw, "chain"]
 
 
 class TestScoreGap:

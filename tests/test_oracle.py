@@ -272,11 +272,11 @@ class TestFiniteDifferences:
 
 
 CLOSED_FORM_NAMES = {
-    "closed_form_terms",
     "expected_errors",
     "_window_credit",
     "error_slopes",
-    "_lag_terms",
+    "_lag_rows",
+    "_chain_rows",
     "expected_confusion",
     "evaluate_loss",
     "loss_value",

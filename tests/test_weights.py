@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from helpers import (
 from wsol.confusion import hard_entries
 from wsol.errors import ValidationError
 from wsol.expected import expected_confusion
-from wsol.loss import LossSpec, combined_loss
+from wsol.loss import LossSpec, combined_loss, evaluate_loss
 from wsol.scores import ScoreKind
 from wsol.series import LabeledSeries
 from wsol.threshold import ThresholdDistribution
@@ -152,6 +154,8 @@ def test_factor_methods_match_eval_weight(spec, rng):
         n = int(rng.integers(1, 12))
         series = LabeledSeries(rng.choice(grid, size=n), rng.integers(0, 2, size=n))
         fp = spec.fp_factors(series)
+        # A positive is never a false positive.
+        np.testing.assert_array_equal(fp[series.labels == 1], 0.0)
         alarm = series.predictions[:, None] > taus
         fn = np.broadcast_to(spec.fn_factors(series, alarm), alarm.shape)
         for i in range(n):
@@ -179,15 +183,34 @@ def long_omega(cls, length: int, rng) -> tuple[float, ...]:
 @pytest.mark.parametrize("cls", [ValueProdWeight, ValueMaxWeight])
 @pytest.mark.parametrize("n", [1, 2, 5, 50])
 def test_closed_form_terms_have_one_column_per_lag(cls, n, rng):
-    # The lag terms are lag-major: one C-contiguous (n,) row per lag.
+    # The slopes take the lags one at a time: for each lag j inside the
+    # record, one C-contiguous row over samples j..n-1.
     series = grid_series(rng, n)
     for length in (1, n, 3 * n, 20000):
         spec = cls(long_omega(cls, length, rng))
         for dist in PRIORS:
             p, a = series.predictions, dist.support[0]
-            coef, enters, _ = spec._lag_terms(p, a, series.pos)
-            assert coef.shape == enters.shape == (min(length, n - 1), n)
-            assert coef.flags.c_contiguous and enters.flags.c_contiguous
+            tied, rows = spec._lag_rows(p, a, series.pos)
+            lags = []
+            for j, coef, enters in rows:
+                lags.append(j)
+                assert coef.shape == enters.shape == (n - j,)
+                assert coef.flags.c_contiguous and enters.flags.c_contiguous
+            assert sorted(lags) == list(range(1, min(length, n - 1) + 1))
+            assert tied.shape == (n,)
+
+
+def lag_matrices(spec, p, a, pos):
+    """The rows of ``_lag_rows`` stacked lag-major as (coef, enters, tied),
+    coef and enters (T, n) with zeros before each lag's first sample."""
+    tied, rows = spec._lag_rows(p, a, pos)
+    window = min(spec.window, p.size - 1)
+    coef = np.zeros((window, p.size))
+    enters = np.zeros((window, p.size), dtype=bool)
+    for j, c, e in rows:
+        coef[j - 1, j:] = c
+        enters[j - 1, j:] = e
+    return coef, enters, tied
 
 
 def sample_major_chain(p, a, window):
@@ -228,7 +251,7 @@ def test_lag_major_terms_transpose_the_sample_major_loop(n, rng):
             here = ref_member[:, j - 1]
             ref_coef[:, j - 1] = np.where(here, omega[j - 1] - following, 0.0)
             following = np.where(here, omega[j - 1], following)
-        coef, enters, tied = ValueMaxWeight(omega)._lag_terms(p, 0.0, series.pos)
+        coef, enters, tied = lag_matrices(ValueMaxWeight(omega), p, 0.0, series.pos)
         np.testing.assert_array_equal(coef, (ref_coef * pos[:, None]).T)
         np.testing.assert_array_equal(enters, (ref_member & pos[:, None]).T)
         np.testing.assert_array_equal(tied, ref_tied & pos)
@@ -274,8 +297,7 @@ def test_cdf_only_misses_match_the_chain_form(cls, n, rng):
             p = rng.integers(int(10 * a) + 1, 10, size=n) / 10
             series = LabeledSeries(p, labels)
             cdf = dist.cdf(p)
-            terms = spec.closed_form_terms(series, dist)
-            _, e_wfn = spec.expected_errors(series, dist, cdf, terms)
+            _, e_wfn = spec.expected_errors(series, dist, cdf)
             ref = per_sample_chain_misses(spec, p, labels, a, cdf)
             assert e_wfn == pytest.approx(ref, rel=0, abs=1e-12)
 
@@ -299,6 +321,30 @@ def test_lags_past_the_record_change_nothing(cls, n, rng):
             assert grad.kink_indices == cut_grad.kink_indices
 
 
+def traced_peak(call) -> int:
+    """Peak bytes that ``call()`` allocates, numpy arrays included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("window", [20, 200])
+def test_value_slopes_take_memory_linear_in_n(window, rng):
+    # The slopes take one lag at a time, so a value_prod gradient needs no
+    # more than twice the memory of the value, plus 1 MB, at any window;
+    # value_max adds its chain marks, one byte per lag and sample.
+    n = 20_000
+    series = LabeledSeries(rng.uniform(0.01, 0.99, n), rng.integers(0, 2, n))
+    for cls, marks in ((ValueProdWeight, 0), (ValueMaxWeight, window * n)):
+        spec = LossSpec(ScoreKind.TSS, cls(long_omega(cls, window, rng)), PRIORS[0])
+        ev = evaluate_loss(series, spec)
+        value_peak = traced_peak(lambda: evaluate_loss(series, spec).value)
+        assert traced_peak(ev.gradient) <= 2 * value_peak + 2**20 + marks
+
+
 @pytest.mark.parametrize("k", [0, 1, 3, 4], ids=["unit", "cost", "prod", "max"])
 def test_slopes_are_the_hard_matrix_jumps(k, rng):
     # A weight that does not depend on the predictions: each slope is the
@@ -312,8 +358,7 @@ def test_slopes_are_the_hard_matrix_jumps(k, rng):
         below = hard_entries(series, p - delta, spec)[:, 1]
         above = hard_entries(series, p + delta, spec)[:, 1]
         jump = below - above
-        terms = spec.closed_form_terms(series, PRIORS[0])
-        fp_slope, fn_slope, kinks = spec.error_slopes(series, terms)
+        fp_slope, fn_slope, kinks = spec.error_slopes(series, PRIORS[0])
         assert kinks == set()
         np.testing.assert_allclose(fp_slope, jump[1], rtol=0, atol=1e-12)
         np.testing.assert_allclose(fn_slope, jump[2], rtol=0, atol=1e-12)
@@ -330,8 +375,7 @@ def test_slopes_times_density_are_entry_derivatives(k, rng):
         series = make_series(rng)
         spec = weight_menu(rng)[k]
         dist = PRIORS[0] if k == 2 else PRIORS[1]
-        terms = spec.closed_form_terms(series, dist)
-        fp_slope, fn_slope, _ = spec.error_slopes(series, terms)
+        fp_slope, fn_slope, _ = spec.error_slopes(series, dist)
         slopes = np.stack([-series.neg, fp_slope, fn_slope, series.pos])
         analytic = slopes * dist.pdf(series.predictions)
         fd = np.empty_like(analytic)
