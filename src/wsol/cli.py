@@ -127,8 +127,15 @@ def _layer_sizes(text: str) -> tuple[int, ...]:
 _SEED_HELP = "non-negative integer; defaults to $WSOL_SEED, else 2024"
 
 
+class _Parser(argparse.ArgumentParser):
+    # A usage error is one stderr line, as every other error is; -h prints
+    # the usage.  Subcommand parsers take this class from their parent.
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="wsol")
+    parser = _Parser(prog="wsol")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="score a series file under a config")

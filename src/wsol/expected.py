@@ -9,9 +9,9 @@ that way; the weighted error entries come from the variant's own
 couples each positive sample to its window of past predictions through
 the cdf alone: the dot-product form needs pairwise cdf differences, and
 the max form, where only the nearest alarm counts, the running maxima of
-F over the window.  The window's chain (``weights._chain_members``) and
-its telescoped coefficients serve only the slopes, one lag at a time, and
-``wsol verify``'s worked windows.
+F over the window.  The window's chain, one lead count per sample
+(``weights._chain_members``), and its telescoped coefficients serve only
+the slopes, one lag at a time, and ``wsol verify``'s worked windows.
 """
 
 from __future__ import annotations

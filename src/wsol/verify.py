@@ -194,12 +194,14 @@ def criterion_max_window(
     )
     worst["window_mismatches"] = 0
     for window, intervals in WORKED_WINDOWS:
-        # The window's chain, read off the closed form's own marking; each
-        # member's interval runs up from its precursor's prediction.
+        # The window's chain, read off the closed form's own marking: lag j
+        # is a member when its lead reaches the last sample.  Each member's
+        # interval runs up from its precursor's prediction.
         preds = np.concatenate([window[::-1], [0.45]])
-        member = _chain_members(preds, 0.0, len(window))[0][:, -1]
+        lead = _chain_members(preds, 0.0, len(window))[0][-2::-1]
+        lags = np.arange(1, len(window) + 1)
         got, lower, precursor = [], 0.0, 0
-        for lag in (np.flatnonzero(member) + 1).tolist():
+        for lag in lags[lead >= lags].tolist():
             got.append((lag, lower, window[lag - 1], precursor))
             lower, precursor = window[lag - 1], lag
         worst["window_mismatches"] += got != intervals

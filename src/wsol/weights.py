@@ -29,8 +29,9 @@ counts, which the running maxima of F over the window settle.  The slopes
 take the lags one row at a time: every lag with its own omega for the
 dot-product form; for the max form the window's chain, the lags whose
 predictions strictly exceed every nearer one, whose telescoped
-coefficients are scanned from the farthest lag.  Only a gradient builds
-them.
+coefficients are scanned from the farthest lag.  A sample joins the
+chains of a run of the samples after it, so one count per sample, its
+lead, holds every chain.  Only a gradient builds them.
 """
 
 from __future__ import annotations
@@ -41,6 +42,16 @@ import numpy as np
 
 from .errors import UnsupportedCombinationError, ValidationError, check_finite
 from .series import LabeledSeries
+
+
+# Largest cost or cross-entropy parameter accepted.  The weighted error
+# entries scale with it, and the TSS and HSS partials divide by their
+# second and fourth powers, which overflow once the weight times the
+# series length passes about 1e154 and 1e77.  A score reads only the
+# ratios of the weights to each other and to the unit correct entries,
+# and 1e6 keeps every entry and partial far inside the float range on any
+# series that fits in memory.
+MAX_WEIGHT_PARAMETER = 1e6
 
 
 class WeightSpec:
@@ -126,6 +137,8 @@ class CostWeight(_ErrorTypeWeight):
             object.__setattr__(self, name, check_finite(name, getattr(self, name)))
         if self.c01 < 0 or self.c10 < 0:
             raise ValidationError("costs must be non-negative")
+        if max(self.c01, self.c10) > MAX_WEIGHT_PARAMETER:
+            raise ValidationError(f"costs must be at most {MAX_WEIGHT_PARAMETER:g}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +154,11 @@ class CrossEntropyWeight(WeightSpec):
             object.__setattr__(self, name, check_finite(name, getattr(self, name)))
         if self.omega0 <= 0 or self.omega1 <= 0:
             raise ValidationError("cross-entropy weight parameters must be positive")
+        if max(self.omega0, self.omega1) > MAX_WEIGHT_PARAMETER:
+            raise ValidationError(
+                "cross-entropy weight parameters must be at most "
+                f"{MAX_WEIGHT_PARAMETER:g}"
+            )
 
     def check_prior(self, dist) -> None:
         if dist.kind != "uniform" or dist.support != (0.0, 1.0):
@@ -205,24 +223,26 @@ def _chain_members(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chain marking of the past ``window`` lags of every sample, window < p.size.
 
-    ``member[j - 1, i]`` is set when the prediction at lag j of sample i
-    exceeds the lower support bound ``a`` and every nearer lag's prediction
+    Sample k is in the chain of sample k + j, at lag j, when its prediction
+    exceeds the lower support bound ``a`` and every prediction between them
     strictly: the strict running maxima, which are exactly the lags whose
     power interval is non-empty (of equal predictions the nearer lag keeps
-    the interval).  ``tied[i]`` flags a lag equal to that running maximum,
-    a chain-membership boundary.  Lags before the record start are absent
-    rather than padded, so they can neither join the chain nor tie.
+    the interval).  Nearer lags only raise that maximum, so k is in the
+    chains of exactly samples k + 1 .. k + ``lead[k]``, and ``lead`` holds
+    every mark.  ``tied[i]`` flags a lag of sample i equal to its running
+    maximum, a chain-membership boundary.  Lags before the record start are
+    absent rather than padded, so they can neither join the chain nor tie.
     """
     n = p.size
-    member = np.zeros((window, n), dtype=bool)
+    lead = np.zeros(n, dtype=np.min_scalar_type(window))
     tied = np.zeros(n, dtype=bool)
     top = np.full(n, float(a))
     for j in range(1, window + 1):
         past = p[: n - j]
-        np.greater(past, top[j:], out=member[j - 1, j:])
+        lead[: n - j] += past > top[j:]
         tied[j:] |= past == top[j:]
         np.maximum(top[j:], past, out=top[j:])
-    return member, tied
+    return lead, tied
 
 
 class _ValueWeight(WeightSpec):
@@ -374,14 +394,13 @@ class ValueMaxWeight(_ValueWeight):
 
     def _lag_rows(self, p, a, pos):
         omega = self._record_omega(p.size)
-        member, tied = _chain_members(p, a, len(omega))
+        lead, tied = _chain_members(p, a, len(omega))
         is_pos = pos.astype(bool)
-        np.logical_and(member, is_pos, out=member)
         np.logical_and(tied, is_pos, out=tied)
-        return tied, self._chain_rows(member, omega)
+        return tied, self._chain_rows(lead, is_pos, omega)
 
     @staticmethod
-    def _chain_rows(member: np.ndarray, omega: tuple[float, ...]):
+    def _chain_rows(lead: np.ndarray, is_pos: np.ndarray, omega: tuple[float, ...]):
         # Chain form: telescoping the per-interval integrals leaves one term
         # per chain member, weighted by the drop from its omega to the next
         # member's (0 after the last), so the lags are scanned backwards with
@@ -389,10 +408,14 @@ class ValueMaxWeight(_ValueWeight):
         # so a member's omega is never below ``following`` and replaces it,
         # and the drop is exactly the change of ``following``.  Two buffers
         # alternate: the new ``following`` goes into the last row's, and the
-        # row over the old ``following``.
-        following, spare = np.zeros(member.shape[1]), np.zeros(member.shape[1])
+        # row over the old ``following``.  Lag j's members among the
+        # positives are read off the lead counts into one shared mask.
+        n = lead.size
+        following, spare = np.zeros(n), np.zeros(n)
+        member = np.empty(n, dtype=bool)
         for j in range(len(omega), 0, -1):
-            here = member[j - 1, j:]
+            here = np.greater_equal(lead[: n - j], j, out=member[j:])
+            np.logical_and(here, is_pos[j:], out=here)
             now = np.multiply(here, omega[j - 1], out=spare[j:])
             np.maximum(now, following[j:], out=now)
             coef = np.subtract(now, following[j:], out=following[j:])

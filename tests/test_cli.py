@@ -6,7 +6,9 @@ import pytest
 
 from wsol import cli
 from wsol.cli import main
-from wsol.series import read_dataset_csv
+from wsol.config import load_loss
+from wsol.loss import combined_loss
+from wsol.series import read_dataset_csv, read_series_csv
 
 
 def run(argv):
@@ -215,6 +217,29 @@ class TestLoss:
         err = captured.err.strip()
         assert err.startswith("input error:") and "\n" not in err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "predictions, kinks",
+        [((0.5, 0.5, 0.3, 0.5, 0.2), [1, 2, 3]), ((0.5, 0.4, 0.3, 0.6, 0.2), [])],
+        ids=["ties", "smooth"],
+    )
+    def test_gradient_warns_of_kinks(self, tmp_path, capsys, predictions, kinks):
+        # Ties within a value_max window leave only one-sided derivatives,
+        # at the kink indices of the library's gradient.
+        data = tmp_path / "series.csv"
+        rows = "".join(f"{y},{p}\n" for y, p in zip((0, 0, 1, 1, 0), predictions))
+        data.write_text("label,prediction\n" + rows)
+        loss = tmp_path / "max.json"
+        weights = {"variant": "value_max", "omega": [0.6, 0.3]}
+        loss.write_text(json.dumps(dict(_COMPONENT, weights=weights)))
+        assert run(["loss", "--data", data, "--loss", loss, "--gradient"]) == 0
+        err = capsys.readouterr().err
+        _, grad = combined_loss(read_series_csv(data), load_loss(loss))
+        assert list(grad.kink_indices) == kinks
+        if kinks:
+            assert err == f"warning: one-sided derivatives at kink indices {kinks}\n"
+        else:
+            assert err == ""
 
     def test_combined_loss_file(self, demo_dir, tmp_path, capsys):
         component = {
@@ -633,3 +658,82 @@ def test_bad_document_values_exit_2_with_one_line(
     assert captured.out == "" and not out.exists()
     (line,) = captured.err.splitlines()
     assert line.startswith("config error: ")
+
+
+def _cost(c):
+    return {"variant": "cost", "c01": c, "c10": c}
+
+
+def _loss_doc(score, weights):
+    return dict(_COMPONENT, score=score, weights=weights)
+
+
+_LOSS_ARGV = ["loss", "--data", "s.csv", "--loss", "l.json", "--gradient"]
+_EVAL_ARGV = ["eval", "--data", "s.csv", "--config", "l.json", "--out", "r.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, files, code",
+    [
+        (_LOSS_ARGV, {"l.json": _loss_doc("tss", _cost(1e200))}, 2),
+        (_LOSS_ARGV, {"l.json": _loss_doc("hss", _cost(1e200))}, 2),
+        (_LOSS_ARGV, {"l.json": _loss_doc("neg_error_sum", _cost(1e308))}, 2),
+        (
+            _LOSS_ARGV,
+            {
+                "l.json": _loss_doc(
+                    "neg_error_sum",
+                    {"variant": "cross_entropy", "omega0": 1e308, "omega1": 1e308},
+                )
+            },
+            2,
+        ),
+        (_EVAL_ARGV, {"l.json": {"weights": _cost(1e200), "score": "hss"}}, 2),
+        (
+            _LOSS_ARGV,
+            {"s.csv": "label,prediction\n1,0.2\n0,abc\n", "l.json": _COMPONENT},
+            1,
+        ),
+        (
+            ["loss", "--data", "missing.csv", "--loss", "l.json"],
+            {"l.json": _COMPONENT},
+            1,
+        ),
+        (_EVAL_ARGV, {"l.json": {"weights": {"variant": "unit"}, "prior": {}}}, 2),
+        (["verify", "--samples", "10", "--out", "r.json"], {}, 2),
+    ],
+    ids=[
+        "tss-cost-1e200",
+        "hss-cost-1e200",
+        "neg-error-sum-cost-1e308",
+        "cross-entropy-1e308",
+        "eval-hss-cost-1e200",
+        "bad-csv",
+        "missing-csv",
+        "bad-config",
+        "samples-10",
+    ],
+)
+def test_bad_invocation_exits_with_one_error_line(
+    argv, files, code, tmp_path, monkeypatch, capsys
+):
+    # Warnings are recorded rather than raised, and an uncaught exception,
+    # which a run would print as a traceback, fails the test.
+    monkeypatch.chdir(tmp_path)
+    files = {"s.csv": "label,prediction\n1,0.2\n0,0.7\n1,0.6\n0,0.1\n", **files}
+    for name, content in files.items():
+        text = content if isinstance(content, str) else json.dumps(content)
+        (tmp_path / name).write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = run(argv)
+        except SystemExit as exc:
+            got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    assert [str(w.message) for w in caught] == []
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "error:" in line and "Traceback" not in line and "Warning" not in line
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)

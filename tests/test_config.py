@@ -64,6 +64,20 @@ def test_distribution_unknown_key_rejected():
         parse_distribution({"kind": "uniform", "mean": 0.5})
 
 
+def test_distribution_unknown_kind_rejected():
+    with pytest.raises(ConfigError, match="unknown kind 'gamma'"):
+        parse_distribution({"kind": "gamma"})
+
+
+def test_unreadable_or_non_object_json_is_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="missing.json"):
+        load_json(tmp_path / "missing.json")
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="top level must be an object"):
+        load_json(path)
+
+
 def test_distribution_invalid_parameters_become_config_errors():
     with pytest.raises(ConfigError):
         parse_distribution({"kind": "uniform", "a": 0.9, "b": 0.2})

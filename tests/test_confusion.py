@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from helpers import make_series, random_omega, weight_menu
-from wsol.confusion import hard_confusion, hard_entries, weighted_hard_confusion
+from wsol.confusion import (
+    ConfusionCounts,
+    hard_confusion,
+    hard_entries,
+    weighted_hard_confusion,
+)
 from wsol.errors import ValidationError
 from wsol.series import LabeledSeries
 from wsol.weights import (
@@ -175,3 +180,8 @@ class TestWeighted:
         a = weighted_hard_confusion(series, 0.5, spec)
         b = weighted_hard_confusion(moved, 0.5, spec)
         assert a.wfn != b.wfn
+
+
+def test_counts_must_be_non_negative():
+    with pytest.raises(ValidationError, match="non-negative"):
+        ConfusionCounts(tn=1, fp=-1, fn=0, tp=2)

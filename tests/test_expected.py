@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import make_series, random_omega, weight_menu
 from wsol.errors import UnsupportedCombinationError, ValidationError
 from wsol.expected import (
+    ExpectedConfusion,
     expected_confusion,
     expected_tp_tn,
     expected_wfn,
@@ -140,7 +141,8 @@ def chain_intervals(past, a=0.0):
     from the previous member's prediction (``a`` for the first) to its own.
     """
     past = np.asarray(past, dtype=np.float64)
-    member = _chain_members(np.append(past[::-1], 1.0), a, past.size)[0][:, -1]
+    lead = _chain_members(np.append(past[::-1], 1.0), a, past.size)[0][-2::-1]
+    member = lead >= np.arange(1, past.size + 1)
     uppers = past[member]
     lowers = np.concatenate([[a], uppers[:-1]])
     return list(zip(np.flatnonzero(member) + 1, lowers, uppers))
@@ -332,3 +334,10 @@ def test_class_sums_match_exactly_rounded_sums(both_priors):
             if spec.name in ("value_prod", "value_max"):
                 wfn = math.fsum(value_miss_terms(spec, cdf)[pos])
                 assert exp.e_wfn == pytest.approx(wfn, rel=CLASS_SUM_RTOL)
+
+
+def test_entries_clamp_rounding_negatives_and_reject_real_ones():
+    # A closed form that subtracts sums may round a zero entry just below 0.
+    assert ExpectedConfusion(1.0, -1e-12, 0.5, 2.0).e_wfp == 0.0
+    with pytest.raises(ValidationError, match="e_wfn is negative"):
+        ExpectedConfusion(1.0, 0.0, -1e-6, 2.0)

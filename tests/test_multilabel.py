@@ -52,13 +52,32 @@ class TestValidation:
                 aggregator=Aggregator("mean"),
             )
 
+    def test_labels_and_predictions_must_be_congruent(self):
+        with pytest.raises(ValidationError, match="congruent"):
+            MultilabelSeries(np.array([[0, 1], [1, 0]]), np.full((2, 3), 0.5))
+        with pytest.raises(ValidationError, match="congruent"):
+            MultilabelSeries(np.array([0, 1]), np.array([0.4, 0.6]))
+        assert MultilabelSeries(np.array([[0, 1], [1, 0]]), np.full((2, 2), 0.5)).n == 2
+
     def test_aggregator_weights(self):
         with pytest.raises(ValidationError):
             Aggregator("weighted_mean", weights=(0.5, 0.6))
+        for empty in (None, ()):
+            with pytest.raises(ValidationError, match="needs weights"):
+                Aggregator("weighted_mean", weights=empty)
         with pytest.raises(ValidationError):
             Aggregator("mean", weights=(0.5, 0.5))
         with pytest.raises(ValidationError):
             Aggregator("median")
+
+    def test_aggregator_weights_match_the_class_count(self):
+        uni = ThresholdDistribution.uniform()
+        with pytest.raises(ValidationError, match="class count"):
+            MultilabelSpec(
+                class_specs=((uni, UnitWeight()),) * 3,
+                score=ScoreKind.TSS,
+                aggregator=Aggregator("weighted_mean", weights=(0.5, 0.5)),
+            )
 
     def test_spec_series_shape_mismatch(self, rng):
         ml = random_multilabel(rng, d=3)
@@ -137,6 +156,33 @@ class TestGradient:
             np.testing.assert_allclose(
                 grad.values[:, j], per_class.values / d, atol=1e-12
             )
+
+    def test_weighted_mean_gradient_matches_finite_differences(self, rng):
+        # Per-class weights, priors and weight variants, with no tied
+        # predictions, so every derivative is two-sided.
+        ml = random_multilabel(rng, n=12, d=3)
+        spec = MultilabelSpec(
+            class_specs=(
+                (ThresholdDistribution.uniform(), UnitWeight()),
+                (ThresholdDistribution.beta_prior(2.0, 2.0), ValueMaxWeight((0.6, 0.3))),
+                (ThresholdDistribution.uniform(0.02, 0.98), ValueMaxWeight((0.4,))),
+            ),
+            score=ScoreKind.TSS,
+            aggregator=Aggregator("weighted_mean", weights=(0.2, 0.3, 0.5)),
+        )
+        _, grad = multilabel_wsol(ml, spec)
+        assert not grad.nonsmooth
+        step = 1e-6
+        fd = np.empty_like(grad.values)
+        for i, j in np.ndindex(*fd.shape):
+            sides = []
+            for shift in (step, -step):
+                preds = ml.predictions.copy()
+                preds[i, j] += shift
+                sides.append(multilabel_wsol(MultilabelSeries(ml.labels, preds), spec)[0])
+            fd[i, j] = (sides[0] - sides[1]) / (2 * step)
+        rel = np.abs(fd - grad.values) / np.maximum(np.abs(grad.values), 1.0)
+        assert rel.max() < 1e-5
 
     def test_column_independence(self, rng):
         ml = random_multilabel(rng, d=3)

@@ -77,6 +77,20 @@ class TestDegenerate:
         with pytest.raises(DegenerateDenominatorError, match="tp \\+ wfn"):
             score_partials(ScoreKind.TSS, 1, 1, 0, 0)
 
+    @pytest.mark.parametrize(
+        "kind, entries, denominator",
+        [
+            (ScoreKind.ACCURACY, (0, 0, 0, 0), "tp + tn + wfp + wfn"),
+            (ScoreKind.F1, (5, 0, 0, 0), "2*tp + wfp + wfn"),
+            (ScoreKind.HSS, (0, 0, 0, 5), "(tp + wfn)*(wfn + tn)"),
+        ],
+        ids=["accuracy", "f1", "hss"],
+    )
+    def test_ratio_partials_raise_naming_denominator(self, kind, entries, denominator):
+        with pytest.raises(DegenerateDenominatorError) as exc:
+            score_partials(kind, *entries)
+        assert str(exc.value).startswith(denominator)
+
 
 class TestPartials:
     def test_linear_score_partials(self):

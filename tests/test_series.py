@@ -123,15 +123,34 @@ def test_csv_row_error_names_the_file_line(tmp_path):
 )
 def test_csv_readers_accept_a_byte_order_mark(reader, text, tmp_path):
     # Spreadsheet exports often start UTF-8 files with a byte-order mark.
-    plain = tmp_path / "plain.csv"
-    plain.write_text(text, encoding="utf-8")
     marked = tmp_path / "marked.csv"
     marked.write_text(text, encoding="utf-8-sig")
-    want, got = reader(plain), reader(marked)
+    assert_reads_as(reader, marked, text, tmp_path)
+
+
+def assert_reads_as(reader, path, text, tmp_path):
+    """``reader`` gives the same arrays from ``path`` as from plain ``text``."""
+    plain = tmp_path / "plain.csv"
+    plain.write_text(text, encoding="utf-8")
+    want, got = reader(plain), reader(path)
     if isinstance(want, LabeledSeries):
         want, got = (want.predictions, want.labels), (got.predictions, got.labels)
     for w, g in zip(want, got):
         np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_series_csv, "label,prediction\n0,0.8\n1,0.3\n"),
+        (read_dataset_csv, "f1,label\n0.5,1\n-2.0,0\n"),
+    ],
+    ids=["series", "dataset"],
+)
+def test_csv_readers_skip_blank_lines(reader, text, tmp_path):
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text(text.replace("\n", "\n\n"))
+    assert_reads_as(reader, spaced, text, tmp_path)
 
 
 def test_csv_out_of_domain_prediction(tmp_path):

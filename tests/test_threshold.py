@@ -47,6 +47,12 @@ class TestConstruction:
             assert np.all(np.diff(d.cdf(np.append(grid, d.mean()))[:-1]) >= 0)
             assert np.all(np.isfinite(d.pdf(grid)))
 
+    def test_beta_off_the_unit_interval_and_unknown_kinds_rejected(self):
+        with pytest.raises(ValidationError, match=r"\[0, 1\] only"):
+            ThresholdDistribution(kind="beta", a=0.1, alpha=2.0, beta=2.0)
+        with pytest.raises(ValidationError, match="unknown distribution kind"):
+            ThresholdDistribution(kind="gamma")
+
     def test_beta_is_full_support(self):
         d = ThresholdDistribution.beta_prior(2.0, 2.0)
         assert d.support == (0.0, 1.0)

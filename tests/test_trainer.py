@@ -152,12 +152,23 @@ class TestSyntheticData:
             ("n", MAX_SYNTH_SAMPLES, MAX_SYNTH_SAMPLES + 1),
             ("features", 2, 1),
             ("features", MAX_SYNTH_FEATURES, MAX_SYNTH_FEATURES + 1),
+            ("event_rate", 1.0, 1.5),
         ],
     )
     def test_size_bounds(self, field, edge, past):
         SyntheticSeriesConfig(**{field: edge})
         with pytest.raises(ValidationError, match=f"{field} must lie in"):
             SyntheticSeriesConfig(**{field: past})
+
+    def test_noise_must_be_non_negative(self):
+        SyntheticSeriesConfig(noise=0.0)
+        with pytest.raises(ValidationError, match="noise must be non-negative"):
+            SyntheticSeriesConfig(noise=-0.1)
+
+    def test_sizes_must_be_whole_numbers(self):
+        SyntheticSeriesConfig(n=80.0)
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            SyntheticSeriesConfig(n=80.5)
 
     def test_events_arrive_in_bursts(self):
         cfg = SyntheticSeriesConfig(n=400, event_rate=0.2, seed=11)
@@ -205,12 +216,22 @@ class TestModel:
             ([("weights", 0, [0.1, 0.2, 0.3])], "must be 2-d"),
             ([("weights", 1, [[0.1]] * 3)], "takes 3 inputs"),
             ([("biases", 0, [0.0] * 3)], "bias must have shape"),
+            ([("weights", 0, [[0.1, 0.2]] * 2 + [[0.3]])], "checkpoint parameters"),
+            ([("biases", 0, [[0.0], "x"])], "checkpoint parameters"),
             (
                 [("weights", 1, [[0.1, 0.2]] * 4), ("biases", 1, [0.0, 0.0])],
                 "width 1",
             ),
         ],
-        ids=["nan", "weight-not-2d", "fan-in", "bias-length", "last-width"],
+        ids=[
+            "nan",
+            "weight-not-2d",
+            "fan-in",
+            "bias-length",
+            "ragged-weight",
+            "non-number-bias",
+            "last-width",
+        ],
     )
     def test_load_rejects_what_save_would_not_write(self, tmp_path, edits, message):
         # A saved (3, 4, 1) network with parameters replaced.  Python's JSON writer
@@ -222,6 +243,14 @@ class TestModel:
             doc[key][layer] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=message):
+            MLPModel.load(path)
+
+    def test_load_needs_one_bias_per_weight_matrix(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        MLPModel.init((3, 4, 1), seed=1).save(path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(doc, biases=doc["biases"][:1])))
+        with pytest.raises(ValidationError, match="one bias per weight matrix"):
             MLPModel.load(path)
 
     def test_backward_consumes_only_the_hidden_activations(self, rng):
@@ -283,6 +312,18 @@ class TestModel:
 
 
 class TestTraining:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("epochs", -1, "epochs and learning rate"),
+            ("learning_rate", -0.5, "epochs and learning rate"),
+            ("chunk", 0, "chunk length must be positive"),
+        ],
+    )
+    def test_config_validated(self, field, value, message):
+        with pytest.raises(ValidationError, match=message):
+            TrainConfig(loss=ce_loss(), **{field: value})
+
     def test_zero_learning_rate_is_inert(self, rng):
         x = rng.normal(size=(30, 2))
         y = (rng.random(30) < 0.4).astype(int)

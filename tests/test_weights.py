@@ -19,6 +19,7 @@ from wsol.series import LabeledSeries
 from wsol.threshold import ThresholdDistribution
 from wsol.verify import PRIORS, weight_menu
 from wsol.weights import (
+    MAX_WEIGHT_PARAMETER,
     CostWeight,
     CrossEntropyWeight,
     UnitWeight,
@@ -57,6 +58,29 @@ class TestValidation:
     def test_empty_omega_rejected(self):
         with pytest.raises(ValidationError):
             ValueMaxWeight(())
+
+    def test_negative_omega_entry_rejected(self):
+        for cls in (ValueProdWeight, ValueMaxWeight):
+            with pytest.raises(ValidationError, match="non-negative"):
+                cls((0.5, -0.1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_weight_parameters_up_to_the_bound_give_finite_losses(self, rng):
+        # Past the bound the TSS and HSS partials overflow on a long series.
+        past = float(np.nextafter(MAX_WEIGHT_PARAMETER, np.inf))
+        for build in (CostWeight, CrossEntropyWeight):
+            with pytest.raises(ValidationError, match="at most"):
+                build(past, 1.0)
+            with pytest.raises(ValidationError, match="at most"):
+                build(1.0, past)
+        series = make_series(rng, n=2000)
+        for spec in (
+            CostWeight(MAX_WEIGHT_PARAMETER, MAX_WEIGHT_PARAMETER),
+            CrossEntropyWeight(MAX_WEIGHT_PARAMETER, MAX_WEIGHT_PARAMETER),
+        ):
+            for score in ScoreKind:
+                value, grad = combined_loss(series, LossSpec(score, spec, PRIORS[0]))
+                assert np.isfinite(value) and np.isfinite(grad.values).all()
 
 
 class TestEval:
@@ -215,7 +239,7 @@ def lag_matrices(spec, p, a, pos):
 
 def sample_major_chain(p, a, window):
     """The chain marking as (n, window) arrays, a row per sample: the loop
-    the lag-major ``_chain_members`` is checked against."""
+    the lead counts of ``_chain_members`` are checked against."""
     n = p.size
     member = np.zeros((n, window), dtype=bool)
     tied = np.zeros(n, dtype=bool)
@@ -240,9 +264,12 @@ def test_lag_major_terms_transpose_the_sample_major_loop(n, rng):
     pos = series.labels == 1
     for window in sorted({1, min(3, n - 1), n - 1}):
         for a in (0.3, 0.0):
-            member, tied = _chain_members(p, a, window)
+            lead, tied = _chain_members(p, a, window)
             ref_member, ref_tied = sample_major_chain(p, a, window)
-            np.testing.assert_array_equal(member, ref_member.T)
+            assert lead.shape == (n,)
+            for j in range(1, window + 1):
+                in_chain = lead[: n - j] >= j
+                np.testing.assert_array_equal(in_chain, ref_member[j:, j - 1])
             np.testing.assert_array_equal(tied, ref_tied)
         omega = long_omega(ValueMaxWeight, window, rng)
         ref_coef = np.zeros(ref_member.shape)
@@ -331,18 +358,18 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("window", [20, 200])
+@pytest.mark.parametrize("window", [20, 200, 1000])
 def test_value_slopes_take_memory_linear_in_n(window, rng):
-    # The slopes take one lag at a time, so a value_prod gradient needs no
-    # more than twice the memory of the value, plus 1 MB, at any window;
-    # value_max adds its chain marks, one byte per lag and sample.
+    # The slopes take one lag at a time, and the value_max chain is one
+    # lead count per sample, so a value gradient needs no more than twice
+    # the memory of the value, plus 1 MB, at any window.
     n = 20_000
     series = LabeledSeries(rng.uniform(0.01, 0.99, n), rng.integers(0, 2, n))
-    for cls, marks in ((ValueProdWeight, 0), (ValueMaxWeight, window * n)):
+    for cls in (ValueProdWeight, ValueMaxWeight):
         spec = LossSpec(ScoreKind.TSS, cls(long_omega(cls, window, rng)), PRIORS[0])
         ev = evaluate_loss(series, spec)
         value_peak = traced_peak(lambda: evaluate_loss(series, spec).value)
-        assert traced_peak(ev.gradient) <= 2 * value_peak + 2**20 + marks
+        assert traced_peak(ev.gradient) <= 2 * value_peak + 2**20
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 4], ids=["unit", "cost", "prod", "max"])
