@@ -4,8 +4,8 @@ Subcommands: ``eval`` (threshold sweep + expected matrices for a series),
 ``loss`` (loss value and optional gradient for a series), ``verify``
 (oracle check suite), ``train`` (fit the demo MLP), and ``demo-figure1``
 (emit the paired same-matrix series).  Exit codes: 0 ok, 1 bad input
-data, 2 bad config, 3 verification failure, 4 training divergence.
-``WSOL_SEED`` overrides the default seed.
+data, 2 bad config or unwritable output, 3 verification failure, 4 training
+divergence, 141 closed stdout.  ``WSOL_SEED`` overrides the default seed.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ EXIT_INPUT = 1
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_DIVERGED = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: a shell's status for a tool SIGPIPE ends
 
 # eval writes one report row per threshold, so a finer grid outgrows memory.
 MIN_SWEEP_STEP = 1e-4
@@ -234,9 +235,9 @@ def cmd_verify(args) -> int:
     if not results:
         print(f"no checks match --only {args.only!r}", file=sys.stderr)
         return EXIT_VERIFY
-    print(format_table(results))
     if args.out:
         Path(args.out).write_text(finite_json(results, indent=2))
+    print(format_table(results))
     if all(r["passed"] for r in results):
         return EXIT_OK
     for r in results:
@@ -328,7 +329,13 @@ def main(argv=None) -> int:
         "demo-figure1": cmd_demo_figure1,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python would fail again flushing stdout at exit; devnull takes it.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -351,6 +358,10 @@ def main(argv=None) -> int:
         # An argument sized past memory, such as --samples, a long omega or
         # a wide --hidden; numpy names the array it could not allocate.
         print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # The input readers map their own, so this one came from an output.
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -6,8 +6,9 @@ from one steer training in the right direction.  Entries are real-valued
 because they may be weighted sums or threshold averages, not just counts.
 
 Zero denominators evaluate to 0 (the skill-less convention) with a flag in
-the result, so threshold sweeps never poison downstream aggregates;
-partial derivatives at such points raise instead, naming the denominator.
+the result, so threshold sweeps never poison downstream aggregates.  Each
+formula is written once, in score_array; score_partials reads the partials
+off it by complex step, and raises at a zero denominator, naming it.
 """
 
 from __future__ import annotations
@@ -55,57 +56,39 @@ def apply_score(kind: ScoreKind, tn, wfp, wfn, tp) -> ScoreValue:
     return ScoreValue(float(value), degenerate=bool(degenerate))
 
 
+# Denominators as DegenerateDenominatorError names them; TSS's other is tn + wfp.
+_DENOMINATORS = {
+    ScoreKind.ACCURACY: "tp + tn + wfp + wfn",
+    ScoreKind.F1: "2*tp + wfp + wfn",
+    ScoreKind.TSS: "tp + wfn",
+    ScoreKind.HSS: "(tp + wfn)*(wfn + tn) + (tp + wfp)*(wfp + tn)",
+}
+
+_STEP = 1e-200  # h*h underflows to 0, so zero denominators stay exactly 0
+
+
 def score_partials(kind: ScoreKind, tn, wfp, wfn, tp) -> np.ndarray:
-    """Partial derivatives (d/dtn, d/dwfp, d/dwfn, d/dtp) of apply_score."""
+    """Partial derivatives (d/dtn, d/dwfp, d/dwfn, d/dtp) of apply_score.
+
+    The formula's imaginary parts at each entry plus i*h, over h: exact to
+    rounding (Squire & Trapp 1998) for entries from about 1e-105 to 1e105,
+    where h times every derivative inside a formula stays a normal float.
+    """
     tn, wfp, wfn, tp = _entries(tn, wfp, wfn, tp)
-    if kind is ScoreKind.NEG_ERROR_SUM:
-        return np.array([0.0, -1.0, -1.0, 0.0])
-    if kind is ScoreKind.ACCURACY:
-        denom = tp + tn + wfp + wfn
-        if denom == 0:
-            raise DegenerateDenominatorError("tp + tn + wfp + wfn == 0")
-        num = tp + tn
-        err = wfp + wfn
-        return np.array([err, -num, -num, err]) / denom**2
-    if kind is ScoreKind.F1:
-        denom = 2 * tp + wfp + wfn
-        if denom == 0:
-            raise DegenerateDenominatorError("2*tp + wfp + wfn == 0")
-        return np.array([0.0, -2 * tp, -2 * tp, 2 * (wfp + wfn)]) / denom**2
-    if kind is ScoreKind.TSS:
-        pos = tp + wfn
-        neg = tn + wfp
-        if pos == 0:
-            raise DegenerateDenominatorError("tp + wfn == 0")
-        if neg == 0:
-            raise DegenerateDenominatorError("tn + wfp == 0")
-        return np.array(
-            [wfp / neg**2, -tn / neg**2, -tp / pos**2, wfn / pos**2]
-        )
-    if kind is ScoreKind.HSS:
-        num = 2.0 * (tp * tn - wfp * wfn)
-        denom = (tp + wfn) * (wfn + tn) + (tp + wfp) * (wfp + tn)
-        if denom == 0:
-            raise DegenerateDenominatorError(
-                "(tp + wfn)*(wfn + tn) + (tp + wfp)*(wfp + tn) == 0"
-            )
-        dnum = np.array([2 * tp, -2 * wfn, -2 * wfp, 2 * tn])
-        ddenom = np.array(
-            [
-                (tp + wfn) + (tp + wfp),
-                (wfp + tn) + (tp + wfp),
-                (wfn + tn) + (tp + wfn),
-                (wfn + tn) + (wfp + tn),
-            ]
-        )
-        return (dnum * denom - num * ddenom) / denom**2
-    raise ValidationError(f"unknown score kind {kind!r}")
+    stepped = np.array([[tn], [wfp], [wfn], [tp]]) + 1j * _STEP * np.eye(4)
+    values, degenerate = _formulas(kind, *stepped)
+    if degenerate.any():
+        name = _DENOMINATORS[kind]
+        if kind is ScoreKind.TSS and tp + wfn != 0:
+            name = "tn + wfp"
+        raise DegenerateDenominatorError(f"{name} == 0")
+    return values.imag / _STEP + 0.0  # + 0.0: a zero partial is never -0.0
 
 
 def _ratio(num, den):
     """(num / den with 0 where den == 0, mask of those places)."""
-    bad = den == 0
-    return np.divide(num, den, out=np.zeros(bad.shape), where=~bad), bad
+    bad = den.real == 0
+    return np.divide(num, den, out=np.zeros_like(den), where=~bad), bad
 
 
 def score_array(kind: ScoreKind, tn, wfp, wfn, tp):
@@ -115,6 +98,11 @@ def score_array(kind: ScoreKind, tn, wfp, wfn, tp):
     Monte Carlo oracle and the threshold sweep call it on whole arrays.
     """
     tn, wfp, wfn, tp = (np.asarray(v, dtype=np.float64) for v in (tn, wfp, wfn, tp))
+    return _formulas(kind, tn, wfp, wfn, tp)
+
+
+def _formulas(kind: ScoreKind, tn, wfp, wfn, tp):
+    """score_array on entry arrays as given: real, or complex from score_partials."""
     if kind is ScoreKind.NEG_ERROR_SUM:
         return -(wfp + wfn), np.zeros(np.broadcast(tn, wfp).shape, dtype=bool)
     if kind is ScoreKind.ACCURACY:

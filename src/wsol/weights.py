@@ -45,12 +45,12 @@ from .series import LabeledSeries
 
 
 # Largest cost or cross-entropy parameter accepted.  The weighted error
-# entries scale with it, and the TSS and HSS partials divide by their
-# second and fourth powers, which overflow once the weight times the
-# series length passes about 1e154 and 1e77.  A score reads only the
-# ratios of the weights to each other and to the unit correct entries,
-# and 1e6 keeps every entry and partial far inside the float range on any
-# series that fits in memory.
+# entries scale with it.  Past about 1e108 for the weight times the series
+# length, the score partials (a complex step of 1e-200) lose digits; near
+# 1e154 the HSS denominator, a product of two entry sums, overflows.  A
+# score reads only the ratios of the weights to each other and to the unit
+# correct entries, and 1e6 keeps every entry, score and partial far inside
+# the float range on any series that fits in memory.
 MAX_WEIGHT_PARAMETER = 1e6
 
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,9 @@ from wsol.cli import main
 from wsol.config import load_loss
 from wsol.loss import combined_loss
 from wsol.series import read_dataset_csv, read_series_csv
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -240,6 +247,26 @@ class TestLoss:
             assert err == f"warning: one-sided derivatives at kink indices {kinks}\n"
         else:
             assert err == ""
+
+    def test_closed_stdout_ends_quietly(self, tmp_path, loss_file):
+        # The gradient of 20k predictions outgrows a pipe's buffer, so the
+        # writes after the reader has gone fail.
+        rng = np.random.default_rng(5)
+        labels = (rng.random(20_000) < 0.3).astype(int)
+        predictions = rng.uniform(0.01, 0.99, 20_000).tolist()
+        data = tmp_path / "big.csv"
+        rows = "".join(f"{y},{p!r}\n" for y, p in zip(labels, predictions))
+        data.write_text("label,prediction\n" + rows)
+        argv = [sys.executable, "-m", "wsol.cli", "loss", "--data", data]
+        argv += ["--loss", loss_file, "--gradient"]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        pipes = dict(stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        with subprocess.Popen(argv, **pipes) as proc:
+            assert proc.stdout.readline().startswith(b"loss,")
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE
+        assert err == b""
 
     def test_combined_loss_file(self, demo_dir, tmp_path, capsys):
         component = {
@@ -701,6 +728,15 @@ _EVAL_ARGV = ["eval", "--data", "s.csv", "--config", "l.json", "--out", "r.json"
         ),
         (_EVAL_ARGV, {"l.json": {"weights": {"variant": "unit"}, "prior": {}}}, 2),
         (["verify", "--samples", "10", "--out", "r.json"], {}, 2),
+        (_EVAL_ARGV[:-1] + ["missing/r.json"], {"l.json": {"score": "tss"}}, 2),
+        (["verify", "--only", "cost", "--out", "missing/v.json"], {}, 2),
+        (["demo-figure1", "--out-dir", "taken"], {"taken": ""}, 2),
+        (
+            ["train", "--synth", "synth.json", "--loss", "l.json", "--epochs", "2"]
+            + ["--out-dir", "taken"],
+            {"synth.json": {"n": 60}, "l.json": _COMPONENT, "taken": ""},
+            2,
+        ),
     ],
     ids=[
         "tss-cost-1e200",
@@ -712,6 +748,10 @@ _EVAL_ARGV = ["eval", "--data", "s.csv", "--config", "l.json", "--out", "r.json"
         "missing-csv",
         "bad-config",
         "samples-10",
+        "eval-out-missing-dir",
+        "verify-out-missing-dir",
+        "demo-out-dir-is-file",
+        "train-out-dir-is-file",
     ],
 )
 def test_bad_invocation_exits_with_one_error_line(

@@ -24,6 +24,54 @@ def fd_partials(kind, tn, wfp, wfn, tp, step=1e-5):
     return out
 
 
+def reference_partials(kind, tn, wfp, wfn, tp):
+    """Each score's partials by the quotient rule, written out per score.
+
+    The package reads its partials off score_array by complex step; this
+    independent derivation is what they are checked against, raising the
+    same DegenerateDenominatorError text at a zero denominator.
+    """
+    if kind is ScoreKind.NEG_ERROR_SUM:
+        return np.array([0.0, -1.0, -1.0, 0.0])
+    if kind is ScoreKind.ACCURACY:
+        denom = tp + tn + wfp + wfn
+        if denom == 0:
+            raise DegenerateDenominatorError("tp + tn + wfp + wfn == 0")
+        num = tp + tn
+        err = wfp + wfn
+        return np.array([err, -num, -num, err]) / denom**2
+    if kind is ScoreKind.F1:
+        denom = 2 * tp + wfp + wfn
+        if denom == 0:
+            raise DegenerateDenominatorError("2*tp + wfp + wfn == 0")
+        return np.array([0.0, -2 * tp, -2 * tp, 2 * (wfp + wfn)]) / denom**2
+    if kind is ScoreKind.TSS:
+        pos = tp + wfn
+        neg = tn + wfp
+        if pos == 0:
+            raise DegenerateDenominatorError("tp + wfn == 0")
+        if neg == 0:
+            raise DegenerateDenominatorError("tn + wfp == 0")
+        return np.array([wfp / neg**2, -tn / neg**2, -tp / pos**2, wfn / pos**2])
+    assert kind is ScoreKind.HSS
+    num = 2.0 * (tp * tn - wfp * wfn)
+    denom = (tp + wfn) * (wfn + tn) + (tp + wfp) * (wfp + tn)
+    if denom == 0:
+        raise DegenerateDenominatorError(
+            "(tp + wfn)*(wfn + tn) + (tp + wfp)*(wfp + tn) == 0"
+        )
+    dnum = np.array([2 * tp, -2 * wfn, -2 * wfp, 2 * tn])
+    ddenom = np.array(
+        [
+            (tp + wfn) + (tp + wfp),
+            (wfp + tn) + (tp + wfp),
+            (wfn + tn) + (tp + wfn),
+            (wfn + tn) + (wfp + tn),
+        ]
+    )
+    return (dnum * denom - num * ddenom) / denom**2
+
+
 class TestValues:
     def test_accuracy_on_demo_counts(self):
         assert apply_score(ScoreKind.ACCURACY, 15, 4, 2, 5).value == pytest.approx(
@@ -133,6 +181,43 @@ class TestPartials:
             d_tn, d_wfp, d_wfn, d_tp = score_partials(kind, *m)
             assert d_tn >= -1e-12 and d_tp >= -1e-12
             assert d_wfp <= 1e-12 and d_wfn <= 1e-12
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    @pytest.mark.parametrize("scale", [1e-50, 1e-12, 1.0, 1e6, 1e12])
+    def test_partials_match_the_quotient_rule(self, kind, scale, rng):
+        # A quarter of the entries are zero, so every zero pattern occurs.
+        checked = 0
+        for _ in range(200):
+            m = rng.uniform(0.0, 1.0, size=4) * scale
+            m[rng.random(4) < 0.25] = 0.0
+            try:
+                ref = reference_partials(kind, *m)
+            except DegenerateDenominatorError:
+                continue
+            got = score_partials(kind, *m)
+            assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
+            assert not np.any(np.signbit(got)[got == 0.0])
+            checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("kind", list(ScoreKind))
+    def test_every_zero_pattern_raises_as_the_reference(self, kind):
+        # Each entry zero or not: TSS's tn + wfp == 0 and its two zero
+        # denominators at once are among the sixteen patterns.
+        for zeros in np.ndindex(2, 2, 2, 2):
+            m = np.where(np.array(zeros) == 1, 0.0, [3.0, 1.5, 0.5, 2.0])
+            try:
+                ref = reference_partials(kind, *m)
+            except DegenerateDenominatorError as exc:
+                with pytest.raises(DegenerateDenominatorError) as got:
+                    score_partials(kind, *m)
+                assert str(got.value) == str(exc)
+                continue
+            got = score_partials(kind, *m)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
+            assert not np.any(np.signbit(got)[got == 0.0])
 
 
 class TestMonotonicity:
