@@ -11,6 +11,7 @@ divergence, 141 closed stdout.  ``WSOL_SEED`` overrides the default seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from pathlib import Path
@@ -190,6 +191,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(path: str, *, directory: bool = False) -> None:
+    """Raise, before any work, the OSError that writing ``path`` would, naming
+    the path.  A file output may not be a directory, and its parent must be
+    a directory we may write in; a directory output may not be a file, and
+    its nearest existing ancestor, itself included, must be such a directory."""
+    out = Path(path)
+    if directory:
+        base = next(p for p in (out, *out.parents) if p.exists())
+    else:
+        base = out.parent
+    if out.exists() and out.is_dir() != directory:
+        code = errno.EEXIST if directory else errno.EISDIR
+    elif not base.exists():
+        code = errno.ENOENT
+    elif not base.is_dir():
+        code = errno.ENOTDIR
+    elif not os.access(base, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(out))
+
+
 def cmd_eval(args) -> int:
     document = cfg.load_config(args.config)
     dist = document.get("distribution") or ThresholdDistribution.uniform()
@@ -231,6 +255,8 @@ def cmd_loss(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.out:
+        _check_output(args.out)
     results = run_verify(seed=args.seed, samples=args.samples, only=args.only)
     if not results:
         print(f"no checks match --only {args.only!r}", file=sys.stderr)
@@ -257,6 +283,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
         chunk=args.chunk,
     )
+    _check_output(args.out_dir, directory=True)
     if args.data is not None:
         features, labels = read_dataset_csv(args.data)
     else:

@@ -1,9 +1,8 @@
 """Hard confusion matrices at fixed thresholds.
 
-``hard_entries`` is the one reader of the hard matrix: it evaluates the
-classical and the weighted matrix at every threshold from one
-``batch_weighted_entries`` call, and the single-threshold records below
-are its columns.
+``hard_entries`` evaluates the classical and the weighted matrix at every
+threshold from one ``batch_weighted_entries`` call, and the
+single-threshold records below are its columns.
 
 A prediction counts as an alarm only when it exceeds the threshold
 strictly; a prediction exactly at the threshold is classified negative.
@@ -81,6 +80,10 @@ def weighted_hard_confusion(
     series: LabeledSeries, tau: float, spec: WeightSpec
 ) -> WeightedCounts:
     """Counts with the weight function applied per sample to FP and FN sums:
-    the weighted column of hard_entries at the single threshold ``tau``."""
-    tn, wfp, wfn, tp = hard_entries(series, (tau,), spec)[:, 1, 0]
-    return WeightedCounts(tn=int(tn), wfp=float(wfp), wfn=float(wfn), tp=int(tp))
+    the weighted column of hard_entries at the single threshold ``tau``, bit
+    for bit, read from one batch_weighted_entries column."""
+    # Written so that NaN, which fails every comparison, fails it too.
+    if not 0.0 < tau < 1.0:
+        raise ValidationError(f"threshold must lie in (0, 1), got {tau}")
+    tn, wfp, wfn, tp = batch_weighted_entries(series, (tau,), spec)[:, 0].tolist()
+    return WeightedCounts(tn=int(tn), wfp=wfp, wfn=wfn, tp=int(tp))

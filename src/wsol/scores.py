@@ -5,10 +5,13 @@ the error entries on the positive orthant, which is what lets a loss built
 from one steer training in the right direction.  Entries are real-valued
 because they may be weighted sums or threshold averages, not just counts.
 
-Zero denominators evaluate to 0 (the skill-less convention) with a flag in
-the result, so threshold sweeps never poison downstream aggregates.  Each
-formula is written once, in score_array; score_partials reads the partials
-off it by complex step, and raises at a zero denominator, naming it.
+Zero denominators evaluate to +0.0 (the skill-less convention) with a flag
+in the result, so threshold sweeps never poison downstream aggregates.
+Each formula is written once, in _formulas, with a branch-free zero guard,
+so one set of formulas takes any operand type: apply_score evaluates it on
+four Python floats, score_array on float arrays, and score_partials on one
+(4, 4) complex array, reading the partials off it by complex step and
+raising at a zero denominator, naming it.
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ def _entries(tn, wfp, wfn, tp):
 
 
 def apply_score(kind: ScoreKind, tn, wfp, wfn, tp) -> ScoreValue:
-    """Evaluate a score on real-valued confusion entries: score_array at one point."""
-    value, degenerate = score_array(kind, *_entries(tn, wfp, wfn, tp))
+    """Evaluate a score on real-valued confusion entries: the formulas of
+    score_array on Python floats, bit for bit its value at one point."""
+    value, degenerate = _formulas(kind, *_entries(tn, wfp, wfn, tp))
     return ScoreValue(float(value), degenerate=bool(degenerate))
 
 
@@ -65,6 +69,8 @@ _DENOMINATORS = {
 }
 
 _STEP = 1e-200  # h*h underflows to 0, so zero denominators stay exactly 0
+_STEPS = 1j * _STEP * np.eye(4)  # row k steps entry k
+_STEPS.flags.writeable = False
 
 
 def score_partials(kind: ScoreKind, tn, wfp, wfn, tp) -> np.ndarray:
@@ -75,7 +81,7 @@ def score_partials(kind: ScoreKind, tn, wfp, wfn, tp) -> np.ndarray:
     where h times every derivative inside a formula stays a normal float.
     """
     tn, wfp, wfn, tp = _entries(tn, wfp, wfn, tp)
-    stepped = np.array([[tn], [wfp], [wfn], [tp]]) + 1j * _STEP * np.eye(4)
+    stepped = np.array([[tn], [wfp], [wfn], [tp]]) + _STEPS
     values, degenerate = _formulas(kind, *stepped)
     if degenerate.any():
         name = _DENOMINATORS[kind]
@@ -86,23 +92,27 @@ def score_partials(kind: ScoreKind, tn, wfp, wfn, tp) -> np.ndarray:
 
 
 def _ratio(num, den):
-    """(num / den with 0 where den == 0, mask of those places)."""
+    """(num / den with +0.0 where den == 0, mask of those places), branch-free
+    for floats and arrays alike: a zero denominator divides by 1, the 0 scale
+    clears the quotient, and + 0.0 turns a -0.0 left by it into +0.0."""
     bad = den.real == 0
-    return np.divide(num, den, out=np.zeros_like(den), where=~bad), bad
+    return num / (den + bad) * (1 - bad) + 0.0, bad
 
 
 def score_array(kind: ScoreKind, tn, wfp, wfn, tp):
     """Every score's formula, vectorized over the entries; degenerate entries become 0.
 
-    Returns (values, degenerate_mask).  apply_score is its scalar view; the
-    Monte Carlo oracle and the threshold sweep call it on whole arrays.
+    Returns (values, degenerate_mask).  apply_score runs the same formulas
+    on floats; the Monte Carlo oracle and the threshold sweep call it on
+    whole arrays.
     """
     tn, wfp, wfn, tp = (np.asarray(v, dtype=np.float64) for v in (tn, wfp, wfn, tp))
     return _formulas(kind, tn, wfp, wfn, tp)
 
 
 def _formulas(kind: ScoreKind, tn, wfp, wfn, tp):
-    """score_array on entry arrays as given: real, or complex from score_partials."""
+    """score_array on the entries as given: Python floats from apply_score,
+    float arrays, or complex arrays from score_partials."""
     if kind is ScoreKind.NEG_ERROR_SUM:
         return -(wfp + wfn), np.zeros(np.broadcast(tn, wfp).shape, dtype=bool)
     if kind is ScoreKind.ACCURACY:
@@ -113,7 +123,7 @@ def _formulas(kind: ScoreKind, tn, wfp, wfn, tp):
         sensitivity, no_pos = _ratio(tp, tp + wfn)
         specificity, no_neg = _ratio(tn, tn + wfp)
         bad = no_pos | no_neg
-        return np.where(bad, 0.0, sensitivity + specificity - 1.0), bad
+        return (sensitivity + specificity - 1.0) * (1 - bad) + 0.0, bad
     if kind is ScoreKind.HSS:
         return _ratio(
             2.0 * (tp * tn - wfp * wfn),

@@ -12,7 +12,7 @@ loss and its gradient.  Inside the network every activation and every
 backpropagated delta is a (units, n) array, samples innermost, so each
 hidden-layer broadcast and each bias sum runs along the samples; the
 weights keep their (in, out) shape.  The epoch report scores the
-classical and the weighted matrix from one hard-matrix evaluation.  In
+classical and the weighted matrix from one column of the hard matrix.  In
 full-batch mode the report's pass and matrices are the next step's
 inputs, bit for bit, so the next step takes them over.  A degenerate
 chunk is still skipped.
@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .confusion import hard_entries
+from .confusion import hard_entries, weighted_hard_confusion
 from .errors import (
     DegenerateDenominatorError,
     TrainingDivergedError,
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .expected import expected_confusion
 from .loss import CombinedLossSpec, LossEvaluation, LossSpec, evaluate_loss
-from .scores import ScoreKind, score_array, score_table
+from .scores import ScoreKind, apply_score, score_array, score_table
 from .series import LabeledSeries
 from .weights import UnitWeight, WeightSpec
 
@@ -314,12 +314,18 @@ def _evaluate(
     loss: LossSpec | CombinedLossSpec,
     epoch: int,
 ) -> tuple[ForwardPass, LossEvaluation]:
-    """One forward pass and the loss's expected matrices at its predictions."""
+    """One forward pass and the loss's expected matrices at its predictions.
+
+    train has checked that the lengths match, and the clip keeps every
+    finite output inside (0, 1), so the series' own check of the
+    predictions fails only on a NaN output: divergence.
+    """
     fwd = model.propagate(x)
-    preds = fwd.predictions
-    if not np.isfinite(preds).all():
-        raise TrainingDivergedError(epoch)
-    return fwd, evaluate_loss(series.with_predictions(preds), loss)
+    try:
+        series = series.with_predictions(fwd.predictions)
+    except ValidationError:
+        raise TrainingDivergedError(epoch) from None
+    return fwd, evaluate_loss(series, loss)
 
 
 def train(
@@ -335,7 +341,7 @@ def train(
     the loss and its gradient.  Each epoch record reflects the state after
     that epoch's updates: the full-series loss plus the headline score at
     the prior-mean threshold, on both the classical and the weighted hard
-    matrix, which come from one hard-matrix evaluation.  When one chunk
+    matrix, which share one column of the hard matrix.  When one chunk
     covers the whole series, the report's forward pass and expected
     matrices are exactly the next step's inputs, so that step reuses them.
     A chunk whose score is degenerate (e.g. no positives inside it)
@@ -344,8 +350,14 @@ def train(
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    # Checked here, so that a failed prediction check below means divergence.
+    if features.shape[:1] != (labels.size,):
+        raise ValidationError(
+            f"features need one row per label, got shape {features.shape} "
+            f"for {labels.size} labels"
+        )
     head = cfg.loss.components[0][0]
-    tau_report = (head.dist.mean(),)
+    tau_report = head.dist.mean()
     result = TrainResult(model=model)
     n = labels.size
     if cfg.chunk is None:
@@ -355,6 +367,8 @@ def train(
     full_batch = bounds == [(0, n)]
     # Labels are checked once: each step swaps predictions into these series.
     whole = features, LabeledSeries(np.full(n, 0.5), labels)
+    # The classical errors are the class counts less tn and tp.
+    n_neg, n_pos = float(whole[1].neg.sum()), float(whole[1].pos.sum())
     chunks = [whole] if full_batch else [
         (features[lo:hi], LabeledSeries(np.full(hi - lo, 0.5), labels[lo:hi]))
         for lo, hi in bounds
@@ -382,14 +396,15 @@ def train(
                 if not np.isfinite(arr).all():
                     raise TrainingDivergedError(epoch)
         fwd, ev = _evaluate(model, *whole, cfg.loss, epoch)
-        entries = hard_entries(ev.series, tau_report, head.weights)
-        (classical,), (weighted,) = score_array(head.score, *entries)[0]
+        wc = weighted_hard_confusion(ev.series, tau_report, head.weights)
+        classical = apply_score(head.score, wc.tn, n_neg - wc.tn, n_pos - wc.tp, wc.tp)
+        weighted = apply_score(head.score, wc.tn, wc.wfp, wc.wfn, wc.tp)
         result.history.append(
             EpochRecord(
                 epoch=epoch,
                 loss=ev.value,
-                score_classical=float(classical),
-                score_weighted=float(weighted),
+                score_classical=classical.value,
+                score_weighted=weighted.value,
             )
         )
         if full_batch:

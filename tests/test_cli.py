@@ -737,6 +737,13 @@ _EVAL_ARGV = ["eval", "--data", "s.csv", "--config", "l.json", "--out", "r.json"
             {"synth.json": {"n": 60}, "l.json": _COMPONENT, "taken": ""},
             2,
         ),
+        (
+            ["train", "--synth", "synth.json", "--loss", "l.json", "--epochs", "2"]
+            + ["--out-dir", "taken/sub"],
+            {"synth.json": {"n": 60}, "l.json": _COMPONENT, "taken": ""},
+            2,
+        ),
+        (["verify", "--only", "cost", "--out", "."], {}, 2),
     ],
     ids=[
         "tss-cost-1e200",
@@ -752,6 +759,8 @@ _EVAL_ARGV = ["eval", "--data", "s.csv", "--config", "l.json", "--out", "r.json"
         "verify-out-missing-dir",
         "demo-out-dir-is-file",
         "train-out-dir-is-file",
+        "train-out-dir-under-file",
+        "verify-out-is-dir",
     ],
 )
 def test_bad_invocation_exits_with_one_error_line(
@@ -760,6 +769,14 @@ def test_bad_invocation_exits_with_one_error_line(
     # Warnings are recorded rather than raised, and an uncaught exception,
     # which a run would print as a traceback, fails the test.
     monkeypatch.chdir(tmp_path)
+
+    # No case starts a run: an unwritable output of `train` or `verify`
+    # is found before the training or the check suite begins.
+    def not_started(*args, **kwargs):
+        pytest.fail("the run started before its output was checked")
+
+    monkeypatch.setattr(cli, "train", not_started)
+    monkeypatch.setattr(cli, "run_verify", not_started)
     files = {"s.csv": "label,prediction\n1,0.2\n0,0.7\n1,0.6\n0,0.1\n", **files}
     for name, content in files.items():
         text = content if isinstance(content, str) else json.dumps(content)

@@ -78,6 +78,8 @@ def test_threshold_domain():
         with pytest.raises(ValidationError, match=f"got {tau}$"):
             hard_confusion(series, tau)
         with pytest.raises(ValidationError, match=f"got {tau}$"):
+            weighted_hard_confusion(series, tau, UnitWeight())
+        with pytest.raises(ValidationError, match=f"got {tau}$"):
             hard_entries(series, (0.5, tau, 2.0), UnitWeight())
 
 

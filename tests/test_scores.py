@@ -258,11 +258,20 @@ def test_neg_error_sum_is_linear(vals):
 
 
 def test_score_array_matches_scalar(rng):
+    # apply_score runs the formulas of score_array on Python floats: the
+    # same bits, and +0.0 wherever a denominator is zero.
     m = rng.uniform(0.0, 10.0, size=(50, 4))
-    m[:5] = 0.0  # force some degenerate rows
+    m[:5] = 0.0  # all-zero rows
+    m[5:10, 2:] = 0.0  # negatives only: tp = wfn = 0
+    m[10:15, :2] = 0.0  # positives only: tn = wfp = 0
     for kind in ScoreKind:
         vals, bad = score_array(kind, m[:, 0], m[:, 1], m[:, 2], m[:, 3])
+        assert not np.signbit(vals[bad]).any()
         for k in range(50):
             ref = apply_score(kind, *m[k])
-            assert vals[k] == pytest.approx(ref.value, abs=1e-12)
+            assert np.float64(ref.value).tobytes() == vals[k].tobytes()
             assert bool(bad[k]) == ref.degenerate
+            if ref.degenerate:
+                assert not np.signbit(ref.value)
+        assert bad[:5].all() == (kind is not ScoreKind.NEG_ERROR_SUM)
+        assert bad[5:15].all() == (kind is ScoreKind.TSS)

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from helpers import weight_menu
-from wsol.confusion import hard_confusion, weighted_hard_confusion
+from wsol import confusion, scores, trainer
+from wsol.confusion import hard_confusion, hard_entries, weighted_hard_confusion
 from wsol.errors import (
     DegenerateDenominatorError,
     TrainingDivergedError,
     ValidationError,
 )
 from wsol.loss import CombinedLossSpec, LossSpec, combined_loss, loss_value
-from wsol.scores import ScoreKind, apply_score
+from wsol.scores import ScoreKind, apply_score, score_array
 from wsol.series import LabeledSeries
 from wsol.threshold import ThresholdDistribution
 from wsol.trainer import (
@@ -386,6 +387,27 @@ class TestTraining:
             )
         assert excinfo.value.epoch == 0
 
+    def test_length_mismatch_is_a_validation_error(self, rng):
+        # Not divergence: the prediction check inside each epoch then
+        # fails only on a NaN output.
+        model = MLPModel.init((2, 4, 1), seed=5)
+        x, y = np.zeros((5, 2)), np.array([0, 1, 0, 1])
+        with pytest.raises(ValidationError, match="one row per label"):
+            train(x, y, model, TrainConfig(ce_loss()))
+
+    def test_report_threshold_at_a_float_edge_is_rejected(self, rng):
+        # Beta(1e5, 1e-12) passes the shape checks, but its mean rounds to
+        # 1.0, where no sample could raise an alarm.
+        x = rng.normal(size=(20, 2))
+        y = (rng.random(20) < 0.5).astype(int)
+        y[0], y[1] = 1, 0
+        dist = ThresholdDistribution.beta_prior(1e5, 1e-12)
+        assert dist.mean() == 1.0
+        spec = LossSpec(ScoreKind.NEG_ERROR_SUM, UnitWeight(), dist)
+        model = MLPModel.init((2, 4, 1), seed=5)
+        with pytest.raises(ValidationError, match=r"threshold must lie in \(0, 1\)"):
+            train(x, y, model, TrainConfig(loss=spec, epochs=1))
+
     def test_combined_loss_trains(self, rng):
         x = rng.normal(size=(30, 2))
         y = (rng.random(30) < 0.4).astype(int)
@@ -464,6 +486,41 @@ def test_value_fp_factors_built_once_per_run(monkeypatch, epochs):
     model = MLPModel.init((x.shape[1], 4, 1), seed=7)
     train(x, y, model, TrainConfig(loss=spec, epochs=epochs, learning_rate=0.1))
     assert built == [100]
+
+
+@pytest.mark.parametrize(
+    "weights", [ValueMaxWeight((0.6, 0.3, 0.1)), UnitWeight()], ids=["value_max", "unit"]
+)
+def test_epoch_report_matches_hard_entries(monkeypatch, weights):
+    # The report reads one weighted column and scores it on floats; its
+    # scores are those of the (4, 2, 1) hard matrix, bit for bit.
+    x, y = generate_temporal_dataset(SyntheticSeriesConfig(n=100, seed=13))
+    head = LossSpec(ScoreKind.TSS, weights, _BETA22)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in (
+        (scores, "score_array"),
+        (trainer, "score_array"),
+        (confusion, "hard_entries"),
+        (trainer, "hard_entries"),
+    ):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    model = MLPModel.init((x.shape[1], 4, 1), seed=7)
+    (record,) = train(x, y, model, TrainConfig(loss=head, epochs=1)).history
+    assert calls == []
+    monkeypatch.undo()
+    series = LabeledSeries(model.forward(x), y)
+    entries = hard_entries(series, (head.dist.mean(),), weights)
+    (classical,), (weighted,) = score_array(head.score, *entries)[0]
+    assert np.float64(record.score_classical).tobytes() == classical.tobytes()
+    assert np.float64(record.score_weighted).tobytes() == weighted.tobytes()
 
 
 def reference_train(features, labels, model, cfg):
