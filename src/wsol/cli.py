@@ -242,9 +242,8 @@ def cmd_loss(args) -> int:
         value = loss_value(series, spec)
     print(f"loss,{float(value)!r}")
     if args.gradient:
-        print("index,gradient")
-        for i, v in enumerate(grad.values):
-            print(f"{i},{float(v)!r}")
+        rows = (f"{i},{v!r}" for i, v in enumerate(grad.values.tolist()))
+        print("\n".join(["index,gradient", *rows]))
         if grad.nonsmooth:
             print(
                 f"warning: one-sided derivatives at kink indices "

@@ -287,6 +287,9 @@ class TrainConfig:
         object.__setattr__(
             self, "learning_rate", check_finite("learning_rate", self.learning_rate)
         )
+        object.__setattr__(self, "epochs", check_integer("epochs", self.epochs))
+        if self.chunk is not None:
+            object.__setattr__(self, "chunk", check_integer("chunk", self.chunk))
         if self.epochs < 0 or self.learning_rate < 0:
             raise ValidationError("epochs and learning rate must be non-negative")
         if self.chunk is not None and self.chunk < 1:

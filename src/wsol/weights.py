@@ -245,14 +245,35 @@ def _chain_members(
     return lead, tied
 
 
+def _add_lag(slope, kinks, p, j, gain, enters) -> None:
+    """Add lag j of every sample to the false-negative ``slope`` and ``kinks``.
+
+    ``gain`` holds the (n - j,) coefficients of the lags over samples
+    j..n-1, zero where the lag does not enter, and is overwritten;
+    ``enters`` marks the lags that do.  With c_ij the coefficient of sample
+    i, positive i's expected false-negative weight is 1 - F(p_i) - sum_j
+    c_ij * max(F(p_{i-j}) - F(p_i), 0): its slope gains c_ij when lag j is
+    predicted above it, and that lag's prediction loses the same amount.
+    An entering lag predicted exactly at the positive's value is a kink.
+    """
+    n = p.size
+    gain *= p[: n - j] > p[j:]
+    slope[j:] += gain
+    slope[: n - j] -= gain
+    tie = enters & (p[: n - j] == p[j:])
+    if tie.any():
+        k = np.flatnonzero(tie)
+        kinks.update(k.tolist(), (k + j).tolist())
+
+
 class _ValueWeight(WeightSpec):
     # Both value variants weight an error by 1 - g(omega, z) over a window of
     # T indicators: the next T labels for a false positive, the previous T
     # alarms for a false negative.  A variant fixes how the window entries
     # merge into g (``_merge``), what that merge takes off the expected
-    # misses (``_window_credit``), and which past lags enter its slope with
-    # which coefficient (``_lag_rows``).  Window positions outside the record
-    # contribute nothing.
+    # misses (``_window_credit``), and which past lags enter its slopes with
+    # which coefficient (``error_slopes``, each lag through ``_add_lag``).
+    # Window positions outside the record contribute nothing.
 
     @property
     def window(self) -> int:
@@ -281,21 +302,6 @@ class _ValueWeight(WeightSpec):
             self._merge(g[j:], w * alarm[: n - j], out=g[j:])
         return 1.0 - g
 
-    def _lag_rows(self, p: np.ndarray, a: float, pos: np.ndarray):
-        """(tied, rows) of the positives (the float mask ``pos``), for the
-        prior's lower support bound ``a``.
-
-        ``rows`` yields, one lag j at a time, (j, coef, enters): (n - j,)
-        rows over samples j..n-1, zero on negatives.  With c_ij the entry of
-        ``coef`` for sample i, the expected false-negative weight of positive
-        i is 1 - F(p_i) - sum_j c_ij * max(F(p_{i-j}) - F(p_i), 0);
-        ``enters`` marks the lags that take part (coef is zero elsewhere),
-        and ``tied`` the samples at a kink of the lag structure itself.
-        The rows share buffers: each holds until the next is taken, and its
-        ``coef`` is the taker's to overwrite.  Only the slopes read them.
-        """
-        raise NotImplementedError
-
     def _window_credit(self, pos: np.ndarray, cdf: np.ndarray) -> float:
         """What the windows take off the expected misses of the positives
         (the float mask ``pos``), from the cdf alone: E[FN] - E[wFN]."""
@@ -305,25 +311,6 @@ class _ValueWeight(WeightSpec):
         _require_support(series, dist)
         e_wfn = series.pos @ (1.0 - cdf) - self._window_credit(series.pos, cdf)
         return float(self.fp_factors(series) @ cdf), float(e_wfn)
-
-    def error_slopes(self, series, dist):
-        p = series.predictions
-        n = series.n
-        tied, rows = self._lag_rows(p, dist.support[0], series.pos)
-        kinks = set(np.flatnonzero(tied).tolist())
-        # A positive's slope is that of 1 - F(p_i), plus every entering lag
-        # predicted above it; that lag's prediction loses the same amount.
-        # A lag predicted exactly at the positive's value is a kink.
-        slope = -series.pos
-        for j, gain, enters in rows:
-            gain *= p[: n - j] > p[j:]
-            slope[j:] += gain
-            slope[: n - j] -= gain
-            tie = enters & (p[: n - j] == p[j:])
-            if tie.any():
-                k = np.flatnonzero(tie)
-                kinks.update(k.tolist(), (k + j).tolist())
-        return self.fp_factors(series), slope, kinks
 
 
 @dataclass(frozen=True)
@@ -350,15 +337,14 @@ class ValueProdWeight(_ValueWeight):
             credit += w * (pos[j:] @ np.maximum(gap, 0.0, out=gap))
         return credit
 
-    def _lag_rows(self, p, a, pos):
+    def error_slopes(self, series, dist):
         # Every lag inside the record enters with its own omega.
+        p, pos = series.predictions, series.pos
+        slope, kinks = -pos, set()
         is_pos = pos.astype(bool)
-        coef = np.empty(p.size)
-        rows = (
-            (j, np.multiply(pos[j:], w, out=coef[j:]), is_pos[j:])
-            for j, w in enumerate(self._record_omega(p.size), start=1)
-        )
-        return np.zeros(p.size, dtype=bool), rows
+        for j, w in enumerate(self._record_omega(p.size), start=1):
+            _add_lag(slope, kinks, p, j, pos[j:] * w, is_pos[j:])
+        return self.fp_factors(series), slope, kinks
 
 
 @dataclass(frozen=True)
@@ -392,25 +378,23 @@ class ValueMaxWeight(_ValueWeight):
             credit += (omega[j - 1] - omega[j]) * (pos @ reach)
         return credit
 
-    def _lag_rows(self, p, a, pos):
-        omega = self._record_omega(p.size)
-        lead, tied = _chain_members(p, a, len(omega))
-        is_pos = pos.astype(bool)
-        np.logical_and(tied, is_pos, out=tied)
-        return tied, self._chain_rows(lead, is_pos, omega)
-
-    @staticmethod
-    def _chain_rows(lead: np.ndarray, is_pos: np.ndarray, omega: tuple[float, ...]):
+    def error_slopes(self, series, dist):
         # Chain form: telescoping the per-interval integrals leaves one term
         # per chain member, weighted by the drop from its omega to the next
         # member's (0 after the last), so the lags are scanned backwards with
         # that next omega, ``following``, running.  omega does not increase,
         # so a member's omega is never below ``following`` and replaces it,
         # and the drop is exactly the change of ``following``.  Two buffers
-        # alternate: the new ``following`` goes into the last row's, and the
-        # row over the old ``following``.  Lag j's members among the
-        # positives are read off the lead counts into one shared mask.
-        n = lead.size
+        # alternate: the new ``following`` goes into the spare one, and the
+        # drop over the old ``following``, which ``_add_lag`` may then
+        # overwrite.  Lag j's members among the positives are read off the
+        # lead counts into one shared mask.
+        p, pos = series.predictions, series.pos
+        n = p.size
+        omega = self._record_omega(n)
+        lead, tied = _chain_members(p, dist.support[0], len(omega))
+        is_pos = pos.astype(bool)
+        slope, kinks = -pos, set(np.flatnonzero(tied & is_pos).tolist())
         following, spare = np.zeros(n), np.zeros(n)
         member = np.empty(n, dtype=bool)
         for j in range(len(omega), 0, -1):
@@ -418,9 +402,10 @@ class ValueMaxWeight(_ValueWeight):
             np.logical_and(here, is_pos[j:], out=here)
             now = np.multiply(here, omega[j - 1], out=spare[j:])
             np.maximum(now, following[j:], out=now)
-            coef = np.subtract(now, following[j:], out=following[j:])
+            drop = np.subtract(now, following[j:], out=following[j:])
             following, spare = spare, following
-            yield j, coef, here
+            _add_lag(slope, kinks, p, j, drop, here)
+        return self.fp_factors(series), slope, kinks
 
 
 def eval_weight(spec: WeightSpec, tau: float, i: int, series: LabeledSeries) -> float:

@@ -240,9 +240,9 @@ class TestCombined:
         assert calls == [beta, uniform, beta]
 
     def test_lag_terms_built_only_for_the_gradient(self, rng, monkeypatch):
-        # The value and the expected matrices need the cdf alone; the lag
-        # rows are built once per component, and the value_max chain once,
-        # when a gradient is taken.
+        # The value and the expected matrices need the cdf alone; the slopes
+        # are taken once per component, and the value_max chain once, when a
+        # gradient is taken.
         series = make_series(rng)
         uniform = ThresholdDistribution.uniform()
         prod, maxw = ValueProdWeight((0.4, 0.2)), ValueMaxWeight((0.6, 0.3, 0.1))
@@ -254,13 +254,13 @@ class TestCombined:
         )
         built = []
         for cls in (ValueProdWeight, ValueMaxWeight):
-            lag_rows = cls._lag_rows
+            error_slopes = cls.error_slopes
 
-            def counted(weight, p, a, pos, lag_rows=lag_rows):
+            def counted(weight, series, dist, error_slopes=error_slopes):
                 built.append(weight)
-                return lag_rows(weight, p, a, pos)
+                return error_slopes(weight, series, dist)
 
-            monkeypatch.setattr(cls, "_lag_rows", counted)
+            monkeypatch.setattr(cls, "error_slopes", counted)
 
         def counted_chain(p, a, window):
             built.append("chain")

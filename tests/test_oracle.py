@@ -277,6 +277,8 @@ CLOSED_FORM_NAMES = {
     "error_slopes",
     "_lag_rows",
     "_chain_rows",
+    "_add_lag",
+    "_chain_members",
     "expected_confusion",
     "evaluate_loss",
     "loss_value",

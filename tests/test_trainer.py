@@ -325,6 +325,16 @@ class TestTraining:
         with pytest.raises(ValidationError, match=message):
             TrainConfig(loss=ce_loss(), **{field: value})
 
+    @pytest.mark.parametrize("field", ["epochs", "chunk"])
+    @pytest.mark.parametrize("value", [2.5, float("nan"), True, "3"])
+    def test_counts_must_be_integers(self, field, value):
+        # train would fail on a float count with a raw TypeError, and run a
+        # boolean as 0 or 1 epochs.
+        with pytest.raises(ValidationError, match=field):
+            TrainConfig(loss=ce_loss(), **{field: value})
+        cfg = TrainConfig(loss=ce_loss(), **{field: 2.0})
+        assert getattr(cfg, field) == 2 and type(getattr(cfg, field)) is int
+
     def test_zero_learning_rate_is_inert(self, rng):
         x = rng.normal(size=(30, 2))
         y = (rng.random(30) < 0.4).astype(int)

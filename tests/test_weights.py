@@ -10,6 +10,7 @@ from helpers import (
     random_omega,
     reference_weight,
 )
+from wsol import weights
 from wsol.confusion import hard_entries
 from wsol.errors import ValidationError
 from wsol.expected import expected_confusion
@@ -206,35 +207,28 @@ def long_omega(cls, length: int, rng) -> tuple[float, ...]:
 
 @pytest.mark.parametrize("cls", [ValueProdWeight, ValueMaxWeight])
 @pytest.mark.parametrize("n", [1, 2, 5, 50])
-def test_closed_form_terms_have_one_column_per_lag(cls, n, rng):
+def test_closed_form_terms_have_one_column_per_lag(cls, n, rng, monkeypatch):
     # The slopes take the lags one at a time: for each lag j inside the
-    # record, one C-contiguous row over samples j..n-1.
+    # record, one row over samples j..n-1, however far the window reaches
+    # past the record; they return one slope per prediction, and kinks
+    # only at its indices.
+    lags, add_lag = [], weights._add_lag
+
+    def counted(slope, kinks, p, j, gain, enters):
+        assert gain.shape == enters.shape == (n - j,)
+        lags.append(j)
+        add_lag(slope, kinks, p, j, gain, enters)
+
+    monkeypatch.setattr(weights, "_add_lag", counted)
     series = grid_series(rng, n)
     for length in (1, n, 3 * n, 20000):
         spec = cls(long_omega(cls, length, rng))
         for dist in PRIORS:
-            p, a = series.predictions, dist.support[0]
-            tied, rows = spec._lag_rows(p, a, series.pos)
-            lags = []
-            for j, coef, enters in rows:
-                lags.append(j)
-                assert coef.shape == enters.shape == (n - j,)
-                assert coef.flags.c_contiguous and enters.flags.c_contiguous
+            lags.clear()
+            fp_slope, fn_slope, kinks = spec.error_slopes(series, dist)
             assert sorted(lags) == list(range(1, min(length, n - 1) + 1))
-            assert tied.shape == (n,)
-
-
-def lag_matrices(spec, p, a, pos):
-    """The rows of ``_lag_rows`` stacked lag-major as (coef, enters, tied),
-    coef and enters (T, n) with zeros before each lag's first sample."""
-    tied, rows = spec._lag_rows(p, a, pos)
-    window = min(spec.window, p.size - 1)
-    coef = np.zeros((window, p.size))
-    enters = np.zeros((window, p.size), dtype=bool)
-    for j, c, e in rows:
-        coef[j - 1, j:] = c
-        enters[j - 1, j:] = e
-    return coef, enters, tied
+            assert fp_slope.shape == fn_slope.shape == (n,)
+            assert kinks <= set(range(n))
 
 
 def sample_major_chain(p, a, window):
@@ -252,18 +246,45 @@ def sample_major_chain(p, a, window):
     return member, tied
 
 
+def sample_major_max_slope(p, pos, a, omega):
+    """value_max's false-negative slope and kinks from the sample-major
+    chain: each member's telescoped coefficient, omega at its lag less
+    omega at the next member's (0 after the last), applied lag by lag from
+    the farthest, with the arithmetic of the closed form."""
+    n, window = p.size, len(omega)
+    member, tied = sample_major_chain(p, a, window)
+    member &= pos[:, None]
+    coef = np.zeros(member.shape)
+    following = np.zeros(n)
+    for j in range(window, 0, -1):
+        here = member[:, j - 1]
+        coef[:, j - 1] = np.where(here, omega[j - 1] - following, 0.0)
+        following = np.where(here, omega[j - 1], following)
+    slope = -pos.astype(float)
+    kinks = set(np.flatnonzero(tied & pos).tolist())
+    for j in range(window, 0, -1):
+        gain = coef[j:, j - 1] * (p[: n - j] > p[j:])
+        slope[j:] += gain
+        slope[: n - j] -= gain
+        for k in np.flatnonzero(member[j:, j - 1] & (p[: n - j] == p[j:])):
+            kinks.update((int(k), int(k) + j))
+    return slope, kinks
+
+
 @pytest.mark.parametrize("n", [2, 5, 50, 700])
 def test_lag_major_terms_transpose_the_sample_major_loop(n, rng):
     # Grid predictions tie often, and a window of n - 1 lags reaches before
-    # the record start from every sample but the last.  The value_max
-    # coefficients (under the uniform prior, so a = 0, the last marking
-    # checked) are the backward scan's selected values, bit for bit, zeroed
-    # on negatives.
+    # the record start from every sample but the last.  The lead counts
+    # transpose the sample-major marking, and the slopes and kinks equal
+    # those of its telescoped coefficients, bit for bit, with the lower
+    # support bound inside and below the predictions.
     series = grid_series(rng, n)
     p = series.predictions
     pos = series.labels == 1
     for window in sorted({1, min(3, n - 1), n - 1}):
-        for a in (0.3, 0.0):
+        omega = long_omega(ValueMaxWeight, window, rng)
+        for dist in (ThresholdDistribution.uniform(0.3, 1.0), PRIORS[0]):
+            a = dist.support[0]
             lead, tied = _chain_members(p, a, window)
             ref_member, ref_tied = sample_major_chain(p, a, window)
             assert lead.shape == (n,)
@@ -271,17 +292,10 @@ def test_lag_major_terms_transpose_the_sample_major_loop(n, rng):
                 in_chain = lead[: n - j] >= j
                 np.testing.assert_array_equal(in_chain, ref_member[j:, j - 1])
             np.testing.assert_array_equal(tied, ref_tied)
-        omega = long_omega(ValueMaxWeight, window, rng)
-        ref_coef = np.zeros(ref_member.shape)
-        following = np.zeros(n)
-        for j in range(window, 0, -1):
-            here = ref_member[:, j - 1]
-            ref_coef[:, j - 1] = np.where(here, omega[j - 1] - following, 0.0)
-            following = np.where(here, omega[j - 1], following)
-        coef, enters, tied = lag_matrices(ValueMaxWeight(omega), p, 0.0, series.pos)
-        np.testing.assert_array_equal(coef, (ref_coef * pos[:, None]).T)
-        np.testing.assert_array_equal(enters, (ref_member & pos[:, None]).T)
-        np.testing.assert_array_equal(tied, ref_tied & pos)
+            _, slope, kinks = ValueMaxWeight(omega).error_slopes(series, dist)
+            ref_slope, ref_kinks = sample_major_max_slope(p, pos, a, omega)
+            assert slope.tobytes() == ref_slope.tobytes()
+            assert kinks == ref_kinks
 
 
 def per_sample_chain_misses(spec, p, labels, a, cdf):
