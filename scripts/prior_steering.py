@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from wsol.confusion import hard_entries
+from wsol.confusion import hard_entries, sweep_thresholds
 from wsol.loss import LossSpec
 from wsol.scores import ScoreKind, score_array
 from wsol.series import LabeledSeries
@@ -22,7 +22,6 @@ from wsol.trainer import (
     SyntheticSeriesConfig,
     TrainConfig,
     generate_temporal_dataset,
-    sweep_thresholds,
     train,
 )
 from wsol.weights import UnitWeight

@@ -27,10 +27,7 @@ from .loss import (
     CombinedLossSpec,
     GradientVector,
     LossSpec,
-    ScoreGap,
     combined_loss,
-    expected_score_gap,
-    finite_diff_gradient,
     loss_gradient,
     loss_value,
 )
@@ -50,6 +47,7 @@ from .oracle import (
 from .scores import ScoreKind, ScoreValue, apply_score, score_partials
 from .series import LabeledSeries, read_series_csv, write_series_csv
 from .threshold import ThresholdDistribution, regularized_incomplete_beta
+from .verify import ScoreGap, expected_score_gap, finite_diff_gradient
 from .weights import (
     CostWeight,
     CrossEntropyWeight,

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from . import config as cfg
+from .confusion import sweep_report, sweep_thresholds
 from .demo import adjacent_error_series, compare_series, isolated_error_series
 from .errors import (
     ConfigError,
@@ -26,6 +27,7 @@ from .errors import (
     ValidationError,
     finite_json,
 )
+from .expected import expected_report
 from .loss import combined_loss, loss_value
 from .oracle import MC_MIN_SAMPLES
 from .series import (
@@ -38,10 +40,7 @@ from .threshold import ThresholdDistribution
 from .trainer import (
     MLPModel,
     TrainConfig,
-    expected_report,
     generate_temporal_dataset,
-    sweep_report,
-    sweep_thresholds,
     train,
     write_history_csv,
 )
@@ -167,8 +166,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None)
 
     p_train = sub.add_parser("train", help="train the demo MLP")
-    p_train.add_argument("--data", default=None, help="CSV with feature columns + label")
-    p_train.add_argument("--synth", default=None, help="synthetic dataset config JSON")
+    source = p_train.add_mutually_exclusive_group()
+    source.add_argument("--data", default=None, help="CSV with feature columns + label")
+    source.add_argument("--synth", default=None, help="synthetic dataset config JSON")
     p_train.add_argument("--loss", required=True)
     p_train.add_argument("--epochs", type=int, default=300)
     p_train.add_argument("--lr", type=float, default=0.5)

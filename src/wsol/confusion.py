@@ -1,8 +1,12 @@
-"""Hard confusion matrices at fixed thresholds.
+"""Hard confusion matrices at fixed thresholds: the one reader of the hard matrix.
 
-``hard_entries`` evaluates the classical and the weighted matrix at every
-threshold from one ``batch_weighted_entries`` call, and the
-single-threshold records below are its columns.
+``batch_weighted_entries`` evaluates the hard weighted matrix at a batch
+of thresholds.  ``hard_entries`` reads the classical and the weighted
+matrix at every threshold from one such call, the single-threshold
+records below are its columns, and ``sweep_report`` scores it over the
+``sweep_thresholds`` grid for ``wsol eval`` and ``wsol train``.  The
+oracles integrate this same matrix over the threshold prior; nothing here
+touches a closed form.
 
 A prediction counts as an alarm only when it exceeds the threshold
 strictly; a prediction exactly at the threshold is classified negative.
@@ -18,9 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .oracle import batch_weighted_entries
+from .scores import score_table
 from .series import LabeledSeries
 from .weights import UnitWeight, WeightSpec
+
+# Matrix elements (samples x thresholds) per block of batch_weighted_entries:
+# small enough that the block's temporaries stay in cache.
+_BATCH_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -47,6 +55,40 @@ class WeightedCounts:
     wfp: float
     wfn: float
     tp: int
+
+
+def batch_weighted_entries(
+    series: LabeledSeries, taus: np.ndarray, spec: WeightSpec
+) -> np.ndarray:
+    """The hard weighted matrix at each threshold, as (4, B) rows (tn, wfp, wfn, tp).
+
+    Column b is the matrix at threshold taus[b]: a prediction raises an
+    alarm when it exceeds the threshold strictly.  The weighted entries
+    sum the spec's hard-path factors over the false alarms and misses;
+    the counts are exact integers held as floats.  Thresholds are taken
+    in blocks of at most _BATCH_ELEMENTS matrix elements, each alarm
+    matrix cast to floats once.  Every entry is a vector-matrix product
+    with a float label mask: the negatives (tn), the FP factors, which are
+    zero on positives (wfp), and the positives, with the alarms (tp) and
+    with the FN factors zeroed where an alarm is raised (wfn).
+    """
+    p = series.predictions
+    neg, pos = series.neg, series.pos
+    n_neg = neg.sum()
+    fp = spec.fp_factors(series)
+    taus = np.asarray(taus, dtype=np.float64)
+    out = np.empty((4, taus.size))
+    step = max(1, _BATCH_ELEMENTS // series.n)
+    for lo in range(0, taus.size, step):
+        cols = slice(lo, lo + step)
+        alarm = p[:, None] > taus[None, cols]
+        raised = alarm.astype(np.float64)
+        missed = spec.fn_factors(series, alarm) * (1.0 - raised)
+        out[0, cols] = n_neg - neg @ raised
+        out[1, cols] = fp @ raised
+        out[2, cols] = pos @ missed
+        out[3, cols] = pos @ raised
+    return out
 
 
 def hard_entries(series: LabeledSeries, taus, spec: WeightSpec) -> np.ndarray:
@@ -87,3 +129,55 @@ def weighted_hard_confusion(
         raise ValidationError(f"threshold must lie in (0, 1), got {tau}")
     tn, wfp, wfn, tp = batch_weighted_entries(series, (tau,), spec)[:, 0].tolist()
     return WeightedCounts(tn=int(tn), wfp=wfp, wfn=wfn, tp=int(tp))
+
+
+def sweep_thresholds(step: float = 0.01) -> np.ndarray:
+    """The sweep grid: step, 2 * step, ... rounded to 10 decimals, kept below 1.
+
+    Rounding can carry the last point of ``np.arange`` up to 1.0 (step 1/3
+    does), which is not a threshold, so it is dropped.
+    """
+    grid = np.round(np.arange(step, 1.0, step), 10)
+    return grid[grid < 1.0]
+
+
+def sweep_report(
+    series: LabeledSeries, thresholds: np.ndarray, weight_spec: WeightSpec
+) -> dict:
+    """Hard and weighted matrices with every score at each threshold, and the best taus.
+
+    One hard_entries call gives both matrices at every threshold, and one
+    score_table call scores them; the rows are read off those arrays
+    column by column, with counts as ints.  The best tau of a score is its
+    first maximum.
+    """
+    entries = hard_entries(series, thresholds, weight_spec)
+    taus = np.asarray(thresholds, dtype=np.float64).tolist()
+    tn, fp, fn, tp = entries[:, 0].astype(np.int64).tolist()
+    _, wfp, wfn, _ = entries[:, 1].tolist()
+    table = score_table(*entries)
+    # Each threshold's scores by name, of the classical and the weighted matrix.
+    scores, weighted = (
+        [dict(zip(table, vals)) for vals in zip(*(v[k] for v in table.values()))]
+        for k in (0, 1)
+    )
+    rows = [
+        {
+            "tau": taus[b],
+            "cm": {"tn": tn[b], "fp": fp[b], "fn": fn[b], "tp": tp[b]},
+            "wcm": {"tn": tn[b], "wfp": wfp[b], "wfn": wfn[b], "tp": tp[b]},
+            "scores": scores[b],
+            "weighted_scores": weighted[b],
+        }
+        for b in range(len(taus))
+    ]
+    best = {}
+    for name, (values, wvalues) in table.items():
+        idx, widx = int(np.argmax(values)), int(np.argmax(wvalues))
+        best[name] = {
+            "tau": taus[idx],
+            "value": values[idx],
+            "weighted_tau": taus[widx],
+            "weighted_value": wvalues[widx],
+        }
+    return {"sweep": rows, "best": best}

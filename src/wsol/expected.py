@@ -12,13 +12,16 @@ the max form, where only the nearest alarm counts, the running maxima of
 F over the window.  The window's chain, one lead count per sample
 (``weights._chain_members``), and its telescoped coefficients serve only
 the slopes, one lag at a time, and ``wsol verify``'s worked windows.
+``expected_report`` gives ``wsol eval`` and ``wsol train`` the expected
+classical and weighted matrices with every score of each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ValidationError
+from .scores import score_table
 from .series import LabeledSeries
 from .threshold import ThresholdDistribution
 from .weights import UnitWeight, WeightSpec
@@ -78,3 +81,17 @@ def expected_confusion(
         e_wfn=e_wfn,
         e_tp=float(series.pos @ cdf),
     )
+
+
+def expected_report(
+    series: LabeledSeries, dist, weight_spec: WeightSpec
+) -> dict:
+    """Expected classical and weighted matrices with all scores of each."""
+    classical = expected_confusion(series, dist, UnitWeight())
+    weighted = expected_confusion(series, dist, weight_spec)
+    return {
+        "classical": asdict(classical),
+        "weighted": asdict(weighted),
+        "scores_classical": score_table(*classical.entries()),
+        "scores_weighted": score_table(*weighted.entries()),
+    }

@@ -14,8 +14,9 @@ one, or a tie inside the window's chain) a one-sided derivative is
 returned and the result is flagged non-smooth rather than silently
 picking a subgradient.
 
-``finite_diff_gradient`` takes central differences of ``loss_value``,
-the check the analytic gradient is held to.
+The checks of these closed forms, central differences of ``loss_value``
+and the gap between s(E[wCM]) and an oracle's E[s(wCM)], live in
+``wsol.verify``; this module imports no oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from .errors import ValidationError, check_convex
 from .expected import ExpectedConfusion, expected_confusion
-from .oracle import exact_expected_score, mc_expected_score
 from .scores import ScoreKind, apply_score, score_partials
 from .series import LabeledSeries
 from .threshold import ThresholdDistribution
@@ -162,81 +162,3 @@ def loss_gradient(
 ) -> GradientVector:
     """Analytic gradient of the loss with respect to each prediction."""
     return combined_loss(series, spec)[1]
-
-
-@dataclass(frozen=True)
-class FiniteDiffGradient:
-    """Central-difference loss gradient; flagged entries hit the (0,1) clamp."""
-
-    values: np.ndarray
-    clamped_indices: tuple[int, ...] = ()
-
-
-def finite_diff_gradient(series: LabeledSeries, spec, step: float = 1e-6):
-    """Central differences of the loss value with respect to each prediction.
-
-    Entries whose two-sided stencil would leave (0, 1) are evaluated with
-    the stencil shifted inward and flagged.
-    """
-    if not (1e-8 <= step <= 1e-3):
-        raise ValidationError("finite-difference step must lie in [1e-8, 1e-3]")
-    p0 = series.predictions
-    values = np.empty(series.n)
-    clamped = []
-    for i in range(series.n):
-        lo = p0[i] - step
-        hi = p0[i] + step
-        if lo <= 0.0 or hi >= 1.0:
-            clamped.append(i)
-            lo = max(lo, p0[i] / 2)
-            hi = min(hi, (1.0 + p0[i]) / 2)
-        sides = []
-        for x in (hi, lo):
-            p = p0.copy()
-            p[i] = x
-            sides.append(loss_value(series.with_predictions(p), spec))
-        values[i] = (sides[0] - sides[1]) / (hi - lo)
-    return FiniteDiffGradient(values=values, clamped_indices=tuple(clamped))
-
-
-@dataclass(frozen=True)
-class ScoreGap:
-    """Both sides of the loss/score alignment and their difference.
-
-    ``score_of_expected`` is s(E[wCM]) (the negated loss);
-    ``expected_score`` is E[s(wCM)] from an oracle.  For linear scores
-    the gap vanishes; for nonlinear scores it quantifies the remainder
-    the loss construction accepts.
-    """
-
-    score_of_expected: float
-    expected_score: float
-    gap: float
-    stderr: float = 0.0
-
-
-def expected_score_gap(
-    series: LabeledSeries,
-    spec: LossSpec,
-    mc_samples: int | None = None,
-    seed: int = 0,
-) -> ScoreGap:
-    """Compare s(E[wCM]) with E[s(wCM)].
-
-    With ``mc_samples`` unset the right-hand side comes from the exact
-    piecewise oracle (stderr 0); otherwise from Monte Carlo with its
-    standard error.
-    """
-    lhs = -loss_value(series, spec)
-    if mc_samples is None:
-        rhs = exact_expected_score(series, spec.dist, spec.weights, spec.score)
-        se = 0.0
-    else:
-        est = mc_expected_score(
-            series, spec.dist, spec.weights, spec.score, mc_samples, seed
-        )
-        rhs = est.mean
-        se = est.stderr
-    return ScoreGap(
-        score_of_expected=lhs, expected_score=rhs, gap=rhs - lhs, stderr=se
-    )

@@ -17,14 +17,16 @@ Two independent routes to the same expectations:
   exactly, up to summation order; it never evaluates at a point chosen
   from the predictions, as the exact route's midpoints are.
 
-Both evaluate the hard matrix through ``batch_weighted_entries``, which
-returns it as one (4, B) array over B thresholds; the only weight
-methods it calls are the hard-path factors, ``fp_factors`` and
-``fn_factors``.  Neither route touches a closed form, a derivative,
-or the chain algebra behind them, which is the point: this module takes
-nothing from ``wsol.loss`` and only the ``ExpectedConfusion`` record from
-``wsol.expected``.  The gradient's own check, central differences of the
-loss value, lives beside that value in ``wsol.loss``.
+This module only integrates.  Both routes evaluate the hard matrix
+through ``wsol.confusion.batch_weighted_entries``, which returns it as
+one (4, B) array over B thresholds; the only weight methods it calls are
+the hard-path factors, ``fp_factors`` and ``fn_factors``.  Neither route
+touches a closed form, a derivative, or the chain algebra behind them,
+which is the point: this module takes nothing from ``wsol.loss``, only
+``batch_weighted_entries`` from ``wsol.confusion`` and only the
+``ExpectedConfusion`` record from ``wsol.expected``.  The checks that
+hold a closed form to these oracles, and the gradient to central
+differences, live in ``wsol.verify``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .confusion import batch_weighted_entries
 from .errors import ValidationError
 from .expected import ExpectedConfusion
 from .scores import ScoreKind, score_array
@@ -45,9 +48,6 @@ MC_MIN_SAMPLES = 1000
 # Draws per sampling chunk.  It bounds the sampler's temporaries only: one
 # rng.random stream feeds every chunk, so the draws do not depend on it.
 _CHUNK = 1 << 13
-# Matrix elements (samples x thresholds) per block of batch_weighted_entries:
-# small enough that the block's temporaries stay in cache.
-_BATCH_ELEMENTS = 1 << 16
 
 
 def _breakpoints(series: LabeledSeries, dist: ThresholdDistribution) -> np.ndarray:
@@ -97,40 +97,6 @@ def exact_expected_score(
     """E[s(wCM)] by the same piecewise integration; degenerate slabs score 0."""
     entries, mass = _midpoint_entries(series, dist, spec)
     return float(score_array(kind, *entries)[0] @ mass)
-
-
-def batch_weighted_entries(
-    series: LabeledSeries, taus: np.ndarray, spec: WeightSpec
-) -> np.ndarray:
-    """The hard weighted matrix at each threshold, as (4, B) rows (tn, wfp, wfn, tp).
-
-    Column b is the matrix at threshold taus[b]: a prediction raises an
-    alarm when it exceeds the threshold strictly.  The weighted entries
-    sum the spec's hard-path factors over the false alarms and misses;
-    the counts are exact integers held as floats.  Thresholds are taken
-    in blocks of at most _BATCH_ELEMENTS matrix elements, each alarm
-    matrix cast to floats once.  Every entry is a vector-matrix product
-    with a float label mask: the negatives (tn), the FP factors, which are
-    zero on positives (wfp), and the positives, with the alarms (tp) and
-    with the FN factors zeroed where an alarm is raised (wfn).
-    """
-    p = series.predictions
-    neg, pos = series.neg, series.pos
-    n_neg = neg.sum()
-    fp = spec.fp_factors(series)
-    taus = np.asarray(taus, dtype=np.float64)
-    out = np.empty((4, taus.size))
-    step = max(1, _BATCH_ELEMENTS // series.n)
-    for lo in range(0, taus.size, step):
-        cols = slice(lo, lo + step)
-        alarm = p[:, None] > taus[None, cols]
-        raised = alarm.astype(np.float64)
-        missed = spec.fn_factors(series, alarm) * (1.0 - raised)
-        out[0, cols] = n_neg - neg @ raised
-        out[1, cols] = fp @ raised
-        out[2, cols] = pos @ missed
-        out[3, cols] = pos @ raised
-    return out
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,8 @@ class ThresholdDistribution:
                 raise ValidationError(
                     f"uniform support needs 0 <= a < b <= 1, got [{self.a}, {self.b}]"
                 )
+            if (self.alpha, self.beta) != (1.0, 1.0):
+                raise ValidationError("uniform prior takes no beta shapes")
         elif self.kind == "beta":
             if self.alpha <= 0 or self.beta <= 0:
                 raise ValidationError("beta shapes must be strictly positive")

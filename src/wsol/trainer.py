@@ -20,18 +20,21 @@ chunk is still skipped.
 The synthetic dataset generator produces bursty event sequences with
 noisy leading indicators, so near-miss alarms (alarms adjacent to missed
 events) arise naturally and the value weights have something to reward.
+This module only trains: the sweep and expected reports of a trained
+model live in ``wsol.confusion`` and ``wsol.expected``, and the paired
+comparison scores its models with them.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .confusion import hard_entries, weighted_hard_confusion
+from .confusion import sweep_report, sweep_thresholds, weighted_hard_confusion
 from .errors import (
     DegenerateDenominatorError,
     TrainingDivergedError,
@@ -40,11 +43,9 @@ from .errors import (
     check_integer,
     finite_json,
 )
-from .expected import expected_confusion
 from .loss import CombinedLossSpec, LossEvaluation, LossSpec, evaluate_loss
-from .scores import ScoreKind, apply_score, score_array, score_table
+from .scores import ScoreKind, apply_score
 from .series import LabeledSeries
-from .weights import UnitWeight, WeightSpec
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -352,7 +353,11 @@ def train(
     or parameter.
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    # Labels are checked once, before any cast: each step swaps predictions
+    # into this series and the chunks'.
+    whole = features, LabeledSeries(np.full(labels.shape, 0.5), labels)
+    labels = whole[1].labels
     # Checked here, so that a failed prediction check below means divergence.
     if features.shape[:1] != (labels.size,):
         raise ValidationError(
@@ -368,8 +373,6 @@ def train(
     else:
         bounds = [(s, min(s + cfg.chunk, n)) for s in range(0, n, cfg.chunk)]
     full_batch = bounds == [(0, n)]
-    # Labels are checked once: each step swaps predictions into these series.
-    whole = features, LabeledSeries(np.full(n, 0.5), labels)
     # The classical errors are the class counts less tn and tp.
     n_neg, n_pos = float(whole[1].neg.sum()), float(whole[1].pos.sum())
     chunks = [whole] if full_batch else [
@@ -430,58 +433,6 @@ def write_history_csv(path: str | Path, history: list[EpochRecord]) -> None:
             )
 
 
-def sweep_thresholds(step: float = 0.01) -> np.ndarray:
-    """The sweep grid: step, 2 * step, ... rounded to 10 decimals, kept below 1.
-
-    Rounding can carry the last point of ``np.arange`` up to 1.0 (step 1/3
-    does), which is not a threshold, so it is dropped.
-    """
-    grid = np.round(np.arange(step, 1.0, step), 10)
-    return grid[grid < 1.0]
-
-
-def sweep_report(
-    series: LabeledSeries, thresholds: np.ndarray, weight_spec: WeightSpec
-) -> dict:
-    """Hard and weighted matrices with every score at each threshold, and the best taus.
-
-    One hard_entries call gives both matrices at every threshold, and one
-    score_table call scores them; the rows are read off those arrays
-    column by column, with counts as ints.  The best tau of a score is its
-    first maximum.
-    """
-    entries = hard_entries(series, thresholds, weight_spec)
-    taus = np.asarray(thresholds, dtype=np.float64).tolist()
-    tn, fp, fn, tp = entries[:, 0].astype(np.int64).tolist()
-    _, wfp, wfn, _ = entries[:, 1].tolist()
-    table = score_table(*entries)
-    # Each threshold's scores by name, of the classical and the weighted matrix.
-    scores, weighted = (
-        [dict(zip(table, vals)) for vals in zip(*(v[k] for v in table.values()))]
-        for k in (0, 1)
-    )
-    rows = [
-        {
-            "tau": taus[b],
-            "cm": {"tn": tn[b], "fp": fp[b], "fn": fn[b], "tp": tp[b]},
-            "wcm": {"tn": tn[b], "wfp": wfp[b], "wfn": wfn[b], "tp": tp[b]},
-            "scores": scores[b],
-            "weighted_scores": weighted[b],
-        }
-        for b in range(len(taus))
-    ]
-    best = {}
-    for name, (values, wvalues) in table.items():
-        idx, widx = int(np.argmax(values)), int(np.argmax(wvalues))
-        best[name] = {
-            "tau": taus[idx],
-            "value": values[idx],
-            "weighted_tau": taus[widx],
-            "weighted_value": wvalues[widx],
-        }
-    return {"sweep": rows, "best": best}
-
-
 @dataclass(frozen=True)
 class PairedRun:
     seed: int
@@ -493,22 +444,6 @@ class PairedRun:
     @property
     def improvement(self) -> float:
         return self.candidate_at_mean - self.baseline_at_mean
-
-
-def _weighted_metric(
-    model: MLPModel,
-    features: np.ndarray,
-    labels: np.ndarray,
-    weights: WeightSpec,
-    tau_mean: float,
-) -> tuple[float, float]:
-    """Weighted-matrix TSS at tau_mean and the best over the 0.01-step sweep."""
-    preds = model.forward(features)
-    series = LabeledSeries(preds, labels)
-    taus = np.append(sweep_thresholds(), tau_mean)
-    entries = hard_entries(series, taus, weights)[:, 1]
-    values, _ = score_array(ScoreKind.TSS, *entries)
-    return float(values[-1]), float(np.max(values[:-1]))
 
 
 def paired_comparison(
@@ -533,48 +468,28 @@ def paired_comparison(
     """
     head = candidate.components[0][0]
     tau_mean = head.dist.mean()
+    metric = ScoreKind.TSS
     runs = []
     for seed in seeds:
         features, labels = generate_temporal_dataset(replace(base_cfg, seed=seed))
-        scored = []
+        at_mean, best = [], []
         for loss, lr in ((baseline, baseline_lr), (candidate, candidate_lr)):
             model = MLPModel.init((features.shape[1], 8, 1), seed=seed)
             cfg = TrainConfig(loss=loss, epochs=epochs, learning_rate=lr, seed=seed)
             train(features, labels, model, cfg)
-            scored.append(
-                _weighted_metric(model, features, labels, head.weights, tau_mean)
-            )
-        (a_mean, a_best), (b_mean, b_best) = scored
-        runs.append(
-            PairedRun(
-                seed=seed,
-                baseline_at_mean=a_mean,
-                candidate_at_mean=b_mean,
-                baseline_best=a_best,
-                candidate_best=b_best,
-            )
-        )
+            series = LabeledSeries(model.forward(features), labels)
+            wc = weighted_hard_confusion(series, tau_mean, head.weights)
+            at_mean.append(apply_score(metric, wc.tn, wc.wfp, wc.wfn, wc.tp).value)
+            report = sweep_report(series, sweep_thresholds(), head.weights)
+            best.append(report["best"][metric.value]["weighted_value"])
+        runs.append(PairedRun(seed, *at_mean, *best))
     improvements = [r.improvement for r in runs]
     return {
-        "metric": ScoreKind.TSS.value,
+        "metric": metric.value,
         "threshold": tau_mean,
         "runs": runs,
         "median_improvement": float(np.median(improvements)),
         "median_best_improvement": float(
             np.median([r.candidate_best - r.baseline_best for r in runs])
         ),
-    }
-
-
-def expected_report(
-    series: LabeledSeries, dist, weight_spec: WeightSpec
-) -> dict:
-    """Expected classical and weighted matrices with all scores of each."""
-    classical = expected_confusion(series, dist, UnitWeight())
-    weighted = expected_confusion(series, dist, weight_spec)
-    return {
-        "classical": asdict(classical),
-        "weighted": asdict(weighted),
-        "scores_classical": score_table(*classical.entries()),
-        "scores_weighted": score_table(*weighted.entries()),
     }

@@ -1,31 +1,35 @@
-"""Oracle check protocols, shared by ``wsol verify`` and the acceptance suite.
+"""Every check of a closed form, shared by ``wsol verify`` and the acceptance suite.
 
-Each ``criterion_*`` function runs one acceptance criterion on a
+``finite_diff_gradient`` takes central differences of the loss value,
+the check the analytic gradient is held to, and ``expected_score_gap``
+compares s(E[wCM]), the negated loss, with an oracle's E[s(wCM)].  Each
+``criterion_*`` function runs one acceptance criterion on a
 caller-seeded generator, at caller-chosen sizes, and returns the worst
 values it measured, unjudged.  ``tests/test_acceptance.py`` pins their
 seeds, full sizes and tolerances; ``run_verify`` runs them at reduced
 sizes and judges them by the same tolerances, restated below and checked
-equal by that suite.  The oracles share no code with the closed forms.
+equal by that suite.  The oracles share no code with the closed forms,
+and no closed-form module imports this one or an oracle.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .confusion import hard_entries
-from .errors import UnsupportedCombinationError
+from .errors import UnsupportedCombinationError, ValidationError
 from .expected import expected_confusion
-from .loss import (
-    LossSpec,
-    expected_score_gap,
-    finite_diff_gradient,
-    loss_gradient,
-    loss_value,
+from .loss import LossSpec, loss_gradient, loss_value
+from .oracle import (
+    exact_expected_confusion,
+    exact_expected_score,
+    mc_expected_confusion,
+    mc_expected_score,
 )
-from .oracle import exact_expected_confusion, mc_expected_confusion
 from .scores import ScoreKind, apply_score
 from .series import LabeledSeries
 from .threshold import ThresholdDistribution
@@ -49,6 +53,84 @@ PRIORS = (
     ThresholdDistribution.uniform(),
     ThresholdDistribution.beta_prior(2.0, 2.0),
 )
+
+
+@dataclass(frozen=True)
+class FiniteDiffGradient:
+    """Central-difference loss gradient; flagged entries hit the (0,1) clamp."""
+
+    values: np.ndarray
+    clamped_indices: tuple[int, ...] = ()
+
+
+def finite_diff_gradient(series: LabeledSeries, spec, step: float = 1e-6):
+    """Central differences of the loss value with respect to each prediction.
+
+    Entries whose two-sided stencil would leave (0, 1) are evaluated with
+    the stencil shifted inward and flagged.
+    """
+    if not (1e-8 <= step <= 1e-3):
+        raise ValidationError("finite-difference step must lie in [1e-8, 1e-3]")
+    p0 = series.predictions
+    values = np.empty(series.n)
+    clamped = []
+    for i in range(series.n):
+        lo = p0[i] - step
+        hi = p0[i] + step
+        if lo <= 0.0 or hi >= 1.0:
+            clamped.append(i)
+            lo = max(lo, p0[i] / 2)
+            hi = min(hi, (1.0 + p0[i]) / 2)
+        sides = []
+        for x in (hi, lo):
+            p = p0.copy()
+            p[i] = x
+            sides.append(loss_value(series.with_predictions(p), spec))
+        values[i] = (sides[0] - sides[1]) / (hi - lo)
+    return FiniteDiffGradient(values=values, clamped_indices=tuple(clamped))
+
+
+@dataclass(frozen=True)
+class ScoreGap:
+    """Both sides of the loss/score alignment and their difference.
+
+    ``score_of_expected`` is s(E[wCM]) (the negated loss);
+    ``expected_score`` is E[s(wCM)] from an oracle.  For linear scores
+    the gap vanishes; for nonlinear scores it quantifies the remainder
+    the loss construction accepts.
+    """
+
+    score_of_expected: float
+    expected_score: float
+    gap: float
+    stderr: float = 0.0
+
+
+def expected_score_gap(
+    series: LabeledSeries,
+    spec: LossSpec,
+    mc_samples: int | None = None,
+    seed: int = 0,
+) -> ScoreGap:
+    """Compare s(E[wCM]) with E[s(wCM)].
+
+    With ``mc_samples`` unset the right-hand side comes from the exact
+    piecewise oracle (stderr 0); otherwise from Monte Carlo with its
+    standard error.
+    """
+    lhs = -loss_value(series, spec)
+    if mc_samples is None:
+        rhs = exact_expected_score(series, spec.dist, spec.weights, spec.score)
+        se = 0.0
+    else:
+        est = mc_expected_score(
+            series, spec.dist, spec.weights, spec.score, mc_samples, seed
+        )
+        rhs = est.mean
+        se = est.stderr
+    return ScoreGap(
+        score_of_expected=lhs, expected_score=rhs, gap=rhs - lhs, stderr=se
+    )
 
 
 def random_series(rng: np.random.Generator, n: int | None = None) -> LabeledSeries:

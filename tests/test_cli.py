@@ -744,6 +744,11 @@ _EVAL_ARGV = ["eval", "--data", "s.csv", "--config", "l.json", "--out", "r.json"
             2,
         ),
         (["verify", "--only", "cost", "--out", "."], {}, 2),
+        (
+            ["train", "--data", "s.csv", "--synth", "synth.json", "--loss", "l.json"],
+            {"synth.json": {"n": 60}, "l.json": _COMPONENT},
+            2,
+        ),
     ],
     ids=[
         "tss-cost-1e200",
@@ -761,6 +766,7 @@ _EVAL_ARGV = ["eval", "--data", "s.csv", "--config", "l.json", "--out", "r.json"
         "train-out-dir-is-file",
         "train-out-dir-under-file",
         "verify-out-is-dir",
+        "data-and-synth",
     ],
 )
 def test_bad_invocation_exits_with_one_error_line(

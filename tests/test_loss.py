@@ -13,8 +13,6 @@ from wsol.loss import (
     LossSpec,
     combined_loss,
     evaluate_loss,
-    expected_score_gap,
-    finite_diff_gradient,
     loss_gradient,
     loss_value,
 )
@@ -22,6 +20,7 @@ from wsol.oracle import exact_expected_confusion
 from wsol.scores import ScoreKind, apply_score
 from wsol.series import LabeledSeries
 from wsol.threshold import ThresholdDistribution
+from wsol.verify import expected_score_gap, finite_diff_gradient
 from wsol.weights import (
     CrossEntropyWeight,
     UnitWeight,

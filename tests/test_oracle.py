@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from helpers import make_series, reference_weight, weight_menu
-from wsol import oracle
+from wsol import confusion, oracle
+from wsol.confusion import _BATCH_ELEMENTS, batch_weighted_entries, sweep_thresholds
 from wsol.errors import ValidationError
 from wsol.expected import expected_confusion
-from wsol.loss import LossSpec, finite_diff_gradient
+from wsol.loss import LossSpec
 from wsol.oracle import (
-    _BATCH_ELEMENTS,
     _CHUNK,
-    batch_weighted_entries,
     exact_expected_confusion,
     exact_expected_score,
     mc_expected_confusion,
@@ -20,7 +19,7 @@ from wsol.oracle import (
 )
 from wsol.scores import ScoreKind, score_array
 from wsol.series import LabeledSeries
-from wsol.trainer import sweep_thresholds
+from wsol.verify import finite_diff_gradient
 from wsol.weights import (
     CostWeight,
     CrossEntropyWeight,
@@ -288,22 +287,70 @@ CLOSED_FORM_NAMES = {
 def test_oracles_import_no_closed_form():
     # The oracles check the closed forms, so they must not reach them: no
     # import of wsol.loss at any depth, only the result record from
-    # wsol.expected, and no closed-form name anywhere in the module.
-    tree = ast.parse(Path(oracle.__file__).read_text())
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = (node.module or "").removeprefix("wsol.")
-            imported.setdefault(module, set()).update(a.name for a in node.names)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                imported.setdefault(alias.name.removeprefix("wsol."), set())
-    assert "loss" not in imported
-    assert imported.get("expected") == {"ExpectedConfusion"}
-    names = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+    # wsol.expected and the hard-matrix engine from wsol.confusion, and no
+    # closed-form name anywhere in the module.  wsol.confusion, the hard
+    # matrix the oracles integrate, is held to the same rule and imports
+    # neither wsol.loss nor wsol.expected.
+    oracle_only = {
+        "expected": {"ExpectedConfusion"},
+        "confusion": {"batch_weighted_entries"},
     }
-    assert names.isdisjoint(CLOSED_FORM_NAMES)
-    assert set().union(*imported.values()).isdisjoint(CLOSED_FORM_NAMES)
+    for module, only in ((oracle, oracle_only), (confusion, {"expected": None})):
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = (node.module or "").removeprefix("wsol.")
+                imported.setdefault(source, set()).update(a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported.setdefault(alias.name.removeprefix("wsol."), set())
+        assert "loss" not in imported
+        for source, names in only.items():
+            assert imported.get(source) == names
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        assert names.isdisjoint(CLOSED_FORM_NAMES)
+        assert set().union(*imported.values()).isdisjoint(CLOSED_FORM_NAMES)
+
+
+# The closed forms and the hard matrix they average; errors is shared by all.
+CLOSED_FORM_STACK = (
+    "series",
+    "threshold",
+    "weights",
+    "scores",
+    "expected",
+    "confusion",
+    "loss",
+)
+
+
+def test_closed_forms_import_no_checker():
+    # The oracles and wsol.verify check the closed-form stack, so no module
+    # of that stack may import them, or anything else of the package: each
+    # wsol import names a module of the stack or wsol.errors.
+    allowed = {*CLOSED_FORM_STACK, "errors"}
+    package = Path(oracle.__file__).parent
+    reached = {}
+    for name in CLOSED_FORM_STACK:
+        tree = ast.parse((package / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module.startswith("wsol"):
+                targets = [node.module.removeprefix("wsol").removeprefix(".")]
+            elif isinstance(node, ast.Import):
+                targets = [
+                    a.name.removeprefix("wsol").removeprefix(".")
+                    for a in node.names
+                    if a.name.split(".")[0] == "wsol"
+                ]
+            else:
+                continue
+            reached.setdefault(name, set()).update(targets)
+    assert all("errors" in reached[name] for name in CLOSED_FORM_STACK)
+    assert {m: r - allowed for m, r in reached.items() if r - allowed} == {}

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts at tiny sizes, each in its own process."""
 
+import importlib.util
 import math
 import os
 import re
@@ -54,3 +55,65 @@ def test_fingerprint_repeats():
     names = [name for _, name in lines]
     assert len(names) == len(set(names)) > 50
     assert "verify/verify.json" in names
+
+
+def _load_pair():
+    spec = importlib.util.spec_from_file_location("pair", ROOT / "scripts" / "pair.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pair_summary_counts_wins_by_direction():
+    # Ten pairs: the change is faster on nine and ties on one, so it wins
+    # 9/10 on the lower-is-better latency, which meets the 9/10 rule; on
+    # throughput it wins 8, ties 1 and loses 1, one short of the rule.
+    pair = _load_pair()
+    end_to_end = [
+        {"name": "ops_per_s", "better": "higher", "bound": 0.24},
+        {"name": "op_ms_p50", "better": "lower", "bound": 0.24},
+    ]
+    base_ms = [10.0, 11.0, 12.0, 10.5, 11.5, 10.2, 11.2, 10.8, 11.8, 12.2]
+    change_ms = [ms - 2.0 for ms in base_ms[:9]] + [base_ms[9]]
+    base_ops = [100.0 + k for k in range(10)]
+    change_ops = [v + 5.0 for v in base_ops[:8]] + [base_ops[8], base_ops[9] - 1.0]
+    base = [{"ops_per_s": o, "op_ms_p50": m} for o, m in zip(base_ops, base_ms)]
+    change = [{"ops_per_s": o, "op_ms_p50": m} for o, m in zip(change_ops, change_ms)]
+    got = pair.summarize(base, change, end_to_end)
+
+    ms = got["op_ms_p50"]
+    assert (ms["change_wins"], ms["base_wins"], ms["pairs"]) == (9, 0, 10)
+    assert ms["base"]["runs"] == base_ms and ms["base"]["median"] == 11.1
+    assert ms["base"]["q1"] < ms["base"]["median"] < ms["base"]["q3"]
+    assert ms["claim"] and ms["within_bound"] and ms["median_worse_by"] < 0
+
+    ops = got["ops_per_s"]
+    assert (ops["change_wins"], ops["base_wins"]) == (8, 1)
+    assert not ops["claim"] and ops["within_bound"]
+
+
+def test_pair_summary_needs_a_gap_beyond_the_base_spread():
+    # Ten wins of ten, but by less than the base's quartile spread: no
+    # claim.  Ten losses of 30 % break the 24 % bound.
+    pair = _load_pair()
+    end_to_end = [{"name": "setup_s", "better": "lower", "bound": 0.24}]
+    base = [{"setup_s": 1.0 + 0.1 * k} for k in range(10)]
+    slightly = [{"setup_s": run["setup_s"] - 0.01} for run in base]
+    got = pair.summarize(base, slightly, end_to_end)["setup_s"]
+    assert got["change_wins"] == 10 and not got["claim"]
+    slower = [{"setup_s": run["setup_s"] * 1.3} for run in base]
+    got = pair.summarize(base, slower, end_to_end)["setup_s"]
+    assert got["base_wins"] == 10 and not got["within_bound"]
+    assert abs(got["median_worse_by"] - 0.3) < 1e-12
+
+
+def test_pair_fingerprint_diff_names_moved_and_one_sided_outputs():
+    pair = _load_pair()
+    base = "aa  eval/report.json\nbb  loss/stdout\ncc  train/history.csv\n"
+    change = "aa  eval/report.json\nbd  loss/stdout\ndd  verify/verify.json\n"
+    assert pair.fingerprint_diff(base, change) == [
+        "loss/stdout",
+        "train/history.csv",
+        "verify/verify.json",
+    ]
+    assert pair.fingerprint_diff(base, base) == []

@@ -53,6 +53,16 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="unknown distribution kind"):
             ThresholdDistribution(kind="gamma")
 
+    @pytest.mark.parametrize("shapes", [{"alpha": 7.0}, {"beta": 0.5}])
+    def test_uniform_rejects_beta_shapes(self, shapes):
+        # Nothing reads them, so a uniform prior with shapes would only
+        # compare unequal to the same prior without.
+        with pytest.raises(ValidationError, match="uniform prior takes no beta shapes"):
+            ThresholdDistribution(kind="uniform", **shapes)
+        assert ThresholdDistribution(kind="uniform", alpha=1.0, beta=1.0) == (
+            ThresholdDistribution.uniform()
+        )
+
     def test_beta_is_full_support(self):
         d = ThresholdDistribution.beta_prior(2.0, 2.0)
         assert d.support == (0.0, 1.0)

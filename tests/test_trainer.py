@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 from helpers import weight_menu
-from wsol import confusion, scores, trainer
-from wsol.confusion import hard_confusion, hard_entries, weighted_hard_confusion
+from wsol import confusion, scores
+from wsol.confusion import (
+    hard_confusion,
+    hard_entries,
+    sweep_report,
+    sweep_thresholds,
+    weighted_hard_confusion,
+)
 from wsol.errors import (
     DegenerateDenominatorError,
     TrainingDivergedError,
@@ -25,8 +31,6 @@ from wsol.trainer import (
     TrainConfig,
     _sigmoid,
     generate_temporal_dataset,
-    sweep_report,
-    sweep_thresholds,
     train,
 )
 from wsol.weights import (
@@ -405,6 +409,28 @@ class TestTraining:
         with pytest.raises(ValidationError, match="one row per label"):
             train(x, y, model, TrainConfig(ce_loss()))
 
+    @pytest.mark.parametrize("bad", [0.5, float("nan")], ids=["half", "nan"])
+    def test_labels_other_than_zero_or_one_are_rejected(self, rng, bad):
+        # Checked before any integer cast, which would train on 0.5 as 0
+        # and warn on NaN.
+        model = MLPModel.init((2, 4, 1), seed=5)
+        before = [p.copy() for p in (*model.weights, *model.biases)]
+        x, y = rng.normal(size=(6, 2)), np.array([bad, 1, 0, 1, 0.7, 0])
+        with pytest.raises(ValidationError, match="labels must be exactly 0 or 1"):
+            train(x, y, model, TrainConfig(ce_loss(), epochs=3))
+        for p0, p1 in zip(before, (*model.weights, *model.biases)):
+            np.testing.assert_array_equal(p0, p1)
+
+    def test_float_labels_train_as_int_labels(self):
+        x, y = generate_temporal_dataset(SyntheticSeriesConfig(n=60, seed=3))
+        cfg = TrainConfig(ce_loss(), epochs=4, learning_rate=0.1, chunk=25)
+        histories = []
+        for labels in (y, y.astype(np.float64)):
+            model = MLPModel.init((x.shape[1], 4, 1), seed=2)
+            history = train(x, labels, model, cfg).history
+            histories.append(np.array([list(asdict(r).values()) for r in history]))
+        assert histories[0].tobytes() == histories[1].tobytes()
+
     def test_report_threshold_at_a_float_edge_is_rejected(self, rng):
         # Beta(1e5, 1e-12) passes the shape checks, but its mean rounds to
         # 1.0, where no sample could raise an alarm.
@@ -515,12 +541,7 @@ def test_epoch_report_matches_hard_entries(monkeypatch, weights):
 
         return wrapper
 
-    for module, name in (
-        (scores, "score_array"),
-        (trainer, "score_array"),
-        (confusion, "hard_entries"),
-        (trainer, "hard_entries"),
-    ):
+    for module, name in ((scores, "score_array"), (confusion, "hard_entries")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     model = MLPModel.init((x.shape[1], 4, 1), seed=7)
     (record,) = train(x, y, model, TrainConfig(loss=head, epochs=1)).history
