@@ -8,12 +8,15 @@ Usage, from any directory:
 The script imports wsol from ``src/`` of its own checkout and runs, in one
 process and in a temporary directory, on a seeded series of ``--n`` samples:
 
-* ``wsol eval`` for each legal (weight, prior) pair at two sweep steps;
+* ``wsol eval`` for each legal (weight, prior) pair at two sweep steps, and
+  once at the default step;
 * ``wsol loss --gradient`` for each score under each weight, and a combined
   loss;
-* a 30-epoch ``wsol train``, full batch and chunked;
+* a 30-epoch ``wsol train``, full batch and chunked, and one at the default
+  epochs and learning rate;
 * ``wsol verify --out``, with the seconds of each check stripped from its
-  table and its file.
+  table and its file;
+* ``wsol demo-figure1`` at its default weights and threshold, and at others.
 
 It prints one ``sha256  name`` line per output: a command's exit code,
 standard output and standard error, and each file it writes.  Two trees
@@ -142,21 +145,40 @@ def corpus(n: int):
             argv = ["eval", "--data", "series.csv", "--config", "config.json"]
             yield name, run([*argv, "--out", "report.json", "--sweep-step", step])
             yield f"{name}/report.json", Path("report.json").read_bytes()
+    # The last pair's config again, with eval's default sweep step.
+    yield "eval_default_step", run([*argv, "--out", "report.json"])
+    yield "eval_default_step/report.json", Path("report.json").read_bytes()
     for name, doc in loss_documents():
         Path("loss.json").write_text(json.dumps(doc))
         argv = ["loss", "--data", "series.csv", "--loss", "loss.json", "--gradient"]
         yield f"loss_{name}", run(argv)
     loss = {"weights": WEIGHTS["value_max"], "distribution": PRIORS["uniform"]}
     Path("loss.json").write_text(json.dumps(dict(loss, score="tss")))
-    for name, extra in (("train_full", []), ("train_chunked", ["--chunk", "64"])):
+    runs = (
+        ("train_full", ["--epochs", EPOCHS]),
+        ("train_chunked", ["--epochs", EPOCHS, "--chunk", "64"]),
+        ("train_default_epochs_lr", []),
+    )
+    for name, extra in runs:
         argv = ["train", "--data", "dataset.csv", "--loss", "loss.json"]
-        argv += ["--epochs", EPOCHS, "--seed", "7", "--out-dir", name, *extra]
+        argv += ["--seed", "7", "--out-dir", name, *extra]
         yield name, run(argv)
         for output in ("history.csv", "checkpoint.json", "evaluation.json"):
             yield f"{name}/{output}", Path(name, output).read_bytes()
     console = run(["verify", "--seed", "11", "--out", "verify.json"])
     yield "verify", re.sub(rb" *\d+\.\d\ds  ", b"  ", console)
     yield "verify/verify.json", without_seconds(Path("verify.json").read_text())
+    for name, extra in (
+        ("demo_default", []),
+        ("demo_omega_tau", ["--omega", "0.5,0.2", "--tau", "0.4"]),
+    ):
+        yield name, run(["demo-figure1", "--out-dir", name, *extra])
+        for output in (
+            "series_adjacent_errors.csv",
+            "series_isolated_errors.csv",
+            "comparison.json",
+        ):
+            yield f"{name}/{output}", Path(name, output).read_bytes()
 
 
 def main() -> None:

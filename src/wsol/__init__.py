@@ -1,5 +1,11 @@
 """Weighted classification scores, expected confusion matrices under a
-random threshold, and the resulting score-oriented losses."""
+random threshold, and the resulting score-oriented losses.
+
+Every name the imports below bind is public: ``__all__`` is read off them,
+so a name is exported by importing it here and by nothing else.
+"""
+
+from types import ModuleType as _ModuleType
 
 from .confusion import (
     ConfusionCounts,
@@ -60,55 +66,8 @@ from .weights import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Aggregator",
-    "CombinedLossSpec",
-    "ConfigError",
-    "ConfusionCounts",
-    "CostWeight",
-    "CrossEntropyWeight",
-    "DegenerateDenominatorError",
-    "ExpectedConfusion",
-    "GradientVector",
-    "InputError",
-    "LabeledSeries",
-    "LossSpec",
-    "MultilabelSeries",
-    "MultilabelSpec",
-    "ScoreGap",
-    "ScoreKind",
-    "ScoreValue",
-    "ThresholdDistribution",
-    "TrainingDivergedError",
-    "UnitWeight",
-    "UnsupportedCombinationError",
-    "ValidationError",
-    "ValueMaxWeight",
-    "ValueProdWeight",
-    "WeightSpec",
-    "WeightedCounts",
-    "WsolError",
-    "apply_score",
-    "combined_loss",
-    "eval_weight",
-    "exact_expected_confusion",
-    "exact_expected_score",
-    "expected_confusion",
-    "expected_score_gap",
-    "expected_tp_tn",
-    "expected_wfn",
-    "expected_wfp",
-    "finite_diff_gradient",
-    "hard_confusion",
-    "loss_gradient",
-    "loss_value",
-    "mc_expected_confusion",
-    "mc_expected_score",
-    "multilabel_global_score",
-    "multilabel_wsol",
-    "read_series_csv",
-    "regularized_incomplete_beta",
-    "score_partials",
-    "weighted_hard_confusion",
-    "write_series_csv",
-]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

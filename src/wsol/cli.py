@@ -3,7 +3,9 @@
 Subcommands: ``eval`` (threshold sweep + expected matrices for a series),
 ``loss`` (loss value and optional gradient for a series), ``verify``
 (oracle check suite), ``train`` (fit the demo MLP), and ``demo-figure1``
-(emit the paired same-matrix series).  Exit codes: 0 ok, 1 bad input
+(emit the paired same-matrix series).  Each subparser binds its handler as
+``run``, which ``main`` calls, and each default a library function also
+uses is read from the library, not restated.  Exit codes: 0 ok, 1 bad input
 data, 2 bad config or unwritable output, 3 verification failure, 4 training
 divergence, 141 closed stdout.  ``WSOL_SEED`` overrides the default seed.
 """
@@ -17,8 +19,8 @@ import sys
 from pathlib import Path
 
 from . import config as cfg
-from .confusion import sweep_report, sweep_thresholds
-from .demo import adjacent_error_series, compare_series, isolated_error_series
+from . import demo
+from .confusion import DEFAULT_SWEEP_STEP, sweep_report, sweep_thresholds
 from .errors import (
     ConfigError,
     DegenerateDenominatorError,
@@ -28,7 +30,7 @@ from .errors import (
     finite_json,
 )
 from .expected import expected_report
-from .loss import combined_loss, loss_value
+from .loss import evaluate_loss
 from .oracle import MC_MIN_SAMPLES
 from .series import (
     LabeledSeries,
@@ -44,7 +46,7 @@ from .trainer import (
     train,
     write_history_csv,
 )
-from .verify import format_table, run_verify
+from .verify import DEFAULT_MC_SAMPLES, format_table, run_verify
 from .weights import UnitWeight, ValueMaxWeight
 
 EXIT_OK = 0
@@ -143,7 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--out", default="report.json")
-    p_eval.add_argument("--sweep-step", type=_sweep_step, default=0.01)
+    p_eval.add_argument("--sweep-step", type=_sweep_step, default=DEFAULT_SWEEP_STEP)
+    p_eval.set_defaults(run=cmd_eval)
 
     p_loss = sub.add_parser("loss", help="evaluate a loss spec on a series")
     p_loss.add_argument("--data", required=True)
@@ -153,25 +156,27 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print the per-prediction gradient as CSV",
     )
+    p_loss.set_defaults(run=cmd_loss)
 
     p_verify = sub.add_parser("verify", help="run the oracle check suite")
     p_verify.add_argument("--seed", type=_seed, default=None, help=_SEED_HELP)
     p_verify.add_argument(
         "--samples",
         type=_mc_samples,
-        default=20000,
+        default=DEFAULT_MC_SAMPLES,
         help=f"Monte Carlo draws per oracle call, at least {MC_MIN_SAMPLES}",
     )
     p_verify.add_argument("--only", default=None)
     p_verify.add_argument("--out", default=None)
+    p_verify.set_defaults(run=cmd_verify)
 
     p_train = sub.add_parser("train", help="train the demo MLP")
     source = p_train.add_mutually_exclusive_group()
     source.add_argument("--data", default=None, help="CSV with feature columns + label")
     source.add_argument("--synth", default=None, help="synthetic dataset config JSON")
     p_train.add_argument("--loss", required=True)
-    p_train.add_argument("--epochs", type=int, default=300)
-    p_train.add_argument("--lr", type=float, default=0.5)
+    p_train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p_train.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p_train.add_argument("--seed", type=_seed, default=None, help=_SEED_HELP)
     p_train.add_argument(
         "--hidden",
@@ -181,13 +186,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_train.add_argument("--chunk", type=int, default=None)
     p_train.add_argument("--out-dir", default="train_out")
+    p_train.set_defaults(run=cmd_train)
 
     p_demo = sub.add_parser(
         "demo-figure1", help="emit the paired series with identical matrices"
     )
     p_demo.add_argument("--out-dir", default="demo_out")
-    p_demo.add_argument("--omega", type=_max_weights, default="0.6,0.3,0.1")
-    p_demo.add_argument("--tau", type=_open_unit_interval, default=0.5)
+    p_demo.add_argument("--omega", type=_max_weights, default=demo.DEFAULT_DEMO_WEIGHTS)
+    p_demo.add_argument("--tau", type=_open_unit_interval, default=demo.DEMO_THRESHOLD)
+    p_demo.set_defaults(run=cmd_demo_figure1)
     return parser
 
 
@@ -236,12 +243,18 @@ def cmd_eval(args) -> int:
 def cmd_loss(args) -> int:
     spec = cfg.load_loss(args.loss)
     series = read_series_csv(args.data)
-    if args.gradient:
-        value, grad = combined_loss(series, spec)
-    else:
-        value = loss_value(series, spec)
-    print(f"loss,{float(value)!r}")
-    if args.gradient:
+    ev = evaluate_loss(series, spec)
+    # Taken before anything is printed: an undefined derivative prints nothing.
+    grad = ev.gradient() if args.gradient else None
+    print(f"loss,{float(ev.value)!r}")
+    for k, ((component, _), result) in enumerate(zip(spec.components, ev.results)):
+        if result.degenerate:
+            print(
+                f"warning: component {k} ({component.score.value}) has a zero "
+                f"score denominator on this series; its score is taken as 0",
+                file=sys.stderr,
+            )
+    if grad is not None:
         rows = (f"{i},{v!r}" for i, v in enumerate(grad.values.tolist()))
         print("\n".join(["index,gradient", *rows]))
         if grad.nonsmooth:
@@ -317,9 +330,9 @@ def cmd_train(args) -> int:
 def cmd_demo_figure1(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_series_csv(out / "series_adjacent_errors.csv", adjacent_error_series())
-    write_series_csv(out / "series_isolated_errors.csv", isolated_error_series())
-    comparison = compare_series(weights=args.omega, tau=args.tau)
+    write_series_csv(out / "series_adjacent_errors.csv", demo.adjacent_error_series())
+    write_series_csv(out / "series_isolated_errors.csv", demo.isolated_error_series())
+    comparison = demo.compare_series(weights=args.omega, tau=args.tau)
     (out / "comparison.json").write_text(finite_json(comparison, indent=2))
     cm = comparison["confusion"]
     print(
@@ -347,15 +360,8 @@ def main(argv=None) -> int:
             args.seed = _seed(os.environ.get("WSOL_SEED", "2024"))
         except argparse.ArgumentTypeError as exc:
             parser.error(f"WSOL_SEED: {exc}")
-    handlers = {
-        "eval": cmd_eval,
-        "loss": cmd_loss,
-        "verify": cmd_verify,
-        "train": cmd_train,
-        "demo-figure1": cmd_demo_figure1,
-    }
     try:
-        code = handlers[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except BrokenPipeError:

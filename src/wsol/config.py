@@ -1,9 +1,10 @@
 """JSON config documents: one file, fixed sections, unknown keys rejected.
 
 An eval config has the sections ``distribution``, ``weights`` and
-``score``.  A loss file holds a single {score, weights, distribution}
-object or {"components": [{..., "beta": b}, ...]} with coefficients
-summing to 1, bare or as the one key of {"loss": ...}.  A synthetic
+``score``, each named once, in ``_SECTIONS`` beside its parser.  A loss
+file holds a single {score, weights, distribution} object or
+{"components": [{..., "beta": b}, ...]} with coefficients summing to 1,
+bare or as the one key of {"loss": ...}.  A synthetic
 dataset file holds ``SyntheticSeriesConfig`` fields.  Numbers must be
 JSON numbers: a string or a boolean is rejected, not converted.  Every
 value the constructors reject is a ConfigError naming where it sits.
@@ -29,7 +30,6 @@ from .weights import (
     WeightSpec,
 )
 
-_TOP_KEYS = {"distribution", "weights", "score"}
 _WEIGHT_VARIANTS = {
     cls.name: cls
     for cls in (
@@ -138,18 +138,20 @@ def load_json(path: str | Path) -> dict:
     return doc
 
 
+# Each eval config section and its parser, in the order they are read.
+_SECTIONS = {
+    "distribution": parse_distribution,
+    "weights": parse_weights,
+    "score": parse_score,
+}
+
+
 def load_config(path: str | Path) -> dict:
-    """Load and validate an eval config document."""
+    """Load and validate an eval config document: each ``_SECTIONS`` key it
+    holds, parsed by that section's parser, in the table's order."""
     doc = load_json(path)
-    _check_keys(doc, _TOP_KEYS, str(path))
-    out: dict = {}
-    if "distribution" in doc:
-        out["distribution"] = parse_distribution(doc["distribution"])
-    if "weights" in doc:
-        out["weights"] = parse_weights(doc["weights"])
-    if "score" in doc:
-        out["score"] = parse_score(doc["score"])
-    return out
+    _check_keys(doc, set(_SECTIONS), str(path))
+    return {key: parse(doc[key]) for key, parse in _SECTIONS.items() if key in doc}
 
 
 def load_loss(path: str | Path) -> LossSpec | CombinedLossSpec:

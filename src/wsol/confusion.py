@@ -17,6 +17,7 @@ and the closed forms agree on every input.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,10 @@ from .weights import UnitWeight, WeightSpec
 # Matrix elements (samples x thresholds) per block of batch_weighted_entries:
 # small enough that the block's temporaries stay in cache.
 _BATCH_ELEMENTS = 1 << 16
+
+# The sweep grid's step, unless one is given: ``wsol eval``'s default, and
+# the step of every sweep ``wsol train`` and the paired comparison report.
+DEFAULT_SWEEP_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -95,12 +100,17 @@ def hard_entries(series: LabeledSeries, taus, spec: WeightSpec) -> np.ndarray:
     """The classical and the weighted hard matrix at each threshold, as (4, 2, B).
 
     Axis 0 is (tn, fp or wfp, fn or wfn, tp), axis 1 is (classical,
-    weighted), axis 2 follows ``taus``, each of which must lie in (0, 1).
-    A weight touches only the error entries, so one batch_weighted_entries
-    call gives both: every variant counts tn and tp alike, and the
-    classical errors are the remaining negatives and positives.
+    weighted), axis 2 follows ``taus``, a 1-d grid (possibly empty) of
+    numbers in (0, 1); any other shape is a ValidationError.  A weight
+    touches only the error entries, so one batch_weighted_entries call
+    gives both: every variant counts tn and tp alike, and the classical
+    errors are the remaining negatives and positives.
     """
     taus = np.asarray(taus, dtype=np.float64)
+    # A scalar has no columns, and the window factors of a 2-d grid would
+    # run their lags over its broadcast axis.
+    if taus.ndim != 1:
+        raise ValidationError(f"thresholds must be a 1-d grid, got shape {taus.shape}")
     # Written so that NaN, which fails every comparison, fails it too.
     outside = ~((taus > 0.0) & (taus < 1.0))
     if outside.any():
@@ -123,7 +133,10 @@ def weighted_hard_confusion(
 ) -> WeightedCounts:
     """Counts with the weight function applied per sample to FP and FN sums:
     the weighted column of hard_entries at the single threshold ``tau``, bit
-    for bit, read from one batch_weighted_entries column."""
+    for bit, read from one batch_weighted_entries column.  ``tau`` is one
+    real number: a bool, a string or an array is a ValidationError."""
+    if isinstance(tau, bool) or not isinstance(tau, numbers.Real):
+        raise ValidationError(f"threshold must be a real number, got {tau!r}")
     # Written so that NaN, which fails every comparison, fails it too.
     if not 0.0 < tau < 1.0:
         raise ValidationError(f"threshold must lie in (0, 1), got {tau}")
@@ -131,7 +144,7 @@ def weighted_hard_confusion(
     return WeightedCounts(tn=int(tn), wfp=wfp, wfn=wfn, tp=int(tp))
 
 
-def sweep_thresholds(step: float = 0.01) -> np.ndarray:
+def sweep_thresholds(step: float = DEFAULT_SWEEP_STEP) -> np.ndarray:
     """The sweep grid: step, 2 * step, ... rounded to 10 decimals, kept below 1.
 
     Rounding can carry the last point of ``np.arange`` up to 1.0 (step 1/3
@@ -149,10 +162,12 @@ def sweep_report(
     One hard_entries call gives both matrices at every threshold, and one
     score_table call scores them; the rows are read off those arrays
     column by column, with counts as ints.  The best tau of a score is its
-    first maximum.
+    first maximum, so the grid must be non-empty as well as 1-d.
     """
     entries = hard_entries(series, thresholds, weight_spec)
     taus = np.asarray(thresholds, dtype=np.float64).tolist()
+    if not taus:
+        raise ValidationError("a sweep needs at least one threshold")
     tn, fp, fn, tp = entries[:, 0].astype(np.int64).tolist()
     _, wfp, wfn, _ = entries[:, 1].tolist()
     table = score_table(*entries)

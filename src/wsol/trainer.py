@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -161,9 +161,18 @@ class MLPModel:
     @classmethod
     def load(cls, path: str | Path) -> "MLPModel":
         """Read a ``save`` checkpoint; ValidationError for what ``save`` would
-        not have written: non-finite parameters, or layers that do not chain
-        from the input to one output."""
-        doc = json.loads(Path(path).read_text())
+        not have written: text that is not a JSON object, a missing
+        ``weights`` or ``biases`` key, non-finite parameters, or layers that
+        do not chain from the input to one output."""
+        try:
+            doc = json.loads(Path(path).read_text())
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise ValidationError(f"{path}: not a JSON checkpoint: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ValidationError(f"{path}: checkpoint must be a JSON object")
+        missing = [key for key in ("weights", "biases") if key not in doc]
+        if missing:
+            raise ValidationError(f"{path}: checkpoint has no {' or '.join(missing)}")
         if doc.get("activation") != "tanh":
             raise ValidationError(f"unsupported activation {doc.get('activation')!r}")
         try:
@@ -419,18 +428,16 @@ def train(
 
 
 def write_history_csv(path: str | Path, history: list[EpochRecord]) -> None:
+    """One CSV row per record under a header of ``EpochRecord``'s fields, in
+    their order: the epoch as an integer, then ``repr`` of each other field as
+    a float.  A field added to the record is a column here too."""
+    names = [f.name for f in fields(EpochRecord)]
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "score_classical", "score_weighted"])
+        writer.writerow(names)
         for rec in history:
-            writer.writerow(
-                [
-                    rec.epoch,
-                    repr(float(rec.loss)),
-                    repr(float(rec.score_classical)),
-                    repr(float(rec.score_weighted)),
-                ]
-            )
+            epoch, *values = (getattr(rec, name) for name in names)
+            writer.writerow([epoch, *(repr(float(v)) for v in values)])
 
 
 @dataclass(frozen=True)

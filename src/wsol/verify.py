@@ -49,6 +49,10 @@ CE_TOL = 1e-12
 GRAD_RTOL = 1e-5
 REWARD_TOL = 1e-12
 
+# Monte Carlo draws per oracle call in run_verify, unless ``wsol verify
+# --samples`` sets them.
+DEFAULT_MC_SAMPLES = 20000
+
 PRIORS = (
     ThresholdDistribution.uniform(),
     ThresholdDistribution.beta_prior(2.0, 2.0),
@@ -474,7 +478,7 @@ _CHECKS = [
 
 
 def run_verify(
-    seed: int = 2024, samples: int = 20000, only: str | None = None
+    seed: int = 2024, samples: int = DEFAULT_MC_SAMPLES, only: str | None = None
 ) -> list[dict]:
     """Run the checks whose name contains ``only`` (all of them by default).
 

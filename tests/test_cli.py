@@ -11,8 +11,12 @@ import pytest
 from wsol import cli
 from wsol.cli import main
 from wsol.config import load_loss
-from wsol.loss import combined_loss
+from wsol.confusion import DEFAULT_SWEEP_STEP
+from wsol.demo import DEFAULT_DEMO_WEIGHTS, DEMO_THRESHOLD
+from wsol.loss import combined_loss, loss_value
 from wsol.series import read_dataset_csv, read_series_csv
+from wsol.trainer import TrainConfig
+from wsol.verify import DEFAULT_MC_SAMPLES
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -224,6 +228,35 @@ class TestLoss:
         err = captured.err.strip()
         assert err.startswith("input error:") and "\n" not in err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "labels, warned",
+        [((1, 1), [1]), ((0, 1), [])],
+        ids=["one-class", "two-class"],
+    )
+    def test_value_warns_of_a_degenerate_component(
+        self, tmp_path, capsys, labels, warned
+    ):
+        # TSS has no specificity without negatives: its value reads 0, and
+        # stderr names the component; stdout and the exit code are as ever.
+        data = tmp_path / "series.csv"
+        rows = "".join(f"{y},{p}\n" for y, p in zip(labels, (0.3, 0.6)))
+        data.write_text("label,prediction\n" + rows)
+        loss = tmp_path / "loss.json"
+        components = [
+            dict(_COMPONENT, score="accuracy", beta=0.5),
+            dict(_COMPONENT, score="tss", beta=0.5),
+        ]
+        loss.write_text(json.dumps({"components": components}))
+        assert run(["loss", "--data", data, "--loss", loss]) == 0
+        captured = capsys.readouterr()
+        spec = load_loss(loss)
+        assert captured.out == f"loss,{loss_value(read_series_csv(data), spec)!r}\n"
+        assert captured.err == "".join(
+            f"warning: component {k} ({spec.components[k][0].score.value}) has a "
+            f"zero score denominator on this series; its score is taken as 0\n"
+            for k in warned
+        )
 
     @pytest.mark.parametrize(
         "predictions, kinks",
@@ -569,6 +602,37 @@ def test_extreme_beta_shapes_exit_2_with_one_line(
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("config error: ") and "at most" in line
+
+
+@pytest.mark.parametrize(
+    "argv, handler, defaults",
+    [
+        (
+            ["eval", "--data", "d", "--config", "c"],
+            cli.cmd_eval,
+            {"sweep_step": DEFAULT_SWEEP_STEP},
+        ),
+        (["loss", "--data", "d", "--loss", "l"], cli.cmd_loss, {}),
+        (["verify"], cli.cmd_verify, {"samples": DEFAULT_MC_SAMPLES}),
+        (
+            ["train", "--loss", "l"],
+            cli.cmd_train,
+            {"epochs": TrainConfig.epochs, "lr": TrainConfig.learning_rate},
+        ),
+        (
+            ["demo-figure1"],
+            cli.cmd_demo_figure1,
+            {"omega": DEFAULT_DEMO_WEIGHTS, "tau": DEMO_THRESHOLD},
+        ),
+    ],
+    ids=["eval", "loss", "verify", "train", "demo-figure1"],
+)
+def test_each_subcommand_binds_its_handler_and_the_library_defaults(
+    argv, handler, defaults
+):
+    args = cli._build_parser().parse_args(argv)
+    assert args.run is handler
+    assert {name: getattr(args, name) for name in defaults} == defaults
 
 
 def test_sweep_step_bound_is_accepted():

@@ -6,6 +6,7 @@ from wsol.confusion import (
     ConfusionCounts,
     hard_confusion,
     hard_entries,
+    sweep_report,
     weighted_hard_confusion,
 )
 from wsol.errors import ValidationError
@@ -81,6 +82,54 @@ def test_threshold_domain():
             weighted_hard_confusion(series, tau, UnitWeight())
         with pytest.raises(ValidationError, match=f"got {tau}$"):
             hard_entries(series, (0.5, tau, 2.0), UnitWeight())
+
+
+class TestThresholdShape:
+    """A grid of another shape is a ValidationError, never a number."""
+
+    SERIES = LabeledSeries(
+        np.array([0.8, 0.4, 0.6, 0.3, 0.35, 0.9]), np.array([0, 1, 0, 1, 1, 0])
+    )
+
+    @pytest.mark.parametrize(
+        "spec, wfn",
+        [
+            (ValueMaxWeight((0.5, 0.25)), [1.75, 0.5]),
+            (ValueProdWeight((0.5, 0.25)), [1.75, 0.25]),
+        ],
+        ids=["value_max", "value_prod"],
+    )
+    def test_two_d_grid_is_refused_not_misread(self, spec, wfn):
+        # The window factors of a (1, 2) grid would run their lags over the
+        # broadcast axis: wfn (3.0, 1.0) where the 1-d grid gives ``wfn``.
+        assert hard_entries(self.SERIES, [0.5, 0.32], spec)[2, 1].tolist() == wfn
+        with pytest.raises(ValidationError, match=r"1-d grid, got shape \(1, 2\)$"):
+            hard_entries(self.SERIES, [[0.5, 0.32]], spec)
+
+    @pytest.mark.parametrize("read", [hard_entries, sweep_report])
+    def test_scalar_grid_is_refused(self, read):
+        with pytest.raises(ValidationError, match=r"1-d grid, got shape \(\)$"):
+            read(self.SERIES, 0.5, ValueMaxWeight((0.5, 0.25)))
+
+    def test_empty_grid_has_no_columns_and_no_sweep(self):
+        assert hard_entries(self.SERIES, [], UnitWeight()).shape == (4, 2, 0)
+        with pytest.raises(ValidationError, match="at least one threshold"):
+            sweep_report(self.SERIES, [], UnitWeight())
+
+    @pytest.mark.parametrize(
+        "tau",
+        ["0.5", True, np.bool_(True), np.array(0.5), np.array([0.5]), None],
+        ids=["str", "bool", "numpy-bool", "0-d-array", "1-d-array", "none"],
+    )
+    def test_single_threshold_must_be_one_real_number(self, tau):
+        with pytest.raises(ValidationError, match="threshold must be a real number"):
+            weighted_hard_confusion(self.SERIES, tau, ValueMaxWeight((0.5, 0.25)))
+
+    def test_single_threshold_takes_numpy_scalars(self):
+        spec = ValueMaxWeight((0.5, 0.25))
+        taus = (0.5, np.float64(0.5))
+        at = [weighted_hard_confusion(self.SERIES, tau, spec) for tau in taus]
+        assert at[0] == at[1]
 
 
 class TestHardEntries:

@@ -7,6 +7,7 @@ it is caught here first.  This only reads ``BENCHMARK.json``.
 
 import importlib
 import json
+import types
 from pathlib import Path
 
 import wsol
@@ -17,6 +18,18 @@ SUFFIX = ".calls_per_op"
 
 def test_every_exported_name_resolves():
     assert [name for name in wsol.__all__ if not hasattr(wsol, name)] == []
+
+
+def test_every_public_name_is_exported_once_and_no_submodule():
+    # The other direction: each public name the package binds is in
+    # ``__all__``, sorted and once, and a submodule is not.
+    public = [
+        name
+        for name, value in vars(wsol).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert wsol.__all__ == sorted(set(public))
+    assert "confusion" in vars(wsol) and "confusion" not in wsol.__all__
 
 
 def _resolves(module, path: list[str]) -> bool:

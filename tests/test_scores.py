@@ -110,6 +110,12 @@ class TestValues:
         with pytest.raises(ValidationError):
             ScoreKind.parse("auc")
 
+    @pytest.mark.parametrize("evaluate", [apply_score, score_array, score_partials])
+    def test_kind_that_is_not_a_member_is_refused(self, evaluate):
+        # A member's name is not the member: every path checks identity.
+        with pytest.raises(ValidationError, match="unknown score kind 'tss'"):
+            evaluate("tss", 15.0, 4.0, 2.0, 5.0)
+
 
 class TestDegenerate:
     def test_zero_denominator_scores_zero_with_flag(self):

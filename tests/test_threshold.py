@@ -112,6 +112,17 @@ class TestCdf:
         with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
             ThresholdDistribution.beta_prior(2.0, 2.0).cdf(np.nan)
 
+    @pytest.mark.parametrize("a, b", [(0.0, 2.0), (2.0, -1.0)])
+    def test_rejects_non_positive_shapes(self, a, b):
+        with pytest.raises(ValidationError, match="shape parameters must be positive"):
+            regularized_incomplete_beta(a, b, 0.3)
+
+    def test_continued_fraction_that_does_not_converge_raises(self, monkeypatch):
+        # One round is far too few at x = 0.3; the error names the shapes.
+        monkeypatch.setattr(threshold, "_CF_MAX_ITER", 0)
+        with pytest.raises(ValidationError, match="did not converge for a=2.0, b=3.0"):
+            regularized_incomplete_beta(2.0, 3.0, [0.1, 0.3])
+
     def test_monotone_nondecreasing(self, rng):
         for d in (
             ThresholdDistribution.uniform(0.1, 0.9),

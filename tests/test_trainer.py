@@ -18,7 +18,14 @@ from wsol.errors import (
     TrainingDivergedError,
     ValidationError,
 )
-from wsol.loss import CombinedLossSpec, LossSpec, combined_loss, loss_value
+from wsol.loss import (
+    CombinedLossSpec,
+    GradientVector,
+    LossEvaluation,
+    LossSpec,
+    combined_loss,
+    loss_value,
+)
 from wsol.scores import ScoreKind, apply_score, score_array
 from wsol.series import LabeledSeries
 from wsol.threshold import ThresholdDistribution
@@ -258,6 +265,25 @@ class TestModel:
         with pytest.raises(ValidationError, match="one bias per weight matrix"):
             MLPModel.load(path)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"[1, 2]", "checkpoint must be a JSON object"),
+            (b'{"activation": "tanh", "biases": []}', "checkpoint has no weights$"),
+            (b'{"activation": "tanh", "weights": []}', "checkpoint has no biases$"),
+            (b"{}", "checkpoint has no weights or biases$"),
+            (b"not json", "not a JSON checkpoint"),
+            (b"\xff\xfe{}", "not a JSON checkpoint"),
+        ],
+        ids=["list", "no-weights", "no-biases", "empty", "not-json", "not-utf8"],
+    )
+    def test_load_refuses_what_is_not_a_checkpoint(self, tmp_path, data, message):
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(data)
+        with pytest.raises(ValidationError, match=message) as excinfo:
+            MLPModel.load(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
     def test_backward_consumes_only_the_hidden_activations(self, rng):
         model = MLPModel.init((3, 5, 4, 1), seed=3)
         x = rng.normal(size=(40, 3))
@@ -400,6 +426,33 @@ class TestTraining:
                 TrainConfig(loss=ce_loss(), epochs=50, learning_rate=0.1, seed=5),
             )
         assert excinfo.value.epoch == 0
+
+    def test_non_finite_gradient_aborts_before_the_update(self, rng, monkeypatch):
+        # The first two steps are real; the third step's gradient is NaN, so
+        # training stops at epoch 2 with the parameters of two epochs.
+        x = rng.normal(size=(30, 2))
+        y = (x[:, 0] > 0).astype(int)
+        cfg = TrainConfig(loss=ce_loss(), epochs=5, learning_rate=0.1)
+        reference = MLPModel.init((2, 4, 1), seed=5)
+        train(x, y, reference, TrainConfig(loss=ce_loss(), epochs=2, learning_rate=0.1))
+        real_gradient = LossEvaluation.gradient
+        calls = []
+
+        def gradient(ev):
+            calls.append(ev)
+            if len(calls) <= 2:
+                return real_gradient(ev)
+            return GradientVector(values=np.full(ev.series.n, np.nan))
+
+        monkeypatch.setattr(LossEvaluation, "gradient", gradient)
+        model = MLPModel.init((2, 4, 1), seed=5)
+        with pytest.raises(TrainingDivergedError) as excinfo:
+            train(x, y, model, cfg)
+        assert excinfo.value.epoch == 2
+        for got, want in zip(
+            (*model.weights, *model.biases), (*reference.weights, *reference.biases)
+        ):
+            np.testing.assert_array_equal(got, want)
 
     def test_length_mismatch_is_a_validation_error(self, rng):
         # Not divergence: the prediction check inside each epoch then
